@@ -13,8 +13,9 @@ Eviction is plain LRU over the byte budget.  A value larger than the
 whole budget is never admitted (it would evict everything and still
 bust the bound), so ``peak_bytes`` is a hard guarantee, not a
 high-water average.  Evicted values are recomputable by construction —
-the V stage recomputes on miss — so eviction affects time, never
-results (pinned by ``benchmarks/test_perf_kernels.py``).
+the V stage recomputes on miss — so eviction affects time, not choices
+(a recomputed membership vector may differ in its last bits; pinned by
+``tests/test_backend_equivalence.py``).
 """
 
 from __future__ import annotations

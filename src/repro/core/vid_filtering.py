@@ -17,19 +17,29 @@ stage processes *only* those V-Scenarios:
    per scenario; the accuracy metric applies the majority criterion to
    these choices and the reported match is the highest-scoring one.
 
-Pairwise membership vectors are cached per (scenario, scenario) pair so
-repeated appearances of the same scenarios across targets cost real
-time only once, while the *simulated* comparison cost is still charged
-per target (the paper's Spark design compares features inside one
-mapper per EID, so cross-EID comparison reuse does not happen there —
-"this results in more comparisons of VID features in the V stage of our
-algorithm").
+The per-pair membership vectors ``m(a, b)`` live in one table shared by
+every target: a batch computes each scenario pair's dot block once, for
+both directions, however many targets list the pair.  The *simulated*
+comparison cost is still charged per target (the paper's Spark design
+compares features inside one mapper per EID, so cross-EID comparison
+reuse does not happen there — "this results in more comparisons of VID
+features in the V stage of our algorithm").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -77,15 +87,9 @@ class FilterConfig:
             (the extraction cost stays charged once per scenario
             regardless — eviction is a host-memory concern, not a
             modeled-system one).
-        membership_cache_bytes: byte budget for the pairwise
-            membership-vector cache (quadratic in touched scenarios
+        membership_cache_bytes: byte budget for the per-pair
+            membership-vector table (quadratic in touched scenarios
             when unbounded); same ``None`` semantics.
-        batched_scoring: score a target's whole evidence block with one
-            stacked similarity matmul (see
-            :meth:`VIDFilter._match_one_block`) instead of pairwise
-            membership calls.  The default; ``False`` selects the
-            pairwise reference path, kept for equivalence tests and
-            as executable documentation of Eq. 1.
         topology: a fitted
             :class:`~repro.topology.matching.TopologyConfig`, or
             ``None`` (the default: topology-blind matching, exactly the
@@ -93,8 +97,7 @@ class FilterConfig:
             is dropped before feature comparison
             (``topology.prune``) and Eq. 1 score vectors are multiplied
             by per-scenario transit-consistency weights
-            (``topology.prior``); both the pairwise reference path and
-            the batched path apply the same decisions.
+            (``topology.prior``).
     """
 
     max_evidence: Optional[int] = None
@@ -103,7 +106,6 @@ class FilterConfig:
     exclusion_threshold: float = 0.62
     feature_cache_bytes: Optional[int] = None
     membership_cache_bytes: Optional[int] = None
-    batched_scoring: bool = True
     topology: Optional["TopologyConfig"] = None
 
     def __post_init__(self) -> None:
@@ -177,20 +179,48 @@ class MatchResult:
         return self.agreement >= config.min_agreement
 
 
+def similarity(dots: np.ndarray) -> np.ndarray:
+    """Eq. 1's ``sim = 1 - |f - f'| / 2`` of unit-norm features, from
+    their dot products (``|f - f'|^2 = 2 - 2 f.f'``).
+
+    Every step is monotone and correctly rounded, so ``similarity`` is
+    non-decreasing in ``dots`` in floating point too:
+    ``similarity(dots.max()) == similarity(dots).max()`` exactly.
+    Callers take maxima over dot products first and convert only the
+    winners.
+    """
+    return 1.0 - np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0)) / 2.0
+
+
 def membership_vector(features_a: np.ndarray, features_b: np.ndarray) -> np.ndarray:
     """``P(d in S_b)`` for every detection ``d`` of scenario ``a``.
 
-    Eq. 1 over unit-norm features: ``sim = 1 - |f - f'| / 2`` and the
-    membership probability takes the best-matching detection of ``b``.
+    Eq. 1 over unit-norm features: the membership probability takes the
+    best-matching detection of ``b``.
     """
     if features_a.size == 0:
         return np.zeros(0)
     if features_b.size == 0:
         return np.zeros(features_a.shape[0])
-    dots = features_a @ features_b.T
-    dist = np.sqrt(np.clip(2.0 - 2.0 * dots, 0.0, None)) / 2.0
-    sims = 1.0 - dist
-    return sims.max(axis=1)
+    return similarity((features_a @ features_b.T).max(axis=1))
+
+
+def agreement_of(chosen: Sequence[Detection], threshold: float) -> float:
+    """Plurality agreement among chosen detections, by similarity.
+
+    Two choices "agree" when their similarity reaches ``threshold``;
+    the score is the largest agreement neighborhood's size over the
+    number of choices.  Uses no ground truth, so Algorithm 2 can gate
+    on it in production.
+    """
+    if not chosen:
+        return 0.0
+    if len(chosen) == 1:
+        return 1.0
+    features = np.array([d.feature for d in chosen])
+    sims = similarity(features @ features.T)
+    agree_counts = (sims >= threshold).sum(axis=1)
+    return float(agree_counts.max()) / len(chosen)
 
 
 class VIDFilter:
@@ -212,6 +242,8 @@ class VIDFilter:
         self._membership_cache: ByteBudgetLRU[np.ndarray] = ByteBudgetLRU(
             self.config.membership_cache_bytes, lambda a: a.nbytes
         )
+        self._ids: Dict[ScenarioKey, int] = {}
+        self._id_keys: List[ScenarioKey] = []
         self._pruner = self._prior = None
         if self.config.topology is not None:
             # Imported here, not at module top: core must stay importable
@@ -241,6 +273,8 @@ class VIDFilter:
 
         Extraction is charged once per distinct scenario across all
         targets (frame reuse); comparisons are charged per target.
+        Every target's evidence pairs are computed up front, in bulk,
+        so a pair shared by many targets costs host time once.
 
         With ``use_exclusion=True`` the targets are processed from the
         shortest evidence list up (the analog of the correctness
@@ -256,6 +290,10 @@ class VIDFilter:
         with get_tracer().span(
             "v.filter", targets=len(evidence), exclusion=use_exclusion
         ) as span:
+            self._memberships(
+                self._ids_of(self._evidence(keys)[0])
+                for keys in evidence.values()
+            )
             if not use_exclusion:
                 for eid in sorted(evidence.keys()):
                     results[eid] = self.match_one(eid, evidence[eid])
@@ -357,10 +395,18 @@ class VIDFilter:
         to any of them are suppressed (unless that would leave a
         scenario with no candidate at all).
         """
-        keys = self._usable_keys(scenario_keys, eid=eid)
+        keys, detectionless, dropped = self._evidence(scenario_keys)
         log = get_event_log()
+        if log.debug:
+            for key in detectionless:
+                log.emit(
+                    ev.V_SCENARIO_DROPPED,
+                    eid=eid.index,
+                    cell_id=key.cell_id,
+                    tick=key.tick,
+                    reason="no_detections",
+                )
         if self._pruner is not None and keys:
-            keys, dropped = self._pruner.prune(keys)
             self._topology_counts["pruned"] += len(dropped)
             self._topology_counts["kept"] += len(keys)
             if dropped:
@@ -384,13 +430,8 @@ class VIDFilter:
             return MatchResult(
                 eid=eid, scenario_keys=(), chosen=(), scores=(), agreement=0.0
             )
-        inner = (
-            self._match_one_block
-            if self.config.batched_scoring
-            else self._match_one_inner
-        )
         with get_tracer().span("v.match_one", eid=eid.index, evidence=len(keys)):
-            result = inner(eid, keys, claimed)
+            result = self._choose(eid, keys, claimed)
         if log.debug:
             best = result.best
             log.emit(
@@ -404,117 +445,117 @@ class VIDFilter:
             )
         return result
 
-    def _match_one_inner(
+    def _choose(
         self,
         eid: EID,
         keys: List[ScenarioKey],
         claimed: Optional[Sequence[np.ndarray]] = None,
     ) -> MatchResult:
-        for key in keys:
-            self._ensure_extracted(key)
+        """Each scenario's most probable detection: its Eq. 1 score,
+        times the topology prior, minus claimed appearances."""
+        vectors = self._score_vectors(keys)
         weights = self._topology_weights(keys)
-
         chosen: List[Detection] = []
         scores: List[float] = []
-        for i, key_a in enumerate(keys):
-            scenario = self.store.v_scenario(key_a)
-            score_vec = np.ones(len(scenario))
-            for key_b in keys:
-                if key_b == key_a:
-                    continue
-                score_vec = score_vec * self._membership(key_a, key_b)
-                self.clock.charge_comparisons(
-                    len(scenario) * len(self.store.v_scenario(key_b))
-                )
+        for i, (key, score_vec) in enumerate(zip(keys, vectors)):
             if weights is not None:
                 score_vec = score_vec * weights[i]
             if claimed:
-                score_vec = self._suppress_claimed(key_a, score_vec, claimed)
+                score_vec = self._suppress_claimed(key, score_vec, claimed)
             winner = int(np.argmax(score_vec))
-            chosen.append(scenario.detections[winner])
+            chosen.append(self.store.v_scenario(key).detections[winner])
             scores.append(float(score_vec[winner]))
-
-        agreement = self._agreement(chosen)
         return MatchResult(
             eid=eid,
             scenario_keys=tuple(keys),
             chosen=tuple(chosen),
             scores=tuple(scores),
-            agreement=agreement,
+            agreement=agreement_of(chosen, self.config.agreement_threshold),
         )
 
-    def _match_one_block(
-        self,
-        eid: EID,
-        keys: List[ScenarioKey],
-        claimed: Optional[Sequence[np.ndarray]] = None,
-    ) -> MatchResult:
-        """:meth:`_match_one_inner` as one stacked similarity product.
+    def _score_vectors(self, keys: Sequence[ScenarioKey]) -> List[np.ndarray]:
+        """Per scenario of ``keys``: each detection's probability
+        product over the other scenarios' memberships (Eq. 1), taken in
+        key order.
 
-        All of the target's detections across its evidence block are
-        stacked into one feature matrix; a single gram matmul plus a
-        segmented ``maximum.reduceat`` yields every per-scenario best
-        similarity at once, replacing the K^2 pairwise
-        ``membership_vector`` calls.  A detection's similarity to its
-        own scenario's block is exactly ``1.0`` (self-similarity on
-        unit-norm features, and ``x * 1.0 == x`` exactly), so the
-        product over *all* block columns equals the reference's
-        product over the other scenarios and the per-scenario argmax
-        keeps the reference's first-wins tie-break.  Scores can differ
-        from the pairwise path in low-order bits — one big gram matmul
-        re-blocks the BLAS summation — so exact cross-path ties (e.g.
-        the symmetric two-scenario block) may resolve differently in
-        downstream argmaxes over *result* scores.  Comparison charges
-        stay per scenario pair, identical to the reference.
+        Comparisons are charged per target and ordered pair, as the
+        target's own mapper makes them (Sec. V-C), even when the pair
+        came from the shared table.
         """
         for key in keys:
             self._ensure_extracted(key)
-        feats = [self._features_of(key) for key in keys]
-        lens = [f.shape[0] for f in feats]
-        for i, len_a in enumerate(lens):
-            for j, len_b in enumerate(lens):
-                if i != j:
-                    self.clock.charge_comparisons(len_a * len_b)
+        ids = self._ids_of(keys)
+        table = self._memberships([ids])
+        sizes = [len(self.store.v_scenario(key)) for key in keys]
+        vectors: List[np.ndarray] = []
+        for a, size_a in zip(ids, sizes):
+            score_vec = np.ones(size_a)
+            for b, size_b in zip(ids, sizes):
+                if b != a:
+                    score_vec *= table[a, b]
+                    self.clock.charge_comparisons(size_a * size_b)
+            vectors.append(score_vec)
+        return vectors
 
-        stacked = np.vstack(feats)
-        starts = np.zeros(len(keys), dtype=np.intp)
-        np.cumsum(lens[:-1], out=starts[1:])
-        gram = stacked @ stacked.T
-        sims = 1.0 - np.sqrt(np.clip(2.0 - 2.0 * gram, 0.0, None)) / 2.0
-        block_best = np.maximum.reduceat(sims, starts, axis=1)
-        # float64 accumulation, like the reference's running product.
-        scores_all = np.prod(block_best, axis=1, dtype=np.float64)
-        weights = self._topology_weights(keys)
+    def _ids_of(self, keys: Sequence[ScenarioKey]) -> List[int]:
+        """Dense per-filter scenario ids: the pair table is keyed by id
+        pairs, which hash far faster than pairs of keys."""
+        ids: List[int] = []
+        for key in keys:
+            scenario_id = self._ids.get(key)
+            if scenario_id is None:
+                scenario_id = self._ids[key] = len(self._id_keys)
+                self._id_keys.append(key)
+            ids.append(scenario_id)
+        return ids
 
-        chosen: List[Detection] = []
-        scores: List[float] = []
-        for i, key_a in enumerate(keys):
-            scenario = self.store.v_scenario(key_a)
-            lo = int(starts[i])
-            score_vec = scores_all[lo: lo + lens[i]]
-            if weights is not None:
-                score_vec = score_vec * weights[i]
-            if claimed:
-                score_vec = self._suppress_claimed(key_a, score_vec, claimed)
-            winner = int(np.argmax(score_vec))
-            chosen.append(scenario.detections[winner])
-            scores.append(float(score_vec[winner]))
+    def _memberships(
+        self, id_lists: Iterable[Sequence[int]]
+    ) -> Dict[Tuple[int, int], np.ndarray]:
+        """``m(a, b)[i] = max_j sim(a_i, b_j)`` for every ordered pair of
+        distinct scenarios within each of ``id_lists``.
 
-        agreement = self._agreement(chosen)
-        return MatchResult(
-            eid=eid,
-            scenario_keys=tuple(keys),
-            chosen=tuple(chosen),
-            scores=tuple(scores),
-            agreement=agreement,
-        )
+        Pairs come from the membership table; the missing ones are
+        filled scenario by scenario.  One matmul of ``a``'s features
+        against every missing partner ``b > a`` stacked gives a dot
+        block whose row-segment maxima are ``m(a, b)`` and whose column
+        maxima are ``m(b, a)``, so each pair is computed once, for both
+        directions.  Maxima are taken over dot products and only they
+        go through :func:`similarity`.  The returned mapping holds every
+        requested pair, even one the table's byte budget evicted; a
+        later miss recomputes the pair, stacked with other partners, so
+        its bits may differ from the first computation's.
+        """
+        table: Dict[Tuple[int, int], np.ndarray] = {}
+        partners: Dict[int, Set[int]] = {}
+        for ids in id_lists:
+            for a in ids:
+                for b in ids:
+                    if a != b and (a, b) not in table:
+                        vector = table[a, b] = self._membership_cache.get((a, b))
+                        if vector is None:
+                            partners.setdefault(min(a, b), set()).add(max(a, b))
+        for a in sorted(partners):
+            others = sorted(partners[a])
+            feats = [self._features_of(self._id_keys[b]) for b in others]
+            sizes = [f.shape[0] for f in feats]
+            starts = np.cumsum([0] + sizes[:-1])
+            dots = self._features_of(self._id_keys[a]) @ np.concatenate(feats).T
+            rows = similarity(np.maximum.reduceat(dots, starts, axis=1).T)
+            cols = similarity(dots.max(axis=0))
+            # Copies, so the table's byte budget counts what it holds.
+            for b, row, lo, size in zip(others, rows, starts.tolist(), sizes):
+                table[a, b] = row.copy()
+                table[b, a] = cols[lo: lo + size].copy()
+                self._membership_cache.put((a, b), table[a, b])
+                self._membership_cache.put((b, a), table[b, a])
+        return table
 
     def _topology_weights(self, keys: Sequence[ScenarioKey]) -> Optional[np.ndarray]:
         """Per-scenario transit-consistency multipliers, or ``None``.
 
-        Shared by the reference and batched paths so both score
-        identically; a weight below 1.0 counts the scenario as
-        downweighted in :meth:`topology_report`.
+        A weight below 1.0 counts the scenario as downweighted in
+        :meth:`topology_report`.
         """
         if self._prior is None:
             return None
@@ -582,56 +623,50 @@ class VIDFilter:
             scenario_keys=first.scenario_keys + second.scenario_keys,
             chosen=chosen,
             scores=first.scores + second.scores,
-            agreement=self._agreement(chosen),
+            agreement=agreement_of(chosen, self.config.agreement_threshold),
         )
 
     # ------------------------------------------------------------------
-    def _usable_keys(
-        self,
-        scenario_keys: Sequence[ScenarioKey],
-        eid: Optional[EID] = None,
-    ) -> List[ScenarioKey]:
-        """Drop duplicate and detection-less scenarios; apply the cap.
+    def _evidence(
+        self, scenario_keys: Sequence[ScenarioKey]
+    ) -> Tuple[List[ScenarioKey], List[ScenarioKey], List[ScenarioKey]]:
+        """``(keys, detectionless, pruned)``: the evidence to score.
 
-        A V-Scenario with no detections offers no VID to choose and
-        would zero out every candidate's product, so it is unusable
-        evidence (this happens under heavy VID missing).
+        Duplicate and detection-less scenarios are dropped and the cap
+        applied; then the topology pruner (if any) drops
+        majority-inconsistent evidence.  A V-Scenario with no detections
+        offers no VID to choose and would zero out every candidate's
+        product, so it is unusable evidence (this happens under heavy
+        VID missing).  Pure, so :meth:`match` can plan a batch's pairs
+        before :meth:`match_one` records the decisions.
         """
-        log = get_event_log()
-        seen: Set[ScenarioKey] = set()
         keys: List[ScenarioKey] = []
-        for key in scenario_keys:
-            if key in seen:
-                continue
-            seen.add(key)
+        detectionless: List[ScenarioKey] = []
+        for key in dict.fromkeys(scenario_keys):
             if len(self.store.v_scenario(key)) > 0:
                 keys.append(key)
-            elif log.debug:
-                log.emit(
-                    ev.V_SCENARIO_DROPPED,
-                    eid=None if eid is None else eid.index,
-                    cell_id=key.cell_id,
-                    tick=key.tick,
-                    reason="no_detections",
-                )
+            else:
+                detectionless.append(key)
         if self.config.max_evidence is not None:
             keys = keys[: self.config.max_evidence]
-        return keys
+        pruned: List[ScenarioKey] = []
+        if self._pruner is not None and keys:
+            keys, pruned = self._pruner.prune(keys)
+        return keys, detectionless, pruned
 
     def _ensure_extracted(self, key: ScenarioKey) -> None:
-        """Charge extraction the first time a scenario is processed."""
-        if key in self._extracted:
-            return
-        scenario = self.store.v_scenario(key)
-        self.clock.charge_extraction(len(scenario))
-        self._features.put(key, scenario.feature_matrix())
-        self._extracted.add(key)
+        """Charge extraction the first time a target's scoring uses a
+        scenario (the modeled cost; :meth:`_features_of` does the host
+        work, whenever it is first needed)."""
+        if key not in self._extracted:
+            self.clock.charge_extraction(len(self.store.v_scenario(key)))
+            self._extracted.add(key)
 
     def _features_of(self, key: ScenarioKey) -> np.ndarray:
-        """The scenario's feature matrix, recomputed if evicted.
+        """The scenario's feature matrix, computed on first use and
+        recomputed if evicted.
 
-        Extraction was already charged by :meth:`_ensure_extracted`;
-        recomputation after a byte-budget eviction is a host-memory
+        Recomputation after a byte-budget eviction is a host-memory
         trade, not a modeled cost, so the clock is not charged again.
         """
         features = self._features.get(key)
@@ -639,36 +674,6 @@ class VIDFilter:
             features = self.store.v_scenario(key).feature_matrix()
             self._features.put(key, features)
         return features
-
-    def _membership(self, key_a: ScenarioKey, key_b: ScenarioKey) -> np.ndarray:
-        """Cached ``P(d in S_b)`` vector for the detections of ``a``."""
-        cache_key = (key_a, key_b)
-        vector = self._membership_cache.get(cache_key)
-        if vector is None:
-            vector = membership_vector(
-                self._features_of(key_a), self._features_of(key_b)
-            )
-            self._membership_cache.put(cache_key, vector)
-        return vector
-
-    def _agreement(self, chosen: Sequence[Detection]) -> float:
-        """Plurality agreement among chosen detections, by similarity.
-
-        Two choices "agree" when their features are closer than
-        ``agreement_threshold``; the score is the largest agreement
-        neighborhood's size over the number of choices.  Uses no ground
-        truth, so Algorithm 2 can gate on it in production.
-        """
-        if not chosen:
-            return 0.0
-        if len(chosen) == 1:
-            return 1.0
-        features = np.stack([d.feature for d in chosen])
-        dots = features @ features.T
-        dist = np.sqrt(np.clip(2.0 - 2.0 * dots, 0.0, None)) / 2.0
-        sims = 1.0 - dist
-        agree_counts = (sims >= self.config.agreement_threshold).sum(axis=1)
-        return float(agree_counts.max()) / len(chosen)
 
     @property
     def scenarios_extracted(self) -> int:

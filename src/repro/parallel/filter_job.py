@@ -28,7 +28,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.vid_filtering import FilterConfig, MatchResult, membership_vector
+from repro.core.vid_filtering import (
+    FilterConfig,
+    MatchResult,
+    agreement_of,
+    membership_vector,
+)
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobMetrics, MapReduceJob
 from repro.metrics.timing import CostModel
@@ -213,25 +218,11 @@ def _score_target(
         winner = int(np.argmax(score_vec))
         chosen.append(scenario.detections[winner])
         scores.append(float(score_vec[winner]))
-    agreement = _agreement(chosen, agreement_threshold)
     return MatchResult(
         eid=eid,
         scenario_keys=tuple(keys),
         chosen=tuple(chosen),
         scores=tuple(scores),
-        agreement=agreement,
+        agreement=agreement_of(chosen, agreement_threshold),
     )
 
-
-def _agreement(chosen: Sequence[Detection], threshold: float) -> float:
-    """Plurality agreement among chosen detections (serial-identical)."""
-    if not chosen:
-        return 0.0
-    if len(chosen) == 1:
-        return 1.0
-    feats = np.stack([d.feature for d in chosen])
-    dots = feats @ feats.T
-    dist = np.sqrt(np.clip(2.0 - 2.0 * dots, 0.0, None)) / 2.0
-    sims = 1.0 - dist
-    agree_counts = (sims >= threshold).sum(axis=1)
-    return float(agree_counts.max()) / len(chosen)

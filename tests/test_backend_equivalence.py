@@ -4,7 +4,8 @@ the incremental matcher — including vague zones, the diversity rule,
 extra (unobserved) universe EIDs, and live ``ScenarioStore.add`` syncs
 mid-run — plus the backend-resolution rules (``auto``, the numba
 fallback), the published accel gauges, the numba kernel's plain-Python
-twin, and the batched V-stage against its pairwise reference."""
+twin, and the V stage's shared membership table against its pairwise
+Eq. 1 oracle."""
 
 import warnings
 
@@ -376,48 +377,183 @@ class TestNumbaTwinKernel:
         assert_splits_equal(python, twin)
 
 
-class TestVStageBatchedEquivalence:
-    """``FilterConfig(batched_scoring=True)`` — one stacked gram-matrix
-    product per target — against the pairwise reference path."""
+def _vstage_filters(store, config):
+    """A production filter and the pairwise oracle, each with a clock."""
+    from repro.core.vid_filtering import VIDFilter
+    from repro.metrics.timing import SimulatedClock
+    from tests.oracles.vstage import PairwiseVIDFilter
+
+    return (
+        VIDFilter(store, config, SimulatedClock()),
+        PairwiseVIDFilter(store, config, SimulatedClock()),
+    )
+
+
+def assert_vstage_equal(production, oracle, results, expected):
+    """Identical evidence, choices, agreement and simulated cost;
+    scores within BLAS re-association error (the shared table's
+    stacked matmuls sum each dot product in another order)."""
+    assert results.keys() == expected.keys()
+    for eid, result in results.items():
+        reference = expected[eid]
+        assert result.scenario_keys == reference.scenario_keys
+        assert result.chosen == reference.chosen
+        assert result.agreement == reference.agreement
+        np.testing.assert_allclose(
+            result.scores, reference.scores, rtol=1e-5, atol=1e-12
+        )
+    assert production.clock.comparisons == oracle.clock.comparisons
+    assert production.clock.times() == oracle.clock.times()
+
+
+class TestVStageSharedTableEquivalence:
+    """The V stage's shared per-pair membership table against the
+    pairwise Eq. 1 oracle (``tests/oracles/vstage.py``)."""
+
+    #: Evidence mutations a target can draw; "foreign" inserts another
+    #: scenario, a misattributed sighting for pruning and the prior.
+    MUTATIONS = ("keep", "duplicate", "detectionless", "single", "foreign")
 
     @pytest.fixture(scope="class")
-    def dataset(self):
+    def world(self):
         from repro.datagen.config import ExperimentConfig
         from repro.datagen.dataset import build_dataset
 
-        return build_dataset(
+        # Positional drift and VID misses make messy evidence; the
+        # "foreign" mutation adds sightings that pruning drops and the
+        # prior downweights.
+        dataset = build_dataset(
             ExperimentConfig(
-                num_people=80,
+                num_people=60,
                 cells_per_side=3,
                 duration=400.0,
+                sample_dt=10.0,
+                warmup=100.0,
+                e_drift_sigma=12.0,
+                v_miss_rate=0.1,
                 seed=5,
             )
         )
-
-    def test_batched_equals_pairwise(self, dataset):
-        from repro.core.vid_filtering import FilterConfig, VIDFilter
-        from repro.metrics.timing import SimulatedClock
-
-        targets = list(dataset.sample_targets(12, seed=2))
+        targets = list(dataset.sample_targets(10, seed=2))
         split = SetSplitter(
             dataset.store, SplitConfig(backend="bitset")
         ).run(targets)
-        clock_ref, clock_batch = SimulatedClock(), SimulatedClock()
-        pairwise = VIDFilter(
-            dataset.store, FilterConfig(batched_scoring=False), clock_ref
-        ).match(split.evidence)
-        batched = VIDFilter(
-            dataset.store, FilterConfig(batched_scoring=True), clock_batch
-        ).match(split.evidence)
-        assert any(not pairwise[t].is_empty for t in targets)
-        for t in targets:
-            a, b = pairwise[t], batched[t]
-            assert a.scenario_keys == b.scenario_keys
-            assert a.chosen == b.chosen
-            assert a.agreement == b.agreement
-            np.testing.assert_allclose(
-                a.scores, b.scores, rtol=1e-5, atol=1e-12
+        return dataset, split.evidence
+
+    @staticmethod
+    def _config(topology, max_evidence, budget, dataset):
+        from repro.core.vid_filtering import FilterConfig
+        from repro.topology.matching import TopologyConfig
+
+        topo = None
+        if topology is not None:
+            topo = TopologyConfig(
+                model=dataset.topology,
+                prune=topology in ("prune", "both"),
+                prior=topology in ("prior", "both"),
             )
-        # Identical simulated cost: the batched path charges the same
-        # per-pair comparison count as the reference loop.
-        assert clock_ref.comparisons == clock_batch.comparisons
+        return FilterConfig(
+            max_evidence=max_evidence,
+            membership_cache_bytes=budget,
+            topology=topo,
+        )
+
+    @staticmethod
+    def _mutate(evidence, mutations, store, empty_key):
+        out = {}
+        for (eid, keys), (mutation, pick) in zip(
+            sorted(evidence.items()), mutations
+        ):
+            keys = list(keys)
+            if mutation == "duplicate" and keys:
+                keys.insert(len(keys) // 2, keys[0])
+            elif mutation == "detectionless":
+                keys.insert(len(keys) // 2, empty_key)
+            elif mutation == "single":
+                keys = keys[:1]
+            elif mutation == "foreign":
+                keys.insert(1, store.keys[pick % len(store.keys)])
+            out[eid] = keys
+        return out
+
+    @staticmethod
+    def _store_with_empty(dataset, keep=lambda key: True):
+        """A fresh store of ``dataset``'s scenarios passing ``keep``,
+        plus one detection-less scenario; returns ``(store, its key)``."""
+        empty_key = ScenarioKey(cell_id=0, tick=10**6)
+        scenarios = [
+            dataset.store.get(key) for key in dataset.store.keys if keep(key)
+        ]
+        scenarios.append(
+            EVScenario(
+                e=EScenario(key=empty_key, inclusive=frozenset()),
+                v=VScenario(key=empty_key, detections=()),
+            )
+        )
+        return ScenarioStore(scenarios), empty_key
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mutations=st.lists(
+            st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6)),
+            min_size=10,
+            max_size=10,
+        ),
+        topology=st.sampled_from([None, "prune", "prior", "both"]),
+        max_evidence=st.sampled_from([None, 1, 2, 4]),
+        budget=st.sampled_from([None, 256, 4096]),
+        use_exclusion=st.booleans(),
+    )
+    def test_batch_matches_oracle(
+        self, world, mutations, topology, max_evidence, budget, use_exclusion
+    ):
+        dataset, evidence = world
+        store, empty_key = self._store_with_empty(dataset)
+        config = self._config(topology, max_evidence, budget, dataset)
+        drawn = self._mutate(evidence, mutations, store, empty_key)
+        production, oracle = _vstage_filters(store, config)
+        results = production.match(drawn, use_exclusion=use_exclusion)
+        expected = oracle.match(drawn, use_exclusion=use_exclusion)
+        assert any(not r.is_empty for r in expected.values())
+        assert_vstage_equal(production, oracle, results, expected)
+        assert production.topology_report() == oracle.topology_report()
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        cut=st.sampled_from([0.3, 0.6]),
+        topology=st.sampled_from([None, "both"]),
+        budget=st.sampled_from([None, 256, 4096]),
+    )
+    def test_long_lived_filter_after_store_add(self, world, cut, topology, budget):
+        """One filter matches, the store grows, and the same filter
+        matches again (batch and single-target): pairs cached by the
+        first batch are reused beside newly computed ones."""
+        dataset, evidence = world
+        ticks = sorted({key.tick for key in dataset.store.keys})
+        horizon = ticks[int(cut * len(ticks))]
+        store, empty_key = self._store_with_empty(
+            dataset, keep=lambda key: key.tick < horizon
+        )
+        config = self._config(topology, None, budget, dataset)
+        production, oracle = _vstage_filters(store, config)
+        early = {
+            eid: [key for key in keys if key.tick < horizon]
+            for eid, keys in evidence.items()
+        }
+        assert_vstage_equal(
+            production, oracle, production.match(early), oracle.match(early)
+        )
+        for key in dataset.store.keys:
+            if key.tick >= horizon:
+                store.add(dataset.store.get(key))
+        assert_vstage_equal(
+            production, oracle, production.match(evidence), oracle.match(evidence)
+        )
+        eid = max(evidence, key=lambda e: len(evidence[e]))
+        keys = list(evidence[eid]) + [empty_key]
+        assert_vstage_equal(
+            production,
+            oracle,
+            {eid: production.match_one(eid, keys)},
+            {eid: oracle.match_one(eid, keys)},
+        )

@@ -172,6 +172,37 @@ class TestVIDFilter:
         vid_filter.match_one(EID(0), list(store.keys))
         assert clock.comparisons == 2 * first  # charged again (per-EID mappers)
 
+    def test_batch_computes_each_shared_pair_once(self):
+        from repro.metrics.timing import SimulatedClock
+
+        # Scenario sizes 3, 2, 3, 3; the targets share scenarios 0-2.
+        store = make_store_with_detections(
+            [[0, 1, 2], [0, 3], [0, 1, 4], [1, 5, 6]]
+        )
+        k0, k1, k2, k3 = store.keys
+        evidence = {
+            EID(0): [k0, k1, k2],
+            EID(1): [k0, k2, k3],
+            EID(2): [k1, k2],
+        }
+        clock = SimulatedClock()
+        vid_filter = VIDFilter(store, clock=clock)
+        vid_filter.match(evidence)
+        # Unordered pairs {01, 02, 12, 03, 23}: ten ordered ones, each
+        # computed once; every target then reads its own ordered pairs.
+        stats = vid_filter.cache_report()["membership"]
+        assert stats["misses"] == 10
+        assert stats["hits"] == 6 + 6 + 2
+        # Charged per target and ordered pair, shared or not.
+        assert clock.comparisons == (
+            (3 * 2 + 3 * 3 + 2 * 3) * 2  # target 0: pairs 01, 02, 12
+            + (3 * 3 + 3 * 3 + 3 * 3) * 2  # target 1: pairs 02, 03, 23
+            + (2 * 3) * 2  # target 2: pair 12
+        )
+        # A long-lived filter matching again recomputes nothing.
+        vid_filter.match(evidence)
+        assert vid_filter.cache_report()["membership"]["misses"] == 10
+
     def test_agreement_high_for_consistent_choices(self):
         store = make_store_with_detections([[0, 1], [0, 2], [0, 3]])
         result = VIDFilter(store).match_one(EID(0), list(store.keys))
