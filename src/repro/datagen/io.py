@@ -1,8 +1,9 @@
 """Dataset persistence: save a built world, reload it instantly.
 
-Generating a large synthetic world (traces + sensing + feature noise)
-costs tens of seconds; matching experiments often sweep many parameter
-settings over the *same* world.  :func:`save_dataset` writes the
+Generating the paper-shape synthetic world (traces + sensing + feature
+noise) takes seconds; matching experiments often sweep many parameter
+settings over the *same* world, and cluster workers load theirs from
+disk.  :func:`save_dataset` writes the
 scenario store and configuration into a single compressed ``.npz``
 file; :func:`load_dataset` restores a ready-to-match
 :class:`~repro.datagen.dataset.EVDataset` in milliseconds.

@@ -8,7 +8,7 @@ standard alternatives from the same survey (Camp et al. [7]) provided
 for sensitivity studies.
 """
 
-from repro.mobility.base import MobilityModel, MobilityState
+from repro.mobility.base import MobilityModel, Walker
 from repro.mobility.random_waypoint import RandomWaypoint, RandomWaypointConfig
 from repro.mobility.random_walk import RandomWalk, RandomWalkConfig
 from repro.mobility.gauss_markov import GaussMarkov, GaussMarkovConfig
@@ -21,12 +21,12 @@ __all__ = [
     "HotspotConfig",
     "HotspotWaypoint",
     "MobilityModel",
-    "MobilityState",
     "RandomWalk",
     "RandomWalkConfig",
     "RandomWaypoint",
     "RandomWaypointConfig",
     "TraceSet",
     "Trajectory",
+    "Walker",
     "generate_traces",
 ]

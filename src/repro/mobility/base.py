@@ -1,41 +1,60 @@
 """Common interface for mobility models.
 
-Every model advances one person's :class:`MobilityState` by a fixed
-timestep.  Models are stateless objects; all per-person state lives in
-the ``MobilityState`` so one model instance can drive an entire
-population, and so traces can be checkpointed trivially.
+A model is a stateless description of how people move over a bounded
+region.  All per-person state lives in a :class:`Walker` the model
+hands out: a small float-only object that advances one person by a
+fixed timestep, drawing from that person's own random generator.  One
+model instance can therefore drive a whole population, and the trace
+generator and the live stream source step the very same walkers.
+
+**Draw-order contract.**  A walker draws from its generator in a fixed
+order that depends only on its own path (placement, then every trip,
+epoch or noise draw as it happens), so a person's path is a pure
+function of the person's seed.  Walkers are deliberately scalar: they
+use ``math.hypot`` and the builtin ``min``/``max`` on Python floats,
+which numpy's vectorized equivalents do not reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Any, Dict
+import math
 
 import numpy as np
 
-from repro.world.geometry import BoundingBox, Point, Vector
+from repro.world.geometry import BoundingBox
 
 
-@dataclass
-class MobilityState:
-    """Kinematic state of one person.
+class Walker(abc.ABC):
+    """One person's kinematic state under some mobility model.
 
     Attributes:
-        position: current location.
-        velocity: current velocity vector in m/s.
-        extra: model-specific scratch (e.g. the random-waypoint model's
-            current destination and remaining pause time).
+        x, y: current position in metres.
+        vx, vy: current velocity in m/s.
+        rng: the person's own random generator.
     """
 
-    position: Point
-    velocity: Vector = Vector(0.0, 0.0)
-    extra: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("x", "y", "vx", "vy", "rng")
+
+    def __init__(self, rng: np.random.Generator, x: float, y: float) -> None:
+        self.rng = rng
+        self.x = x
+        self.y = y
+        self.vx = 0.0
+        self.vy = 0.0
 
     @property
     def speed(self) -> float:
         """Current speed in m/s."""
-        return self.velocity.magnitude
+        return math.hypot(self.vx, self.vy)
+
+    @abc.abstractmethod
+    def advance(self, dt: float) -> None:
+        """Move the person forward by ``dt`` seconds (in place).
+
+        Implementations keep the position inside the model's region and
+        raise ``ValueError`` for a non-positive ``dt``.
+        """
 
 
 class MobilityModel(abc.ABC):
@@ -45,22 +64,16 @@ class MobilityModel(abc.ABC):
         self.region = region
 
     @abc.abstractmethod
-    def initial_state(self, rng: np.random.Generator) -> MobilityState:
-        """Sample an initial state from the model's stationary placement."""
+    def walker(self, rng: np.random.Generator) -> Walker:
+        """A walker placed by the model's stationary placement, drawing
+        from ``rng`` from now on."""
 
-    @abc.abstractmethod
-    def step(
-        self, state: MobilityState, dt: float, rng: np.random.Generator
-    ) -> MobilityState:
-        """Advance ``state`` by ``dt`` seconds, returning the new state.
-
-        Implementations must keep positions inside :attr:`region` and
-        must not mutate the input state.
-        """
-
-    def uniform_point(self, rng: np.random.Generator) -> Point:
-        """A point uniform over the region — shared placement helper."""
-        return Point(
-            float(rng.uniform(self.region.min_x, self.region.max_x)),
-            float(rng.uniform(self.region.min_y, self.region.max_y)),
+    def uniform_xy(self, rng: np.random.Generator):
+        """A point uniform over the region, as ``(x, y)`` floats — the
+        shared placement helper."""
+        region = self.region
+        return (
+            float(rng.uniform(region.min_x, region.max_x)),
+            float(rng.uniform(region.min_y, region.max_y)),
         )
+

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.mobility.base import MobilityModel, MobilityState
-from repro.world.geometry import BoundingBox, Point, Vector
+from repro.mobility.base import MobilityModel, Walker
+from repro.world.geometry import BoundingBox
 
 
 @dataclass(frozen=True)
@@ -58,29 +58,38 @@ class GaussMarkov(MobilityModel):
         super().__init__(region)
         self.config = config if config is not None else GaussMarkovConfig()
 
-    def initial_state(self, rng: np.random.Generator) -> MobilityState:
-        cfg = self.config
-        position = self.uniform_point(rng)
-        direction = float(rng.uniform(0.0, 2.0 * math.pi))
-        speed = max(0.0, float(rng.normal(cfg.mean_speed, cfg.speed_sigma)))
-        state = MobilityState(
-            position=position,
-            velocity=Vector.from_polar(speed, direction),
-        )
-        state.extra["speed"] = speed
-        state.extra["direction"] = direction
-        return state
+    def walker(self, rng: np.random.Generator) -> "GaussMarkovWalker":
+        return GaussMarkovWalker(self, rng)
 
-    def step(
-        self, state: MobilityState, dt: float, rng: np.random.Generator
-    ) -> MobilityState:
+
+class GaussMarkovWalker(Walker):
+    """One person under :class:`GaussMarkov`.
+
+    Attributes:
+        drive_speed: the autoregressive speed process, m/s.
+        direction: the autoregressive heading process, radians.
+    """
+
+    __slots__ = ("model", "drive_speed", "direction")
+
+    def __init__(self, model: GaussMarkov, rng: np.random.Generator) -> None:
+        cfg = model.config
+        super().__init__(rng, *model.uniform_xy(rng))
+        self.model = model
+        self.direction = float(rng.uniform(0.0, 2.0 * math.pi))
+        self.drive_speed = max(0.0, float(rng.normal(cfg.mean_speed, cfg.speed_sigma)))
+        self.vx = self.drive_speed * math.cos(self.direction)
+        self.vy = self.drive_speed * math.sin(self.direction)
+
+    def advance(self, dt: float) -> None:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        cfg = self.config
-        speed = state.extra.get("speed", cfg.mean_speed)
-        direction = state.extra.get("direction", 0.0)
+        cfg = self.model.config
+        rng = self.rng
+        speed = self.drive_speed
+        direction = self.direction
 
-        mean_dir = self._steered_mean_direction(state.position, direction)
+        mean_dir = self._steered_mean_direction(direction)
         noise_scale = math.sqrt(max(0.0, 1.0 - cfg.alpha**2))
         speed = (
             cfg.alpha * speed
@@ -94,21 +103,29 @@ class GaussMarkov(MobilityModel):
             + noise_scale * float(rng.normal(0.0, cfg.direction_sigma))
         )
 
-        velocity = Vector.from_polar(speed, direction)
-        position = self.region.clamp(
-            state.position.translate(velocity.scaled(dt))
-        )
-        new = MobilityState(position=position, velocity=velocity)
-        new.extra["speed"] = speed
-        new.extra["direction"] = direction
-        return new
+        region = self.model.region
+        self.vx = speed * math.cos(direction)
+        self.vy = speed * math.sin(direction)
+        self.x = min(max(self.x + self.vx * dt, region.min_x), region.max_x)
+        self.y = min(max(self.y + self.vy * dt, region.min_y), region.max_y)
+        self.drive_speed = speed
+        self.direction = direction
 
-    def _steered_mean_direction(self, position: Point, current: float) -> float:
+    def _steered_mean_direction(self, current: float) -> float:
         """Mean direction: current heading, or toward center near the border."""
-        cfg = self.config
-        if self.region.distance_to_border(position) >= cfg.border_margin:
+        cfg = self.model.config
+        region = self.model.region
+        x, y = self.x, self.y
+        border = min(
+            min(x - region.min_x, region.max_x - x),
+            min(y - region.min_y, region.max_y - y),
+        )
+        if border >= cfg.border_margin:
             return current
-        target = position.vector_to(self.region.center).angle
+        target = math.atan2(
+            (region.min_y + region.max_y) / 2.0 - y,
+            (region.min_x + region.max_x) / 2.0 - x,
+        )
         # Avoid a discontinuity when current and target straddle +-pi.
         while target - current > math.pi:
             target -= 2.0 * math.pi

@@ -16,11 +16,10 @@ worlds remain reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mobility.base import MobilityState
 from repro.mobility.random_waypoint import RandomWaypoint, RandomWaypointConfig
 from repro.world.geometry import BoundingBox, Point
 
@@ -61,7 +60,7 @@ class HotspotWaypoint(RandomWaypoint):
 
     Inherits all trip mechanics (speed, acceleration, pauses) from
     :class:`~repro.mobility.random_waypoint.RandomWaypoint` and only
-    overrides destination selection.
+    overrides the :meth:`destination` hook.
     """
 
     def __init__(
@@ -86,23 +85,16 @@ class HotspotWaypoint(RandomWaypoint):
         """The attraction points (for inspection and rendering)."""
         return tuple(self._hotspots)
 
-    def _begin_trip(self, state: MobilityState, rng: np.random.Generator) -> None:
-        """Pick a (possibly hotspot-biased) destination and trip speed."""
-        cfg = self.config
+    def destination(self, rng: np.random.Generator) -> Tuple[float, float]:
+        """A (possibly hotspot-biased) trip destination."""
         hot = self.hotspot_config
         if rng.random() < hot.hotspot_bias:
             center = self._hotspots[int(rng.integers(len(self._hotspots)))]
-            destination = self.region.clamp(
-                Point(
-                    center.x + float(rng.normal(0.0, hot.spread)),
-                    center.y + float(rng.normal(0.0, hot.spread)),
-                )
+            x = center.x + float(rng.normal(0.0, hot.spread))
+            y = center.y + float(rng.normal(0.0, hot.spread))
+            region = self.region
+            return (
+                min(max(x, region.min_x), region.max_x),
+                min(max(y, region.min_y), region.max_y),
             )
-        else:
-            destination = self.uniform_point(rng)
-        trip_speed = float(rng.uniform(cfg.min_speed, cfg.max_speed))
-        state.extra["destination"] = destination
-        state.extra["trip_speed"] = trip_speed
-        state.extra["pause_left"] = 0.0
-        if cfg.max_acceleration is None:
-            state.velocity = self._heading(state.position, destination, trip_speed)
+        return self.uniform_xy(rng)

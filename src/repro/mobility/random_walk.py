@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.mobility.base import MobilityModel, MobilityState
-from repro.world.geometry import BoundingBox, Point, Vector
+from repro.mobility.base import MobilityModel, Walker
+from repro.world.geometry import BoundingBox
 
 
 @dataclass(frozen=True)
@@ -52,49 +52,50 @@ class RandomWalk(MobilityModel):
         super().__init__(region)
         self.config = config if config is not None else RandomWalkConfig()
 
-    def initial_state(self, rng: np.random.Generator) -> MobilityState:
-        state = MobilityState(position=self.uniform_point(rng))
-        self._begin_epoch(state, rng)
-        return state
+    def walker(self, rng: np.random.Generator) -> "RandomWalkWalker":
+        return RandomWalkWalker(self, rng)
 
-    def step(
-        self, state: MobilityState, dt: float, rng: np.random.Generator
-    ) -> MobilityState:
+
+class RandomWalkWalker(Walker):
+    """One person under :class:`RandomWalk`.
+
+    Attributes:
+        epoch_left: seconds until the next direction/speed draw.
+    """
+
+    __slots__ = ("model", "epoch_left")
+
+    def __init__(self, model: RandomWalk, rng: np.random.Generator) -> None:
+        super().__init__(rng, *model.uniform_xy(rng))
+        self.model = model
+        self._begin_epoch()
+
+    def _begin_epoch(self) -> None:
+        cfg = self.model.config
+        angle = float(self.rng.uniform(0.0, 2.0 * math.pi))
+        speed = float(self.rng.uniform(cfg.min_speed, cfg.max_speed))
+        self.vx = speed * math.cos(angle)
+        self.vy = speed * math.sin(angle)
+        self.epoch_left = cfg.epoch_duration
+
+    def advance(self, dt: float) -> None:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        new = MobilityState(
-            position=state.position,
-            velocity=state.velocity,
-            extra=dict(state.extra),
-        )
+        region = self.model.region
         remaining = dt
         while remaining > 1e-9:
-            epoch_left = new.extra.get("epoch_left", 0.0)
+            epoch_left = self.epoch_left
             if epoch_left <= 1e-9:
-                self._begin_epoch(new, rng)
-                epoch_left = new.extra["epoch_left"]
+                self._begin_epoch()
+                epoch_left = self.epoch_left
             consumed = min(epoch_left, remaining)
-            self._move(new, consumed)
-            new.extra["epoch_left"] = epoch_left - consumed
+            # Advance with specular reflection off the region walls.
+            x = self.x + self.vx * consumed
+            y = self.y + self.vy * consumed
+            self.x, self.vx = _reflect(x, self.vx, region.min_x, region.max_x)
+            self.y, self.vy = _reflect(y, self.vy, region.min_y, region.max_y)
+            self.epoch_left = epoch_left - consumed
             remaining -= consumed
-        return new
-
-    def _begin_epoch(self, state: MobilityState, rng: np.random.Generator) -> None:
-        cfg = self.config
-        angle = float(rng.uniform(0.0, 2.0 * math.pi))
-        speed = float(rng.uniform(cfg.min_speed, cfg.max_speed))
-        state.velocity = Vector.from_polar(speed, angle)
-        state.extra["epoch_left"] = cfg.epoch_duration
-
-    def _move(self, state: MobilityState, dt: float) -> None:
-        """Advance with specular reflection off the region walls (in place)."""
-        x = state.position.x + state.velocity.dx * dt
-        y = state.position.y + state.velocity.dy * dt
-        vx, vy = state.velocity.dx, state.velocity.dy
-        x, vx = _reflect(x, vx, self.region.min_x, self.region.max_x)
-        y, vy = _reflect(y, vy, self.region.min_y, self.region.max_y)
-        state.position = Point(x, y)
-        state.velocity = Vector(vx, vy)
 
 
 def _reflect(coord: float, velocity: float, low: float, high: float):

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.mobility.base import MobilityModel, MobilityState
-from repro.world.geometry import BoundingBox, Point, Vector
+from repro.mobility.base import MobilityModel, Walker
+from repro.world.geometry import BoundingBox
 
 
 @dataclass(frozen=True)
@@ -74,105 +74,131 @@ class RandomWaypoint(MobilityModel):
         super().__init__(region)
         self.config = config if config is not None else RandomWaypointConfig()
 
-    def initial_state(self, rng: np.random.Generator) -> MobilityState:
+    def walker(self, rng: np.random.Generator) -> "WaypointWalker":
         """Uniform placement, starting a fresh trip immediately."""
-        state = MobilityState(position=self.uniform_point(rng))
-        self._begin_trip(state, rng)
-        return state
+        return WaypointWalker(self, rng)
 
-    def step(
-        self, state: MobilityState, dt: float, rng: np.random.Generator
-    ) -> MobilityState:
+    def destination(self, rng: np.random.Generator) -> Tuple[float, float]:
+        """The next waypoint: uniform over the region.  Subclasses
+        override this hook to bias where trips go."""
+        return self.uniform_xy(rng)
+
+
+class WaypointWalker(Walker):
+    """One person under :class:`RandomWaypoint`.
+
+    Attributes:
+        dest_x, dest_y: the current trip's destination.
+        trip_speed: the current trip's cruising speed, m/s.
+        pause_left: seconds of waypoint pause still to sit out.
+    """
+
+    __slots__ = ("model", "dest_x", "dest_y", "trip_speed", "pause_left")
+
+    def __init__(self, model: RandomWaypoint, rng: np.random.Generator) -> None:
+        super().__init__(rng, *model.uniform_xy(rng))
+        self.model = model
+        self.begin_trip()
+
+    def begin_trip(self) -> None:
+        """Choose a new destination and trip speed."""
+        model = self.model
+        cfg = model.config
+        self.dest_x, self.dest_y = model.destination(self.rng)
+        self.trip_speed = float(self.rng.uniform(cfg.min_speed, cfg.max_speed))
+        self.pause_left = 0.0
+        if cfg.max_acceleration is None:
+            dx = self.dest_x - self.x
+            dy = self.dest_y - self.y
+            magnitude = math.hypot(dx, dy)
+            if magnitude == 0.0:
+                self.vx = self.vy = 0.0
+            else:
+                inverse = 1.0 / magnitude
+                self.vx = dx * inverse * self.trip_speed
+                self.vy = dy * inverse * self.trip_speed
+
+    def advance(self, dt: float) -> None:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        new = MobilityState(
-            position=state.position,
-            velocity=state.velocity,
-            extra=dict(state.extra),
-        )
         remaining = dt
         # A single dt may span the end of a pause or an arrival, so we
         # consume it in phases rather than assume one phase per tick.
         while remaining > 1e-9:
-            pause_left = new.extra.get("pause_left", 0.0)
+            pause_left = self.pause_left
             if pause_left > 0.0:
-                consumed = min(pause_left, remaining)
-                new.extra["pause_left"] = pause_left - consumed
+                # min(pause_left, remaining); see _travel.
+                consumed = remaining if remaining < pause_left else pause_left
+                pause_left = pause_left - consumed
                 remaining -= consumed
-                if new.extra["pause_left"] <= 1e-9:
-                    new.extra["pause_left"] = 0.0
-                    self._begin_trip(new, rng)
+                if pause_left <= 1e-9:
+                    self.begin_trip()
+                else:
+                    self.pause_left = pause_left
                 continue
-            remaining = self._advance_travel(new, remaining, rng)
-        return new
+            remaining = self._travel(remaining)
 
-    def _begin_trip(self, state: MobilityState, rng: np.random.Generator) -> None:
-        """Choose a new destination and trip speed for ``state`` (in place)."""
-        cfg = self.config
-        destination = self.uniform_point(rng)
-        trip_speed = float(rng.uniform(cfg.min_speed, cfg.max_speed))
-        state.extra["destination"] = destination
-        state.extra["trip_speed"] = trip_speed
-        state.extra["pause_left"] = 0.0
-        if cfg.max_acceleration is None:
-            state.velocity = self._heading(state.position, destination, trip_speed)
-
-    def _advance_travel(
-        self, state: MobilityState, dt: float, rng: np.random.Generator
-    ) -> float:
+    def _travel(self, dt: float) -> float:
         """Move toward the destination for up to ``dt`` seconds.
 
         Returns the unconsumed part of ``dt`` (positive when the
         destination is reached early and a pause begins).
+
+        ``min(a, b)`` and ``max(a, b)`` are spelled as the conditional
+        expressions the builtins evaluate (``b if b < a else a`` and
+        ``b if b > a else a``): the same floats, without a call.
         """
-        cfg = self.config
-        destination: Point = state.extra["destination"]
-        trip_speed: float = state.extra["trip_speed"]
-        distance = state.position.distance_to(destination)
+        cfg = self.model.config
+        x = self.x
+        y = self.y
+        dx = self.dest_x - x
+        dy = self.dest_y - y
+        distance = math.hypot(dx, dy)
         if distance <= cfg.arrival_tolerance:
-            self._arrive(state, rng)
+            self._arrive()
             return dt
 
         if cfg.max_acceleration is None:
-            speed = trip_speed
+            speed = self.trip_speed
         else:
             # Ramp current speed toward the trip speed within the
             # acceleration bound; direction changes are instantaneous
             # (people turn in place).
-            current = state.speed
-            delta = trip_speed - current
+            current = math.hypot(self.vx, self.vy)
+            delta = self.trip_speed - current
             max_delta = cfg.max_acceleration * dt
-            speed = current + max(-max_delta, min(max_delta, delta))
-            speed = max(speed, 0.0)
+            ramp = delta if delta < max_delta else max_delta
+            speed = current + (ramp if ramp > -max_delta else -max_delta)
+            speed = 0.0 if 0.0 > speed else speed
 
-        travel = min(speed * dt, distance)
-        if distance > 0.0:
-            direction = state.position.vector_to(destination).normalized()
-        else:
-            direction = Vector(0.0, 0.0)
-        state.velocity = direction.scaled(speed)
-        state.position = self.region.clamp(
-            state.position.translate(direction.scaled(travel))
-        )
-        if speed * dt >= distance - 1e-12:
+        reach = speed * dt
+        travel = distance if distance < reach else reach
+        # distance > arrival_tolerance > 0, so the heading is defined.
+        inverse = 1.0 / distance
+        ux = dx * inverse
+        uy = dy * inverse
+        self.vx = ux * speed
+        self.vy = uy * speed
+        region = self.model.region
+        x = x + ux * travel
+        x = region.min_x if region.min_x > x else x
+        self.x = region.max_x if region.max_x < x else x
+        y = y + uy * travel
+        y = region.min_y if region.min_y > y else y
+        self.y = region.max_y if region.max_y < y else y
+        if reach >= distance - 1e-12:
             consumed = distance / speed if speed > 0 else dt
-            self._arrive(state, rng)
+            self._arrive()
             return max(dt - consumed, 0.0)
         return 0.0
 
-    def _arrive(self, state: MobilityState, rng: np.random.Generator) -> None:
-        """Snap to the destination and start a pause (in place)."""
-        cfg = self.config
-        state.position = self.region.clamp(state.extra["destination"])
-        state.velocity = Vector(0.0, 0.0)
-        state.extra["pause_left"] = float(rng.uniform(0.0, cfg.max_pause))
-        if state.extra["pause_left"] <= 1e-9:
-            self._begin_trip(state, rng)
-
-    @staticmethod
-    def _heading(origin: Point, destination: Point, speed: float) -> Vector:
-        """Velocity of ``speed`` m/s pointing from ``origin`` to ``destination``."""
-        displacement = origin.vector_to(destination)
-        if displacement.magnitude == 0.0:
-            return Vector(0.0, 0.0)
-        return displacement.normalized().scaled(speed)
+    def _arrive(self) -> None:
+        """Snap to the destination and start a pause."""
+        model = self.model
+        region = model.region
+        self.x = min(max(self.dest_x, region.min_x), region.max_x)
+        self.y = min(max(self.dest_y, region.min_y), region.max_y)
+        self.vx = self.vy = 0.0
+        self.pause_left = float(self.rng.uniform(0.0, model.config.max_pause))
+        if self.pause_left <= 1e-9:
+            self.begin_trip()

@@ -5,6 +5,12 @@ movement from which both the E side (base-station sightings) and the V
 side (camera sightings) are derived.  The paper calls the per-identity
 versions of these *E-Trajectory* and *V-Trajectory* (Sec. III); both are
 noisy projections of the single true trajectory produced here.
+
+A :class:`TraceSet` holds the whole population's paths as one
+``(people, ticks, 2)`` float array.  Everything downstream (sensing,
+topology fitting) scans that array by column; per-point
+:class:`~repro.world.geometry.Point` views (:meth:`TraceSet.trajectory`,
+:meth:`TraceSet.positions_at`) are built on demand and never kept.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
-from repro.mobility.base import MobilityModel
+from repro.mobility.base import MobilityModel, Walker
 from repro.world.geometry import Point
 
 
@@ -60,46 +66,98 @@ class Trajectory:
 
 
 class TraceSet:
-    """Trajectories for a whole population over a common time base."""
+    """Trajectories for a whole population over a common time base.
 
-    def __init__(self, trajectories: Sequence[Trajectory], dt: float) -> None:
-        if not trajectories:
+    Args:
+        person_ids: whose path each row of ``positions`` is.
+        positions: ``(people, ticks, 2)`` float array of ``(x, y)``
+            samples; row ``i`` is ``person_ids[i]``'s path.
+        dt: sampling interval in seconds.
+    """
+
+    def __init__(
+        self, person_ids: Sequence[int], positions: np.ndarray, dt: float
+    ) -> None:
+        positions = np.asarray(positions, dtype=np.float64)
+        if len(person_ids) == 0:
             raise ValueError("a TraceSet needs at least one trajectory")
-        lengths = {len(t) for t in trajectories}
-        if len(lengths) != 1:
-            raise ValueError(f"trajectories have differing lengths: {sorted(lengths)}")
-        self.dt = dt
-        self._trajectories: Dict[int, Trajectory] = {
-            t.person_id: t for t in trajectories
+        if positions.ndim != 3 or positions.shape[2] != 2:
+            raise ValueError(
+                f"positions must be (people, ticks, 2), got {positions.shape}"
+            )
+        if positions.shape[0] != len(person_ids):
+            raise ValueError(
+                f"{len(person_ids)} person ids but {positions.shape[0]} paths"
+            )
+        if positions.shape[1] == 0:
+            raise ValueError("trajectories need at least one sample")
+        self._rows: Dict[int, int] = {
+            int(pid): row for row, pid in enumerate(person_ids)
         }
-        if len(self._trajectories) != len(trajectories):
+        if len(self._rows) != len(person_ids):
             raise ValueError("duplicate person_id in trajectories")
-        self.num_ticks = lengths.pop()
-        self.timestamps = trajectories[0].timestamps
+        self.row_person_ids = tuple(int(pid) for pid in person_ids)
+        positions.flags.writeable = False
+        self.positions = positions
+        self.dt = dt
+        self.num_ticks = positions.shape[1]
+        self.timestamps = tuple(i * dt for i in range(self.num_ticks))
 
     @property
     def person_ids(self) -> Sequence[int]:
-        return tuple(sorted(self._trajectories.keys()))
+        return tuple(sorted(self._rows))
 
     def trajectory(self, person_id: int) -> Trajectory:
+        """``person_id``'s path as :class:`Point` samples (a fresh view)."""
         try:
-            return self._trajectories[person_id]
+            row = self._rows[person_id]
         except KeyError:
             raise KeyError(f"no trajectory for person {person_id}") from None
+        return Trajectory(
+            person_id=person_id,
+            timestamps=self.timestamps,
+            points=tuple(Point(x, y) for x, y in self.positions[row].tolist()),
+        )
 
     def positions_at(self, tick: int) -> Dict[int, Point]:
         """All persons' positions at one tick — one world snapshot."""
         if not 0 <= tick < self.num_ticks:
             raise IndexError(f"tick {tick} out of range [0, {self.num_ticks})")
         return {
-            pid: traj.points[tick] for pid, traj in self._trajectories.items()
+            pid: Point(x, y)
+            for pid, (x, y) in zip(
+                self.row_person_ids, self.positions[:, tick].tolist()
+            )
         }
 
     def __iter__(self) -> Iterator[Trajectory]:
-        return iter(self._trajectories.values())
+        return (self.trajectory(pid) for pid in self.row_person_ids)
 
     def __len__(self) -> int:
-        return len(self._trajectories)
+        return len(self.row_person_ids)
+
+
+def spawn_walkers(
+    model: MobilityModel,
+    count: int,
+    seed: int,
+    dt: float,
+    warmup: float,
+) -> List[Walker]:
+    """``count`` walkers, each on its own substream of ``seed``, stepped
+    through ``warmup`` seconds.
+
+    Every person gets an independent generator, so adding or removing
+    people never perturbs the others' paths.  The trace generator and
+    the live stream source both start their population here.
+    """
+    children = np.random.SeedSequence(seed).spawn(count)
+    walkers = [model.walker(np.random.default_rng(child)) for child in children]
+    warmup_steps = int(round(warmup / dt))
+    for walker in walkers:
+        for _ in range(warmup_steps):
+            walker.advance(dt)
+    return walkers
 
 
 def generate_traces(
@@ -135,23 +193,13 @@ def generate_traces(
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
     num_ticks = int(duration / dt) + 1
-    timestamps = tuple(i * dt for i in range(num_ticks))
-    warmup_steps = int(round(warmup / dt))
-
-    seed_seq = np.random.SeedSequence(seed)
-    child_seeds = seed_seq.spawn(len(person_ids))
-
-    trajectories: List[Trajectory] = []
-    for pid, child in zip(person_ids, child_seeds):
-        rng = np.random.default_rng(child)
-        state = model.initial_state(rng)
-        for _ in range(warmup_steps):
-            state = model.step(state, dt, rng)
-        points: List[Point] = [state.position]
+    walkers = spawn_walkers(model, len(person_ids), seed, dt, warmup)
+    positions = np.empty((len(walkers), num_ticks, 2))
+    for row, walker in enumerate(walkers):
+        path = [walker.x, walker.y]
         for _ in range(num_ticks - 1):
-            state = model.step(state, dt, rng)
-            points.append(state.position)
-        trajectories.append(
-            Trajectory(person_id=pid, timestamps=timestamps, points=tuple(points))
-        )
-    return TraceSet(trajectories, dt=dt)
+            walker.advance(dt)
+            path.append(walker.x)
+            path.append(walker.y)
+        positions[row] = np.array(path).reshape(num_ticks, 2)
+    return TraceSet(person_ids, positions, dt=dt)

@@ -23,7 +23,7 @@ from repro.sensing.scenarios import (
     ScenarioStore,
     VScenario,
 )
-from repro.sensing.e_sensing import ESensingConfig, ESensingModel, ESighting
+from repro.sensing.e_sensing import ESensingConfig, ESensingModel
 from repro.sensing.v_sensing import VSensingConfig, VSensingModel
 from repro.sensing.builder import (
     CellSighting,
@@ -42,7 +42,6 @@ __all__ = [
     "EScenario",
     "ESensingConfig",
     "ESensingModel",
-    "ESighting",
     "EVScenario",
     "ScenarioBuilder",
     "ScenarioBuilderConfig",

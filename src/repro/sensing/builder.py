@@ -27,17 +27,27 @@ people *truly* present in the cell (cameras do not drift), thinned by
 the V-sensing miss rate, with noisy appearance features.
 
 The raw per-window sensor output is exposed as
-:meth:`ScenarioBuilder.sense_window` (a :class:`WindowSensing` of
-:class:`CellSighting` and :class:`VFrame` records) so that the
-streaming ingestion layer (:mod:`repro.stream`) can replay *exactly*
-the events this builder would aggregate — the batch-equivalence
-guarantee is structural, not coincidental.
+:meth:`ScenarioBuilder.sense_window` (a :class:`WindowSensing`) so that
+the streaming ingestion layer (:mod:`repro.stream`) can replay
+*exactly* the events this builder would aggregate — the
+batch-equivalence guarantee is structural, not coincidental.  The batch
+build, the trace replay and the live source all sense through
+:meth:`ScenarioBuilder.sense_positions`.
+
+**Columnar sensing.**  A window is sensed from a ``(people, ticks, 2)``
+position array.  Cell lookup and zone classification run on whole
+ticks (:meth:`~repro.world.cells.CellGrid.classify_many`), the E side
+stays columnar (tick, cell, EID, vague arrays) until the stream asks
+for :class:`CellSighting` objects, and the V side's feature arithmetic
+runs once per tick.  The random draws stay scalar, in the order of the
+per-object definition: per tick the E draws in EID order, then the V
+draws in cell-then-VID order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -52,12 +62,12 @@ from repro.sensing.scenarios import (
     VScenario,
 )
 from repro.sensing.v_sensing import VSensingModel
-from repro.world.cells import CellGrid, HexCellGrid, ZoneKind
-from repro.world.entities import EID, VID
-from repro.world.geometry import Point
+from repro.world.cells import ZONE_CODE, CellGrid, HexCellGrid, ZoneKind
+from repro.world.entities import EID
 from repro.world.population import Population
 
 CellDecomposition = Union[CellGrid, HexCellGrid]
+K = TypeVar("K", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -101,29 +111,52 @@ class VFrame:
     detections: Tuple[Detection, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowSensing:
     """Raw sensor output for one window, before aggregation.
 
+    The E side is held as parallel columns, one entry per captured
+    sighting in capture order (tick, then EID index); :attr:`sightings`
+    builds the :class:`CellSighting` events from them on demand.
+
     Attributes:
         window: the window index.
-        sightings: every cell-attributed E sighting of the window's
-            ticks, in capture order.
+        e_ticks: each sighting's tick.
+        e_cells: the cell its observed position fell in.
+        e_eids: the captured EID's index.
+        e_vague: whether the observed position fell in the vague band.
         frames: one camera frame per occupied cell, in cell order.
     """
 
     window: int
-    sightings: Tuple[CellSighting, ...]
+    e_ticks: np.ndarray
+    e_cells: np.ndarray
+    e_eids: np.ndarray
+    e_vague: np.ndarray
     frames: Tuple[VFrame, ...]
+
+    @property
+    def sightings(self) -> Tuple[CellSighting, ...]:
+        """Every cell-attributed E sighting of the window's ticks, in
+        capture order."""
+        return tuple(
+            CellSighting(tick=tick, cell_id=cell_id, eid=EID(eid), vague=vague)
+            for tick, cell_id, eid, vague in zip(
+                self.e_ticks.tolist(),
+                self.e_cells.tolist(),
+                self.e_eids.tolist(),
+                self.e_vague.tolist(),
+            )
+        )
 
 
 def attribute_eids(
-    counts: Mapping[EID, int],
-    vague_counts: Mapping[EID, int],
+    counts: Mapping[K, int],
+    vague_counts: Mapping[K, int],
     window_ticks: int,
     inclusive_threshold: float,
     vague_threshold: float,
-) -> Tuple[List[EID], List[EID]]:
+) -> Tuple[List[K], List[K]]:
     """Classify each seen EID as inclusive / vague / excluded.
 
     The one attribution rule shared by the batch builder and the
@@ -132,10 +165,10 @@ def attribute_eids(
     ``inclusive_threshold`` of them mostly outside the vague band,
     *vague* when it appears in at least ``vague_threshold`` of them
     (or meets the inclusive count but mostly inside the band), and
-    excluded otherwise.
+    excluded otherwise.  The keys are EIDs or EID indices.
     """
-    inclusive: List[EID] = []
-    vague: List[EID] = []
+    inclusive: List[K] = []
+    vague: List[K] = []
     for eid, count in counts.items():
         frac = count / window_ticks
         mostly_in_band = vague_counts.get(eid, 0) * 2 > count
@@ -181,6 +214,23 @@ class ScenarioBuilderConfig:
             )
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """Which rows of a position array carry which identities.
+
+    Attributes:
+        person_ids: the person of each row.
+        eid_rows: the carrier row of every EID, in EID-index order.
+        eid_index: those EIDs' indices.
+        vid_index: the VID index of each row's person.
+    """
+
+    person_ids: Tuple[int, ...]
+    eid_rows: np.ndarray
+    eid_index: np.ndarray
+    vid_index: np.ndarray
+
+
 class ScenarioBuilder:
     """Builds the full :class:`ScenarioStore` for one dataset."""
 
@@ -197,6 +247,10 @@ class ScenarioBuilder:
         self.e_model = e_model
         self.v_model = v_model
         self.config = config if config is not None else ScenarioBuilderConfig()
+        self._eids: Dict[int, EID] = {
+            eid.index: eid for person in population.people for eid in person.all_eids
+        }
+        self._layout_cache: Optional[_Layout] = None
 
     def build(self, traces: TraceSet) -> ScenarioStore:
         """Run the sensors over every window of ``traces``.
@@ -215,7 +269,7 @@ class ScenarioBuilder:
             )
         scenarios: List[EVScenario] = []
         for window in range(num_windows):
-            scenarios.extend(self._build_window(traces, window, rng))
+            scenarios.extend(self.assemble(self.sense_window(traces, window, rng)))
         return ScenarioStore(scenarios)
 
     def sense_window(
@@ -231,69 +285,99 @@ class ScenarioBuilder:
         sightings and detections to the batch run — the property the
         streaming layer's equivalence guarantee rests on.
         """
-        cfg = self.config
-        first_tick = window * cfg.window_ticks
-        ticks = range(first_tick, first_tick + cfg.window_ticks)
-        snapshots = [
-            (tick, traces.positions_at(tick)) for tick in ticks
-        ]
-        return self._sense_positions(snapshots, window, rng)
+        first_tick = window * self.config.window_ticks
+        ticks = slice(first_tick, first_tick + self.config.window_ticks)
+        return self.sense_positions(
+            traces.row_person_ids, traces.positions[:, ticks], window, rng
+        )
 
-    def _sense_positions(
+    def sense_positions(
         self,
-        snapshots: Sequence[Tuple[int, Dict[int, Point]]],
+        person_ids: Sequence[int],
+        positions: np.ndarray,
         window: int,
         rng: np.random.Generator,
     ) -> WindowSensing:
-        """Sense one window from ``(tick, {person_id: position})``
-        ground-truth snapshots (one per tick of the window)."""
-        cfg = self.config
-        sightings: List[CellSighting] = []
-        seen_cells = set()
-        for tick, snapshot in snapshots:
-            positions = self._device_positions(snapshot)
-            for sighting in self.e_model.sense(positions, tick, rng):
-                cell, zone = self.grid.classify(sighting.observed_position)
-                seen_cells.add(cell.cell_id)
-                sightings.append(
-                    CellSighting(
-                        tick=tick,
-                        cell_id=cell.cell_id,
-                        eid=sighting.eid,
-                        vague=zone is ZoneKind.VAGUE,
-                    )
-                )
+        """Sense one window from ground truth.
 
-        # V side: truth at the window's middle tick, thinned by misses.
-        middle_tick, middle_snapshot = snapshots[cfg.window_ticks // 2]
-        present: Dict[int, List[VID]] = {}
-        for pid, point in middle_snapshot.items():
-            cell = self.grid.locate(point)
-            present.setdefault(cell.cell_id, []).append(
-                self.population.person(pid).vid
+        Args:
+            person_ids: the person of each row of ``positions``.
+            positions: ``(people, window_ticks, 2)`` true positions over
+                the window's ticks.
+            window: the window index.
+            rng: randomness source for sensing noise.
+        """
+        cfg = self.config
+        layout = self._layout(person_ids)
+        first_tick = window * cfg.window_ticks
+        vague_code = ZONE_CODE[ZoneKind.VAGUE]
+        columns: List[Tuple[np.ndarray, ...]] = []
+        for k in range(cfg.window_ticks):
+            captured, observed = self.e_model.sense(
+                positions[layout.eid_rows, k], rng
             )
-        frames: List[VFrame] = []
-        for cell_id in sorted(seen_cells | set(present)):
-            detections = self.v_model.sense(present.get(cell_id, ()), rng)
-            frames.append(
-                VFrame(
-                    tick=middle_tick,
-                    cell_id=cell_id,
-                    detections=tuple(detections),
+            cell_ids, zones = self.grid.classify_many(observed)
+            columns.append(
+                (
+                    np.full(len(captured), first_tick + k, dtype=np.int64),
+                    cell_ids,
+                    layout.eid_index[captured],
+                    zones == vague_code,
                 )
             )
-        return WindowSensing(
-            window=window, sightings=tuple(sightings), frames=tuple(frames)
+        e_ticks, e_cells, e_eids, e_vague = (
+            np.concatenate(column) for column in zip(*columns)
         )
 
-    def _build_window(
-        self,
-        traces: TraceSet,
-        window: int,
-        rng: np.random.Generator,
-    ) -> List[EVScenario]:
-        """Build all cells' EV-Scenarios for one window."""
-        return self.assemble(self.sense_window(traces, window, rng))
+        # V side: truth at the window's middle tick, thinned by misses,
+        # filmed cell by cell in VID order.
+        middle = cfg.window_ticks // 2
+        truth = self.grid.locate_many(positions[:, middle])
+        order = np.lexsort((layout.vid_index, truth))
+        present_cells = truth[order]
+        present_vids = layout.vid_index[order].tolist()
+        frame_cells = np.union1d(e_cells, present_cells)
+        starts = np.searchsorted(present_cells, frame_cells, side="left").tolist()
+        ends = np.searchsorted(present_cells, frame_cells, side="right").tolist()
+        detections = self.v_model.sense(
+            [present_vids[start:end] for start, end in zip(starts, ends)], rng
+        )
+        frames = tuple(
+            VFrame(tick=first_tick + middle, cell_id=cell_id, detections=found)
+            for cell_id, found in zip(frame_cells.tolist(), detections)
+        )
+        return WindowSensing(
+            window=window,
+            e_ticks=e_ticks,
+            e_cells=e_cells,
+            e_eids=e_eids,
+            e_vague=e_vague,
+            frames=frames,
+        )
+
+    def _layout(self, person_ids: Sequence[int]) -> _Layout:
+        """The identity layout of position rows ``person_ids`` (cached
+        for the last row order seen)."""
+        person_ids = tuple(person_ids)
+        cached = self._layout_cache
+        if cached is not None and cached.person_ids == person_ids:
+            return cached
+        carried = sorted(
+            (eid.index, row)
+            for row, pid in enumerate(person_ids)
+            for eid in self.population.person(pid).all_eids
+        )
+        layout = _Layout(
+            person_ids=person_ids,
+            eid_rows=np.array([row for _e, row in carried], dtype=np.int64),
+            eid_index=np.array([e for e, _row in carried], dtype=np.int64),
+            vid_index=np.array(
+                [self.population.person(pid).vid.index for pid in person_ids],
+                dtype=np.int64,
+            ),
+        )
+        self._layout_cache = layout
+        return layout
 
     def assemble(self, sensing: WindowSensing) -> List[EVScenario]:
         """Aggregate one window's raw sensor output into EV-Scenarios.
@@ -304,15 +388,20 @@ class ScenarioBuilder:
         with its camera frame.
         """
         cfg = self.config
-        seen: Dict[int, Dict[EID, int]] = {}
-        seen_vague: Dict[int, Dict[EID, int]] = {}
-        for s in sensing.sightings:
-            cell_counts = seen.setdefault(s.cell_id, {})
-            cell_counts[s.eid] = cell_counts.get(s.eid, 0) + 1
-            if s.vague:
-                vague_counts = seen_vague.setdefault(s.cell_id, {})
-                vague_counts[s.eid] = vague_counts.get(s.eid, 0) + 1
+        seen: Dict[int, Dict[int, int]] = {}
+        seen_vague: Dict[int, Dict[int, int]] = {}
+        for cell_id, eid, vague in zip(
+            sensing.e_cells.tolist(), sensing.e_eids.tolist(), sensing.e_vague.tolist()
+        ):
+            cell_counts = seen.get(cell_id)
+            if cell_counts is None:
+                cell_counts = seen[cell_id] = {}
+            cell_counts[eid] = cell_counts.get(eid, 0) + 1
+            if vague:
+                vague_counts = seen_vague.setdefault(cell_id, {})
+                vague_counts[eid] = vague_counts.get(eid, 0) + 1
 
+        eids = self._eids
         scenarios: List[EVScenario] = []
         for frame in sensing.frames:
             key = ScenarioKey(cell_id=frame.cell_id, tick=sensing.window)
@@ -327,19 +416,10 @@ class ScenarioBuilder:
                 EVScenario(
                     e=EScenario(
                         key=key,
-                        inclusive=frozenset(inclusive),
-                        vague=frozenset(vague),
+                        inclusive=frozenset([eids[e] for e in inclusive]),
+                        vague=frozenset([eids[e] for e in vague]),
                     ),
                     v=VScenario(key=key, detections=frame.detections),
                 )
             )
         return scenarios
-
-    def _device_positions(self, snapshot: Dict[int, Point]):
-        """Ground-truth positions of every device-carrying person."""
-        positions = {}
-        for pid, point in snapshot.items():
-            person = self.population.person(pid)
-            for eid in person.all_eids:
-                positions[eid] = point
-        return positions

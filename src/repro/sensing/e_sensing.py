@@ -17,21 +17,9 @@ The ideal setting is the zero-noise configuration of the same model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
-
-from repro.world.entities import EID
-from repro.world.geometry import Point
-
-
-@dataclass(frozen=True)
-class ESighting:
-    """One captured electronic signal: an EID at an observed position."""
-
-    eid: EID
-    observed_position: Point
-    tick: int
 
 
 @dataclass(frozen=True)
@@ -63,36 +51,38 @@ class ESensingModel:
         self.config = config if config is not None else ESensingConfig()
 
     def sense(
-        self,
-        positions: Dict[EID, Point],
-        tick: int,
-        rng: np.random.Generator,
-    ) -> List[ESighting]:
+        self, points: np.ndarray, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Capture one instant's sightings from true positions.
 
         Args:
-            positions: ground-truth position per device-carrying EID.
-            tick: the sampling instant, stamped onto each sighting.
+            points: ``(n, 2)`` ground-truth positions of the
+                device-carrying EIDs, in EID-index order.
             rng: randomness source for drift and misses.
 
         Returns:
-            Sightings in deterministic (EID-index) order, with missed
-            sightings removed and positions perturbed by drift.
+            ``(captured, observed)``: the indices into ``points`` of the
+            sightings that were captured, in order, and their observed
+            ``(len(captured), 2)`` positions after drift.
+
+        Draws are scalar and in EID order: per EID, the miss draw (when
+        ``miss_rate > 0``), then, for a captured sighting, the x and y
+        drift draws (when ``drift_sigma > 0``).
         """
         cfg = self.config
-        sightings: List[ESighting] = []
-        for eid in sorted(positions.keys()):
+        if cfg.miss_rate == 0.0 and cfg.drift_sigma == 0.0:
+            return np.arange(len(points)), points
+        captured: List[int] = []
+        drift: List[float] = []
+        for index in range(len(points)):
             if cfg.miss_rate > 0.0 and rng.random() < cfg.miss_rate:
                 continue
-            true_pos = positions[eid]
+            captured.append(index)
             if cfg.drift_sigma > 0.0:
-                observed = Point(
-                    true_pos.x + float(rng.normal(0.0, cfg.drift_sigma)),
-                    true_pos.y + float(rng.normal(0.0, cfg.drift_sigma)),
-                )
-            else:
-                observed = true_pos
-            sightings.append(
-                ESighting(eid=eid, observed_position=observed, tick=tick)
-            )
-        return sightings
+                drift.append(float(rng.normal(0.0, cfg.drift_sigma)))
+                drift.append(float(rng.normal(0.0, cfg.drift_sigma)))
+        kept = np.array(captured, dtype=np.int64)
+        observed = points[kept]
+        if cfg.drift_sigma > 0.0:
+            observed = observed + np.array(drift).reshape(-1, 2)
+        return kept, observed

@@ -19,7 +19,7 @@ which is why the paper's vague-zone machinery lives on the E side only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,38 +55,64 @@ class VSensingModel:
         self.appearance = appearance
         self.config = config if config is not None else VSensingConfig()
         self._next_id = 0
+        self._vids = [VID(index) for index in range(appearance.num_vids)]
 
     def sense(
         self,
-        present_vids: Iterable[VID],
+        frames: Sequence[Sequence[int]],
         rng: np.random.Generator,
-    ) -> List[Detection]:
-        """Detect the people present in one scenario.
+    ) -> List[Tuple[Detection, ...]]:
+        """Detect the people present in one instant's camera frames.
 
         Args:
-            present_vids: ground-truth visual identities in the cell.
+            frames: per frame, the indices of the visual identities
+                truly present, in ascending order.
             rng: randomness source for misses and feature noise.
 
         Returns:
-            One :class:`Detection` per successfully-detected person, in
-            deterministic (VID-index) order, each with a fresh globally
+            Per frame, one :class:`Detection` per successfully-detected
+            person, in the given order, each with a fresh globally
             unique ``detection_id`` and a noisy feature vector.
+
+        Draws are scalar and in frame-then-VID order: per person, the
+        miss draw (when ``miss_rate > 0``), then for a detected person
+        the appearance model's outlier draw and its feature noise.  The
+        feature arithmetic then runs once over all the instant's
+        detections (:meth:`AppearanceModel.observe_rows`).
         """
-        cfg = self.config
-        detections: List[Detection] = []
-        for vid in sorted(present_vids):
-            if cfg.miss_rate > 0.0 and rng.random() < cfg.miss_rate:
-                continue
-            feature = self.appearance.observe(vid, rng)
-            detections.append(
-                Detection(
-                    detection_id=self._next_id,
-                    feature=feature,
-                    true_vid=vid,
-                )
-            )
-            self._next_id += 1
-        return detections
+        miss_rate = self.config.miss_rate
+        appearance = self.appearance
+        noise = np.empty(
+            (sum(len(present) for present in frames), appearance.space.dimension)
+        )
+        sigmas: List[float] = []
+        detected: List[int] = []
+        ends: List[int] = []
+        for present in frames:
+            for vid in present:
+                if miss_rate > 0.0 and rng.random() < miss_rate:
+                    continue
+                sigmas.append(appearance.noise_sigma(rng))
+                rng.standard_normal(out=noise[len(detected)])
+                detected.append(vid)
+            ends.append(len(detected))
+        count = len(detected)
+        features = appearance.observe_rows(
+            noise[:count], np.array(sigmas), np.array(detected, dtype=np.int64)
+        )
+        first_id = self._next_id
+        self._next_id += count
+        vids = self._vids
+        detections = [
+            Detection(first_id + k, feature, vids[vid])
+            for k, (feature, vid) in enumerate(zip(features, detected))
+        ]
+        out: List[Tuple[Detection, ...]] = []
+        start = 0
+        for end in ends:
+            out.append(tuple(detections[start:end]))
+            start = end
+        return out
 
     @property
     def detections_issued(self) -> int:

@@ -10,7 +10,9 @@ Two producers, one contract — an iterator of
   ``speedup`` and with optional bounded arrival ``jitter``;
 * :class:`SyntheticLiveSource` steps a mobility model live — no
   pre-generated traces, optionally unbounded — for soak tests and
-  demos of heavy live traffic.
+  demos of heavy live traffic.  It advances the same walkers
+  :func:`~repro.mobility.trace.generate_traces` does, in lockstep, and
+  senses through the same :meth:`ScenarioBuilder.sense_positions`.
 
 **Jitter model.**  Each event's arrival key is ``tick + U[0, jitter)``
 and events are delivered in key order, so disorder is *bounded*: an
@@ -38,7 +40,7 @@ import numpy as np
 
 from repro.datagen.config import ExperimentConfig
 from repro.datagen.dataset import make_grid, make_mobility_model
-from repro.mobility.trace import TraceSet
+from repro.mobility.trace import TraceSet, spawn_walkers
 from repro.sensing.builder import ScenarioBuilder, WindowSensing
 from repro.sensing.e_sensing import ESensingModel
 from repro.sensing.v_sensing import VSensingModel
@@ -279,38 +281,22 @@ class SyntheticLiveSource:
             config=self._builder_config,
         )
         sense_rng = np.random.default_rng(self._builder_config.seed)
-        person_ids = [p.person_id for p in self.population.people]
-        seed_seq = np.random.SeedSequence(config.seed + 2)
-        rngs = [
-            np.random.default_rng(child) for child in seed_seq.spawn(len(person_ids))
-        ]
-        states = [
-            self._model.initial_state(rng) for rng in rngs
-        ]
-        warmup_steps = int(round(config.warmup / config.sample_dt))
-        for _ in range(warmup_steps):
-            states = [
-                self._model.step(state, config.sample_dt, rng)
-                for state, rng in zip(states, rngs)
-            ]
-
+        person_ids = tuple(p.person_id for p in self.population.people)
+        walkers = spawn_walkers(
+            self._model, len(person_ids), config.seed + 2,
+            config.sample_dt, config.warmup,
+        )
         tick = 0
         window = 0
         while self.max_windows is None or window < self.max_windows:
-            snapshots = []
-            for _ in range(self.window_ticks):
+            positions = np.empty((len(walkers), self.window_ticks, 2))
+            for k in range(self.window_ticks):
                 if tick > 0:
-                    states = [
-                        self._model.step(state, config.sample_dt, rng)
-                        for state, rng in zip(states, rngs)
-                    ]
-                positions: dict = {
-                    pid: state.position
-                    for pid, state in zip(person_ids, states)
-                }
-                snapshots.append((tick, positions))
+                    for walker in walkers:
+                        walker.advance(config.sample_dt)
+                positions[:, k] = [(walker.x, walker.y) for walker in walkers]
                 tick += 1
-            yield builder._sense_positions(snapshots, window, sense_rng)
+            yield builder.sense_positions(person_ids, positions, window, sense_rng)
             window += 1
 
     def events(self, skip: int = 0) -> Iterator[StreamEvent]:

@@ -17,7 +17,7 @@ stored: it is quadratic in cells and derivable in milliseconds).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -56,8 +56,8 @@ class TransitModel:
         """Learn the camera graph from ground-truth traces.
 
         Args:
-            traces: a :class:`~repro.mobility.trace.TraceSet` (any
-                iterable of trajectories works).
+            traces: a :class:`~repro.mobility.trace.TraceSet`, whose
+                positions are located in one array lookup.
             grid: the cell decomposition the scenarios use
                 (:class:`~repro.world.cells.CellGrid` or
                 :class:`~repro.world.cells.HexCellGrid`).
@@ -73,22 +73,30 @@ class TransitModel:
         """
         if not 0.0 < quantile <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-        transits: Dict[Tuple[int, int], List[int]] = {}
-        for trajectory in traces:
-            cells = [grid.locate(p).cell_id for p in trajectory.points]
-            if not cells:
-                continue
-            entered = 0  # tick at which the current cell was entered
-            for tick in range(1, len(cells)):
-                if cells[tick] == cells[tick - 1]:
-                    continue
-                edge = (cells[tick - 1], cells[tick])
-                transits.setdefault(edge, []).append(tick - entered)
-                entered = tick
-        edges = {
-            edge: _edge_stats(times, quantile)
-            for edge, times in transits.items()
-        }
+        cells = grid.locate_many(traces.positions)
+        # Every tick whose cell differs from the previous tick's is one
+        # traversal, scanned person by person in tick order.
+        rows, cols = np.nonzero(cells[:, 1:] != cells[:, :-1])
+        ticks = cols + 1
+        new_person = np.ones(len(rows), dtype=bool)
+        new_person[1:] = rows[1:] != rows[:-1]
+        # The current cell was entered at the previous traversal of the
+        # same person, or at tick 0.
+        entered = np.where(new_person, 0, np.roll(ticks, 1))
+        dwell = ticks - entered
+        codes = cells[rows, cols] * grid.num_cells + cells[rows, ticks]
+        unique, first, inverse = np.unique(
+            codes, return_index=True, return_inverse=True
+        )
+        # Group each edge's dwell times in traversal order, and the edges
+        # in order of first traversal.
+        by_edge = np.argsort(inverse, kind="stable")
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
+        edges = {}
+        for slot in np.argsort(first, kind="stable").tolist():
+            u, v = divmod(int(unique[slot]), grid.num_cells)
+            times = dwell[by_edge[offsets[slot]:offsets[slot + 1]]]
+            edges[(u, v)] = _edge_stats(times, quantile)
         graph = CameraGraph(grid.num_cells, edges, quantile)
         return cls(graph, _adjacency_coverage(grid, edges.keys()))
 
@@ -171,10 +179,10 @@ class TransitModel:
         return cls(CameraGraph(num_cells, edge_map, quantile), coverage)
 
 
-def _edge_stats(times: List[int], quantile: float) -> EdgeStats:
+def _edge_stats(times: np.ndarray, quantile: float) -> EdgeStats:
     array = np.asarray(times, dtype=np.float64)
     return EdgeStats(
-        count=len(times),
+        count=len(array),
         mean_ticks=float(array.mean()),
         var_ticks=float(array.var()),
         min_ticks=int(array.min()),

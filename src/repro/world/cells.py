@@ -21,6 +21,11 @@ Two decompositions are provided: a rectangular :class:`CellGrid`
 matching the hexagonal-cell illustration in the paper's Fig. 1.  Both
 share the :class:`Cell` abstraction, so the sensing and matching layers
 are agnostic to the tiling.
+
+Both grids locate and classify whole arrays of points at once
+(:meth:`~CellGrid.locate_many`, :meth:`~CellGrid.classify_many`); the
+single-point :meth:`~CellGrid.locate` and :meth:`~CellGrid.classify`
+are one-point calls of the same code.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.world.geometry import BoundingBox, Point
 
@@ -39,6 +46,15 @@ class ZoneKind(enum.Enum):
     INCLUSIVE = "inclusive"
     VAGUE = "vague"
     EXCLUSIVE = "exclusive"
+
+
+#: Zone codes of :meth:`CellGrid.classify_many`: code ``i`` is ``ZONES[i]``.
+ZONES: Tuple[ZoneKind, ...] = tuple(ZoneKind)
+ZONE_CODE: Dict[ZoneKind, int] = {zone: code for code, zone in enumerate(ZONES)}
+
+
+def _one_point(point: Point) -> np.ndarray:
+    return np.array([[point.x, point.y]], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -109,6 +125,13 @@ class CellGrid:
                          center=bounds.center,
                          bounds=bounds)
                 )
+        self._bounds = np.array(
+            [
+                (c.bounds.min_x, c.bounds.min_y, c.bounds.max_x, c.bounds.max_y)
+                for c in self._cells
+            ],
+            dtype=np.float64,
+        )
 
     @property
     def num_cells(self) -> int:
@@ -131,11 +154,18 @@ class CellGrid:
         mirrors how a physical deployment attributes boundary sightings
         to the edge camera.
         """
-        col = int((point.x - self.region.min_x) / self._cell_width)
-        row = int((point.y - self.region.min_y) / self._cell_height)
-        col = min(max(col, 0), self.cells_per_side - 1)
-        row = min(max(row, 0), self.cells_per_side - 1)
-        return self._cells[row * self.cells_per_side + col]
+        return self._cells[int(self.locate_many(_one_point(point))[0])]
+
+    def locate_many(self, points: np.ndarray) -> np.ndarray:
+        """Cell ids of an ``(..., 2)`` array of points (see :meth:`locate`)."""
+        points = np.asarray(points, dtype=np.float64)
+        last = self.cells_per_side - 1
+        # Truncation toward zero, as int() does, then clamping.
+        col = ((points[..., 0] - self.region.min_x) / self._cell_width).astype(np.int64)
+        row = ((points[..., 1] - self.region.min_y) / self._cell_height).astype(np.int64)
+        np.clip(col, 0, last, out=col)
+        np.clip(row, 0, last, out=row)
+        return row * self.cells_per_side + col
 
     def classify(self, point: Point, cell: Optional[Cell] = None) -> Tuple[Cell, ZoneKind]:
         """Return ``(cell, zone)`` for a location.
@@ -146,15 +176,32 @@ class CellGrid:
         provided the classification is relative to that cell (a point
         outside it is EXCLUSIVE); otherwise the containing cell is used.
         """
-        if cell is None:
-            cell = self.locate(point)
-        if not cell.bounds.contains(point):
-            return cell, ZoneKind.EXCLUSIVE
-        if self.vague_width == 0.0:
-            return cell, ZoneKind.INCLUSIVE
-        if cell.bounds.distance_to_border(point) < self.vague_width:
-            return cell, ZoneKind.VAGUE
-        return cell, ZoneKind.INCLUSIVE
+        given = None if cell is None else np.array([cell.cell_id])
+        cell_ids, zones = self.classify_many(_one_point(point), given)
+        return self._cells[int(cell_ids[0])], ZONES[int(zones[0])]
+
+    def classify_many(
+        self, points: np.ndarray, cell_ids: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cell ids, zone codes)`` for an ``(n, 2)`` array of points,
+        relative to ``cell_ids`` when given, else to the containing
+        cells (see :meth:`classify`; codes index :data:`ZONES`)."""
+        points = np.asarray(points, dtype=np.float64)
+        if cell_ids is None:
+            cell_ids = self.locate_many(points)
+        x = points[:, 0]
+        y = points[:, 1]
+        min_x, min_y, max_x, max_y = self._bounds[cell_ids].T
+        inside = (min_x <= x) & (x <= max_x) & (min_y <= y) & (y <= max_y)
+        zones = np.where(
+            inside, ZONE_CODE[ZoneKind.INCLUSIVE], ZONE_CODE[ZoneKind.EXCLUSIVE]
+        ).astype(np.int8)
+        if self.vague_width > 0.0:
+            border = np.minimum(
+                np.minimum(x - min_x, max_x - x), np.minimum(y - min_y, max_y - y)
+            )
+            zones[inside & (border < self.vague_width)] = ZONE_CODE[ZoneKind.VAGUE]
+        return cell_ids, zones
 
     def neighbors(self, cell: Cell) -> Iterator[Cell]:
         """Yield the up-to-8 cells adjacent to ``cell`` (Moore neighborhood).
@@ -216,6 +263,18 @@ class HexCellGrid:
         self._by_axial: Dict[Tuple[int, int], Cell] = {}
         self._axial_of: Dict[int, Tuple[int, int]] = {}
         self._build()
+        self._centers = np.array(
+            [(c.center.x, c.center.y) for c in self._cells], dtype=np.float64
+        )
+        # Dense axial -> cell id table (-1 where no hex was generated).
+        qs = [q for q, _r in self._by_axial]
+        rs = [r for _q, r in self._by_axial]
+        self._q0, self._r0 = min(qs), min(rs)
+        self._axial_table = np.full(
+            (max(rs) - self._r0 + 1, max(qs) - self._q0 + 1), -1, dtype=np.int64
+        )
+        for (q, r), cell in self._by_axial.items():
+            self._axial_table[r - self._r0, q - self._q0] = cell.cell_id
 
     # Axial <-> world conversion for pointy-top hexes.
     def _axial_to_center(self, q: int, r: int) -> Point:
@@ -223,9 +282,9 @@ class HexCellGrid:
         y = self.region.min_y + self.hex_radius * 1.5 * r
         return Point(x, y)
 
-    def _point_to_axial(self, point: Point) -> Tuple[int, int]:
-        px = point.x - self.region.min_x
-        py = point.y - self.region.min_y
+    def _points_to_axial(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        px = points[..., 0] - self.region.min_x
+        py = points[..., 1] - self.region.min_y
         qf = (math.sqrt(3) / 3.0 * px - 1.0 / 3.0 * py) / self.hex_radius
         rf = (2.0 / 3.0 * py) / self.hex_radius
         return _axial_round(qf, rf)
@@ -267,13 +326,27 @@ class HexCellGrid:
 
     def locate(self, point: Point) -> Cell:
         """Return the hex whose center is nearest ``point``."""
-        axial = self._point_to_axial(point)
-        cell = self._by_axial.get(axial)
-        if cell is None:
-            # Point fell outside the generated cover; snap to the nearest
-            # existing hex center (rare, only for far-out-of-region points).
-            cell = min(self._cells, key=lambda c: c.center.distance_to(point))
-        return cell
+        return self._cells[int(self.locate_many(_one_point(point))[0])]
+
+    def locate_many(self, points: np.ndarray) -> np.ndarray:
+        """Cell ids of an ``(..., 2)`` array of points (see :meth:`locate`)."""
+        points = np.asarray(points, dtype=np.float64)
+        q, r = self._points_to_axial(points)
+        row = r - self._r0
+        col = q - self._q0
+        rows, cols = self._axial_table.shape
+        known = (row >= 0) & (row < rows) & (col >= 0) & (col < cols)
+        cell_ids = np.full(q.shape, -1, dtype=np.int64)
+        cell_ids[known] = self._axial_table[row[known], col[known]]
+        # Points outside the generated cover (rare, only far-out-of-region
+        # drifted sightings) snap to the nearest existing hex center.
+        for index in zip(*np.nonzero(cell_ids < 0)):
+            x, y = points[index].tolist()
+            cell_ids[index] = min(
+                self._cells,
+                key=lambda c: math.hypot(c.center.x - x, c.center.y - y),
+            ).cell_id
+        return cell_ids
 
     def classify(self, point: Point, cell: Optional[Cell] = None) -> Tuple[Cell, ZoneKind]:
         """Return ``(cell, zone)`` for a location, hex-aware.
@@ -282,27 +355,37 @@ class HexCellGrid:
         three edge-normal projections), so the vague band has uniform
         width along all six edges.
         """
-        if cell is None:
-            cell = self.locate(point)
-        border_dist = self._distance_to_hex_border(point, cell.center)
-        if border_dist < 0:
-            return cell, ZoneKind.EXCLUSIVE
-        if self.vague_width == 0.0:
-            return cell, ZoneKind.INCLUSIVE
-        if border_dist < self.vague_width:
-            return cell, ZoneKind.VAGUE
-        return cell, ZoneKind.INCLUSIVE
+        given = None if cell is None else np.array([cell.cell_id])
+        cell_ids, zones = self.classify_many(_one_point(point), given)
+        return self._cells[int(cell_ids[0])], ZONES[int(zones[0])]
 
-    def _distance_to_hex_border(self, point: Point, center: Point) -> float:
-        """Signed distance from ``point`` to the hex border (positive inside)."""
-        dx = point.x - center.x
-        dy = point.y - center.y
-        # For a pointy-top hex the three families of edges have outward
-        # normals at 90, 210 and 330 degrees (and their opposites).
-        best = math.inf
-        for angle in (math.pi / 2.0, math.pi * 7.0 / 6.0, math.pi * 11.0 / 6.0):
-            proj = abs(dx * math.cos(angle) + dy * math.sin(angle))
-            best = min(best, self._inradius - proj)
+    def classify_many(
+        self, points: np.ndarray, cell_ids: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cell ids, zone codes)`` for an ``(n, 2)`` array of points
+        (see :meth:`CellGrid.classify_many`)."""
+        points = np.asarray(points, dtype=np.float64)
+        if cell_ids is None:
+            cell_ids = self.locate_many(points)
+        centers = self._centers[cell_ids]
+        border = self._border_distance(
+            points[:, 0] - centers[:, 0], points[:, 1] - centers[:, 1]
+        )
+        zones = np.full(len(border), ZONE_CODE[ZoneKind.INCLUSIVE], dtype=np.int8)
+        if self.vague_width > 0.0:
+            zones[border < self.vague_width] = ZONE_CODE[ZoneKind.VAGUE]
+        zones[border < 0] = ZONE_CODE[ZoneKind.EXCLUSIVE]
+        return cell_ids, zones
+
+    def _border_distance(self, dx, dy):
+        """Signed distance from offsets ``(dx, dy)`` off a hex center to
+        that hex's border (positive inside)."""
+        # Adjacent pointy-top centers lie at 0, 60, 120 degrees (and the
+        # opposites), so those are the three families of edge normals.
+        best = None
+        for cos_a, sin_a in _HEX_EDGE_NORMALS:
+            inner = self._inradius - np.abs(dx * cos_a + dy * sin_a)
+            best = inner if best is None else np.minimum(best, inner)
         return best
 
     def neighbors(self, cell: Cell) -> Iterator[Cell]:
@@ -320,21 +403,28 @@ class HexCellGrid:
         return len(self._cells)
 
 
-def _axial_round(qf: float, rf: float) -> Tuple[int, int]:
+_HEX_EDGE_NORMALS = tuple(
+    (math.cos(angle), math.sin(angle))
+    for angle in (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0)
+)
+
+
+def _axial_round(qf: np.ndarray, rf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Round fractional axial coordinates to the containing hex.
 
     Standard cube-coordinate rounding: round all three cube coords and
     fix the one with the largest rounding error so they still sum to 0.
+    ``np.rint`` rounds half to even, as Python's ``round`` does.
     """
     sf = -qf - rf
-    q = round(qf)
-    r = round(rf)
-    s = round(sf)
-    dq = abs(q - qf)
-    dr = abs(r - rf)
-    ds = abs(s - sf)
-    if dq > dr and dq > ds:
-        q = -r - s
-    elif dr > ds:
-        r = -q - s
-    return int(q), int(r)
+    q = np.rint(qf)
+    r = np.rint(rf)
+    s = np.rint(sf)
+    dq = np.abs(q - qf)
+    dr = np.abs(r - rf)
+    ds = np.abs(s - sf)
+    fix_q = (dq > dr) & (dq > ds)
+    fix_r = ~fix_q & (dr > ds)
+    q = np.where(fix_q, -r - s, q)
+    r = np.where(fix_r, -q - s, r)
+    return q.astype(np.int64), r.astype(np.int64)

@@ -123,6 +123,8 @@ class AppearanceModel:
         latents /= np.linalg.norm(latents, axis=1, keepdims=True)
         self._latents = latents
         self.num_vids = num_vids
+        self._sigma = self.space.observation_noise / self.space.dimension**0.5
+        self._outlier_sigma = self.space.outlier_noise / self.space.dimension**0.5
 
     def latent(self, vid: VID) -> np.ndarray:
         """The true (noise-free) appearance vector of ``vid``."""
@@ -136,16 +138,41 @@ class AppearanceModel:
         Models what the paper's human-detection + feature-extraction
         stage produces for one person in one V-Scenario.
         """
-        level = self.space.observation_noise
+        sigma = self.noise_sigma(rng)
+        noise = rng.standard_normal((1, self.space.dimension))
+        return self.observe_rows(
+            noise, np.array([sigma]), np.array([vid.index])
+        )[0]
+
+    def noise_sigma(self, rng: np.random.Generator) -> float:
+        """Per-dimension noise sigma of one observation: draws whether
+        the observation is a corrupted outlier (when ``outlier_rate >
+        0``)."""
         if self.space.outlier_rate > 0.0 and rng.random() < self.space.outlier_rate:
-            level = self.space.outlier_noise
-        per_dim_sigma = level / self.space.dimension**0.5
-        noise = rng.standard_normal(self.space.dimension) * per_dim_sigma
-        observed = self._latents[vid.index] + noise
-        norm = np.linalg.norm(observed)
-        if norm == 0.0:  # astronomically unlikely; keep the API total
-            return self._latents[vid.index].copy()
-        return observed / norm
+            return self._outlier_sigma
+        return self._sigma
+
+    def observe_rows(
+        self, noise: np.ndarray, sigmas: np.ndarray, vid_indices: np.ndarray
+    ) -> np.ndarray:
+        """Turn standard-normal draws into observations, in place.
+
+        Row ``k`` of ``noise`` becomes the renormalized latent vector of
+        VID ``vid_indices[k]`` perturbed by ``noise[k] * sigmas[k]``.
+        Each row's norm is ``sqrt`` of the row's BLAS dot product with
+        itself, the same arithmetic ``np.linalg.norm`` does for one
+        vector, so a row equals the one-at-a-time observation bit for
+        bit.
+        """
+        noise *= sigmas[:, None]
+        noise += self._latents[vid_indices]
+        norms = np.sqrt(np.vecdot(noise, noise))
+        degenerate = norms == 0.0
+        if degenerate.any():  # astronomically unlikely; keep the API total
+            noise[degenerate] = self._latents[vid_indices[degenerate]]
+            norms[degenerate] = 1.0
+        noise /= norms[:, None]
+        return noise
 
     def observe_many(
         self, vids: Iterable[VID], rng: np.random.Generator

@@ -1,9 +1,12 @@
 """Tests for the grid and hex cell decompositions and vague zones."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.world.cells import Cell, CellGrid, HexCellGrid, ZoneKind
+from repro.world.cells import ZONE_CODE, ZONES, Cell, CellGrid, HexCellGrid, ZoneKind
 from repro.world.geometry import BoundingBox, Point
 
 REGION = BoundingBox.square(1000.0)
@@ -159,14 +162,67 @@ class TestHexCellGrid:
 
     @given(in_region)
     def test_vague_band_width(self, point):
+        """An in-region point is never EXCLUSIVE in its own hex, and its
+        border distance is the distance to the nearest perpendicular
+        bisector between the hex's center and a neighbor's center."""
         width = 25.0
         grid = HexCellGrid(REGION, 140.0, vague_width=width)
-        cell = grid.locate(point)
-        _got, zone = grid.classify(point, cell=cell)
-        border = grid._distance_to_hex_border(point, cell.center)
-        if border < 0:
-            assert zone is ZoneKind.EXCLUSIVE
-        elif border < width:
-            assert zone is ZoneKind.VAGUE
-        else:
-            assert zone is ZoneKind.INCLUSIVE
+        cell, zone = grid.classify(point)
+        assert cell is grid.locate(point)
+        assert zone is not ZoneKind.EXCLUSIVE
+
+        q, r = grid._axial_of[cell.cell_id]
+        c = cell.center
+        expected = math.inf
+        for dq, dr in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)):
+            n = grid._axial_to_center(q + dq, r + dr)
+            span = math.hypot(n.x - c.x, n.y - c.y)
+            along = ((point.x - c.x) * (n.x - c.x) + (point.y - c.y) * (n.y - c.y)) / span
+            expected = min(expected, span / 2.0 - along)
+        border = float(grid._border_distance(point.x - c.x, point.y - c.y))
+        assert border == pytest.approx(expected, abs=1e-9)
+        if abs(border - width) > 1e-9:
+            assert (zone is ZoneKind.VAGUE) == (border < width)
+
+    def test_vague_share_matches_geometry(self):
+        """The vague band covers ``1 - ((a - w) / a)**2`` of each hex,
+        ``a`` the inradius and ``w`` the band width."""
+        grid = HexCellGrid(REGION, 120.0, vague_width=10.0)
+        points = np.random.default_rng(0).uniform(0.0, 1000.0, size=(20000, 2))
+        _cells, zones = grid.classify_many(points)
+        assert not np.any(zones == ZONE_CODE[ZoneKind.EXCLUSIVE])
+        inradius = 120.0 * math.sqrt(3) / 2.0
+        share = np.mean(zones == ZONE_CODE[ZoneKind.VAGUE])
+        assert share == pytest.approx(1.0 - ((inradius - 10.0) / inradius) ** 2, abs=0.01)
+
+    def test_points_outside_the_cover_snap_to_nearest_center(self):
+        grid = HexCellGrid(REGION, 150.0)
+        points = np.random.default_rng(1).uniform(-3000.0, 4000.0, size=(200, 2))
+        located = grid.locate_many(points)
+        for (x, y), cell_id in zip(points.tolist(), located.tolist()):
+            best = min(
+                math.hypot(c.center.x - x, c.center.y - y) for c in grid.cells
+            )
+            center = grid.cell(cell_id).center
+            assert math.hypot(center.x - x, center.y - y) == pytest.approx(best)
+
+
+class TestArrayLookup:
+    """``locate_many`` / ``classify_many`` agree with the one-point calls."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            CellGrid(REGION, 5, vague_width=15.0),
+            HexCellGrid(REGION, 130.0, vague_width=15.0),
+        ],
+        ids=["grid", "hex"],
+    )
+    def test_many_equals_one_at_a_time(self, grid):
+        points = np.random.default_rng(2).uniform(-200.0, 1200.0, size=(500, 2))
+        cells, zones = grid.classify_many(points)
+        assert np.array_equal(cells, grid.locate_many(points))
+        assert grid.locate_many(points.reshape(50, 10, 2)).shape == (50, 10)
+        for (x, y), cell_id, code in zip(points.tolist(), cells.tolist(), zones.tolist()):
+            cell, zone = grid.classify(Point(x, y))
+            assert (cell.cell_id, zone) == (cell_id, ZONES[code])

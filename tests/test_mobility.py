@@ -1,26 +1,46 @@
 """Tests for the mobility models: random waypoint, random walk,
-Gauss-Markov — region containment, speed bounds, determinism."""
+Gauss-Markov — region containment, speed bounds, determinism.
+
+Each test drives the production walker (``model.walker(rng)`` and
+``walker.advance(dt)``); :func:`roll` records one :class:`Snap` per
+step.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mobility.base import MobilityState
 from repro.mobility.gauss_markov import GaussMarkov, GaussMarkovConfig
 from repro.mobility.random_walk import RandomWalk, RandomWalkConfig
 from repro.mobility.random_waypoint import RandomWaypoint, RandomWaypointConfig
-from repro.world.geometry import BoundingBox, Point, Vector
+from repro.world.geometry import BoundingBox, Point
 
 REGION = BoundingBox.square(500.0)
 
 
+@dataclass(frozen=True)
+class Snap:
+    """A walker's position and velocity after one step."""
+
+    position: Point
+    velocity: tuple
+    speed: float
+
+
+def snap(walker) -> Snap:
+    return Snap(
+        Point(walker.x, walker.y), (walker.vx, walker.vy), walker.speed
+    )
+
+
 def roll(model, steps=200, dt=5.0, seed=0):
-    rng = np.random.default_rng(seed)
-    state = model.initial_state(rng)
-    trace = [state]
+    walker = model.walker(np.random.default_rng(seed))
+    trace = [snap(walker)]
     for _ in range(steps):
-        state = model.step(state, dt, rng)
-        trace.append(state)
+        walker.advance(dt)
+        trace.append(snap(walker))
     return trace
 
 
@@ -55,16 +75,15 @@ class TestRandomWaypoint:
     def test_acceleration_limited_ramp(self):
         cfg = RandomWaypointConfig(max_acceleration=0.2, max_pause=0.0)
         model = RandomWaypoint(REGION, cfg)
-        rng = np.random.default_rng(3)
-        state = model.initial_state(rng)
-        prev_speed = state.speed
+        walker = model.walker(np.random.default_rng(3))
+        prev_speed = walker.speed
         for _ in range(50):
-            state = model.step(state, 1.0, rng)
+            walker.advance(1.0)
             # Within one step, speed cannot change faster than a*dt
             # (arrivals reset to 0, so only check increases).
-            if state.speed > prev_speed:
-                assert state.speed - prev_speed <= cfg.max_acceleration + 1e-9
-            prev_speed = state.speed
+            if walker.speed > prev_speed:
+                assert walker.speed - prev_speed <= cfg.max_acceleration + 1e-9
+            prev_speed = walker.speed
 
     def test_movement_actually_happens(self):
         model = RandomWaypoint(REGION)
@@ -78,32 +97,54 @@ class TestRandomWaypoint:
         assert [s.position for s in a] == [s.position for s in b]
 
     def test_step_rejects_nonpositive_dt(self):
-        model = RandomWaypoint(REGION)
-        state = model.initial_state(np.random.default_rng(0))
+        walker = RandomWaypoint(REGION).walker(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            model.step(state, 0.0, np.random.default_rng(0))
+            walker.advance(0.0)
+        with pytest.raises(ValueError):
+            walker.advance(-1.0)
 
     def test_pause_consumes_time(self):
         cfg = RandomWaypointConfig(max_pause=1000.0, arrival_tolerance=0.5)
         model = RandomWaypoint(REGION, cfg)
-        rng = np.random.default_rng(6)
-        state = model.initial_state(rng)
+        walker = model.walker(np.random.default_rng(6))
         # Force arrival: destination next to the current position.
-        state.extra["destination"] = state.position.translate(Vector(0.1, 0.0))
-        state = model.step(state, 1.0, rng)
-        # Now likely pausing; during a pause, position must not change.
-        if state.extra.get("pause_left", 0.0) > 5.0:
-            pos = state.position
-            state = model.step(state, 1.0, rng)
-            assert state.position == pos
+        walker.dest_x, walker.dest_y = walker.x + 0.1, walker.y
+        walker.advance(1.0)
+        assert 0.0 <= walker.pause_left <= cfg.max_pause
+        # Now likely pausing; during a pause, position must not change
+        # and the pause shrinks by exactly the elapsed time.
+        if walker.pause_left > 5.0:
+            position, pause = (walker.x, walker.y), walker.pause_left
+            walker.advance(1.0)
+            assert (walker.x, walker.y) == position
+            assert walker.pause_left == pytest.approx(pause - 1.0)
+            assert walker.speed == 0.0
 
-    def test_does_not_mutate_input_state(self):
+    @given(st.integers(min_value=0, max_value=1000))
+    @settings(max_examples=20, deadline=None)
+    def test_pauses_within_bounds(self, seed):
+        cfg = RandomWaypointConfig(max_pause=15.0)
+        walker = RandomWaypoint(REGION, cfg).walker(np.random.default_rng(seed))
+        for _ in range(60):
+            walker.advance(4.0)
+            assert 0.0 <= walker.pause_left <= cfg.max_pause
+            if walker.pause_left > 0.0:
+                assert walker.speed == 0.0
+
+    def test_walkers_share_no_state(self):
+        """Walkers of one model are independent: stepping one leaves
+        another's path unchanged."""
         model = RandomWaypoint(REGION)
-        rng = np.random.default_rng(7)
-        state = model.initial_state(rng)
-        snapshot = (state.position, dict(state.extra))
-        model.step(state, 5.0, rng)
-        assert (state.position, state.extra) == (snapshot[0], snapshot[1])
+        alone = roll(model, steps=30, seed=7)
+        walker = model.walker(np.random.default_rng(7))
+        other = model.walker(np.random.default_rng(8))
+        together = [snap(walker)]
+        for _ in range(30):
+            other.advance(5.0)
+            walker.advance(5.0)
+            other.advance(5.0)
+            together.append(snap(walker))
+        assert together == alone
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=20, deadline=None)
@@ -136,14 +177,13 @@ class TestRandomWalk:
     def test_direction_persists_within_epoch(self):
         cfg = RandomWalkConfig(epoch_duration=100.0)
         model = RandomWalk(REGION, cfg)
-        rng = np.random.default_rng(10)
-        state = model.initial_state(rng)
-        v0 = state.velocity
-        state = model.step(state, 5.0, rng)
+        walker = model.walker(np.random.default_rng(10))
+        v0 = (walker.vx, walker.vy)
+        walker.advance(5.0)
         # No boundary hit in 5 s from a uniform start (overwhelmingly):
         # velocity unchanged inside one epoch.
-        if REGION.distance_to_border(state.position) > 20.0:
-            assert state.velocity == v0
+        if REGION.distance_to_border(Point(walker.x, walker.y)) > 20.0:
+            assert (walker.vx, walker.vy) == v0
 
     def test_deterministic(self):
         model = RandomWalk(REGION)
@@ -176,23 +216,23 @@ class TestGaussMarkov:
     def test_alpha_one_is_ballistic(self):
         cfg = GaussMarkovConfig(alpha=1.0, border_margin=0.0)
         model = GaussMarkov(REGION, cfg)
-        rng = np.random.default_rng(14)
-        state = model.initial_state(rng)
-        s0, d0 = state.extra["speed"], state.extra["direction"]
-        state = model.step(state, 1.0, rng)
-        assert state.extra["speed"] == pytest.approx(s0)
-        assert state.extra["direction"] == pytest.approx(d0)
+        walker = model.walker(np.random.default_rng(14))
+        s0, d0 = walker.drive_speed, walker.direction
+        walker.advance(1.0)
+        assert walker.drive_speed == pytest.approx(s0)
+        assert walker.direction == pytest.approx(d0)
 
     def test_border_steering_turns_inward(self):
         cfg = GaussMarkovConfig(alpha=0.0, speed_sigma=0.0, direction_sigma=0.0, border_margin=50.0)
         model = GaussMarkov(REGION, cfg)
-        state = MobilityState(position=Point(1.0, 250.0))
-        state.extra["speed"] = 1.0
-        state.extra["direction"] = 3.14159  # heading straight at the wall
-        new = model.step(state, 1.0, np.random.default_rng(0))
+        walker = model.walker(np.random.default_rng(0))
+        walker.x, walker.y = 1.0, 250.0
+        walker.drive_speed = 1.0
+        walker.direction = 3.14159  # heading straight at the wall
+        walker.advance(1.0)
         # With alpha=0 and no noise, direction snaps to the steered mean:
         # toward the region center, i.e. roughly east (angle ~ 0).
-        assert abs(new.extra["direction"]) < 0.5
+        assert abs(walker.direction) < 0.5
 
 
 class TestHotspotWaypoint:

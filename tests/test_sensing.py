@@ -27,35 +27,37 @@ class TestESensing:
 
     def test_noise_free_sensing_is_exact(self):
         model = ESensingModel()
-        positions = {EID(0): Point(1, 2), EID(1): Point(3, 4)}
-        sightings = model.sense(positions, tick=7, rng=np.random.default_rng(0))
-        assert [s.eid for s in sightings] == [EID(0), EID(1)]
-        assert sightings[0].observed_position == Point(1, 2)
-        assert all(s.tick == 7 for s in sightings)
+        points = np.array([[1.0, 2.0], [3.0, 4.0]])
+        rng = np.random.default_rng(0)
+        captured, observed = model.sense(points, rng)
+        assert captured.tolist() == [0, 1]
+        assert observed.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        # Noise-free sensing draws nothing.
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_miss_rate_statistics(self):
         model = ESensingModel(ESensingConfig(miss_rate=0.5))
-        positions = {EID(i): Point(0, 0) for i in range(1000)}
-        sightings = model.sense(positions, 0, np.random.default_rng(1))
-        assert 400 < len(sightings) < 600
+        points = np.zeros((1000, 2))
+        captured, observed = model.sense(points, np.random.default_rng(1))
+        assert 400 < len(captured) < 600
+        assert observed.shape == (len(captured), 2)
+        assert np.all(np.diff(captured) > 0)
 
     def test_drift_perturbs_positions(self):
         model = ESensingModel(ESensingConfig(drift_sigma=10.0))
-        positions = {EID(i): Point(100, 100) for i in range(200)}
-        sightings = model.sense(positions, 0, np.random.default_rng(2))
-        errors = [
-            s.observed_position.distance_to(Point(100, 100)) for s in sightings
-        ]
-        mean_err = sum(errors) / len(errors)
+        points = np.full((200, 2), 100.0)
+        captured, observed = model.sense(points, np.random.default_rng(2))
+        assert len(captured) == 200
+        errors = np.hypot(observed[:, 0] - 100.0, observed[:, 1] - 100.0)
         # Rayleigh mean for sigma=10 is ~12.5 m.
-        assert 9.0 < mean_err < 16.0
+        assert 9.0 < errors.mean() < 16.0
 
     def test_deterministic_given_rng(self):
         model = ESensingModel(ESensingConfig(drift_sigma=5.0, miss_rate=0.2))
-        positions = {EID(i): Point(i, i) for i in range(50)}
-        a = model.sense(positions, 0, np.random.default_rng(3))
-        b = model.sense(positions, 0, np.random.default_rng(3))
-        assert a == b
+        points = np.arange(100, dtype=float).reshape(50, 2)
+        a = model.sense(points, np.random.default_rng(3))
+        b = model.sense(points, np.random.default_rng(3))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestVSensing:
@@ -69,15 +71,18 @@ class TestVSensing:
 
     def test_detects_everyone_without_misses(self, appearance):
         model = VSensingModel(appearance)
-        detections = model.sense([VID(3), VID(1)], np.random.default_rng(0))
-        assert [d.true_vid for d in detections] == [VID(1), VID(3)]
+        first, second = model.sense([[1, 3], [2]], np.random.default_rng(0))
+        assert [d.true_vid for d in first] == [VID(1), VID(3)]
+        assert [d.true_vid for d in second] == [VID(2)]
+        assert [d.detection_id for d in first + second] == [0, 1, 2]
 
     def test_detection_ids_globally_unique(self, appearance):
         model = VSensingModel(appearance)
         rng = np.random.default_rng(1)
         ids = []
         for _ in range(5):
-            ids.extend(d.detection_id for d in model.sense([VID(0), VID(1)], rng))
+            for frame in model.sense([[0, 1], [], [5]], rng):
+                ids.extend(d.detection_id for d in frame)
         assert len(ids) == len(set(ids))
         assert model.detections_issued == len(ids)
 
@@ -85,14 +90,27 @@ class TestVSensing:
         model = VSensingModel(appearance, VSensingConfig(miss_rate=0.3))
         rng = np.random.default_rng(2)
         detected = sum(
-            len(model.sense(list(map(VID, range(20))), rng)) for _ in range(100)
+            len(frame)
+            for _ in range(100)
+            for frame in model.sense([list(range(10)), list(range(10, 20))], rng)
         )
         assert 1200 < detected < 1600  # 2000 * 0.7 = 1400
 
     def test_features_unit_norm(self, appearance):
         model = VSensingModel(appearance)
-        for d in model.sense([VID(i) for i in range(5)], np.random.default_rng(3)):
+        (frame,) = model.sense([list(range(5))], np.random.default_rng(3))
+        for d in frame:
             assert np.linalg.norm(d.feature) == pytest.approx(1.0)
+
+    def test_features_equal_one_at_a_time_observations(self, appearance):
+        """Sensing a frame draws each person's outlier flag and noise in
+        VID order, exactly as observing them one by one does."""
+        model = VSensingModel(appearance)
+        (frame,) = model.sense([[2, 4, 7]], np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        for d in frame:
+            expected = appearance.observe(d.true_vid, rng)
+            assert d.feature.tobytes() == expected.tobytes()
 
 
 class TestScenarioTypes:

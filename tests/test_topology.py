@@ -11,6 +11,7 @@ from repro.datagen.config import ExperimentConfig
 from repro.datagen.dataset import build_dataset
 from repro.datagen.io import load_dataset, save_dataset
 from repro.fusion import Convoy, ConvoyQuery, find_convoys
+from repro.mobility.trace import TraceSet
 from repro.obs import (
     EventLog,
     MetricsRegistry,
@@ -45,14 +46,15 @@ class _Cell:
 
 
 class LineGrid:
-    """A fake 1-D grid: point ``p`` lives in cell ``int(p)``; cells
-    ``i`` and ``i+1`` are neighbors (what fit's coverage measures)."""
+    """A fake 1-D grid: point ``(x, y)`` lives in cell ``int(x)``;
+    cells ``i`` and ``i+1`` are neighbors (what fit's coverage
+    measures)."""
 
     def __init__(self, num_cells=4):
         self.num_cells = num_cells
 
-    def locate(self, p):
-        return _Cell(int(p))
+    def locate_many(self, points):
+        return points[..., 0].astype(np.int64)
 
     def __iter__(self):
         return iter(_Cell(i) for i in range(self.num_cells))
@@ -66,9 +68,14 @@ class LineGrid:
         return out
 
 
-class _Trajectory:
-    def __init__(self, points):
-        self.points = points
+def line_traces(*paths):
+    """A :class:`TraceSet` whose people walk the given x coordinates
+    along y = 0 (shorter paths wait at their last point)."""
+    ticks = max(len(path) for path in paths)
+    positions = np.zeros((len(paths), ticks, 2))
+    for row, path in enumerate(paths):
+        positions[row, :, 0] = list(path) + [path[-1]] * (ticks - len(path))
+    return TraceSet(list(range(len(paths))), positions, dt=1.0)
 
 
 def edge(count=1, mean=1.0, var=0.0, lo=1, hi=1):
@@ -102,7 +109,7 @@ def small_dataset():
 class TestTransitModelFit:
     def test_fit_learns_edges_and_enter_to_enter_times(self):
         # Cells over ticks: 0 0 1 1 1 2 — two transitions.
-        traces = [_Trajectory([0.0, 0.4, 1.0, 1.2, 1.8, 2.0])]
+        traces = line_traces([0.0, 0.4, 1.0, 1.2, 1.8, 2.0])
         model = TransitModel.fit(traces, LineGrid(4))
         graph = model.graph
         assert graph.num_edges == 2
@@ -114,10 +121,10 @@ class TestTransitModelFit:
         assert model.coverage == pytest.approx(2 / 6)
 
     def test_fit_aggregates_repeat_traversals(self):
-        traces = [
-            _Trajectory([0.0, 1.0, 0.0, 1.0]),  # 0->1, 1->0, 0->1
-            _Trajectory([0.0, 1.0]),
-        ]
+        traces = line_traces(
+            [0.0, 1.0, 0.0, 1.0],  # 0->1, 1->0, 0->1
+            [0.0, 1.0],
+        )
         model = TransitModel.fit(traces, LineGrid(2))
         assert model.graph.edge(0, 1).count == 3
         assert model.graph.edge(1, 0).count == 1
@@ -128,7 +135,7 @@ class TestTransitModelFit:
             TransitModel.fit([], LineGrid(2), quantile=0.0)
 
     def test_describe_summarizes_the_graph(self):
-        traces = [_Trajectory([0.0, 1.0, 2.0])]
+        traces = line_traces([0.0, 1.0, 2.0])
         summary = TransitModel.fit(traces, LineGrid(3)).describe()
         assert summary["nodes"] == 3.0
         assert summary["edges"] == 2.0

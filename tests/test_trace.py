@@ -42,26 +42,35 @@ class TestTrajectory:
 class TestTraceSet:
     def test_requires_trajectories(self):
         with pytest.raises(ValueError):
-            TraceSet([], dt=1.0)
+            TraceSet([], np.empty((0, 1, 2)), dt=1.0)
 
     def test_rejects_mismatched_lengths(self):
-        a = Trajectory(0, (0.0,), (Point(0, 0),))
-        b = Trajectory(1, (0.0, 1.0), (Point(0, 0), Point(1, 1)))
-        with pytest.raises(ValueError, match="differing lengths"):
-            TraceSet([a, b], dt=1.0)
+        with pytest.raises(ValueError, match="2 person ids but 3 paths"):
+            TraceSet([0, 1], np.zeros((3, 4, 2)), dt=1.0)
+        with pytest.raises(ValueError, match="people, ticks, 2"):
+            TraceSet([0, 1], np.zeros((2, 4)), dt=1.0)
 
     def test_rejects_duplicate_person_ids(self):
-        a = Trajectory(0, (0.0,), (Point(0, 0),))
-        b = Trajectory(0, (0.0,), (Point(1, 1),))
         with pytest.raises(ValueError, match="duplicate"):
-            TraceSet([a, b], dt=1.0)
+            TraceSet([0, 0], np.zeros((2, 1, 2)), dt=1.0)
 
     def test_positions_at(self):
         traces = small_traces()
         snapshot = traces.positions_at(0)
         assert set(snapshot.keys()) == {0, 1, 2}
+        assert snapshot[1] == Point(*traces.positions[1, 0])
         with pytest.raises(IndexError):
             traces.positions_at(traces.num_ticks)
+
+    def test_views_are_built_from_the_array(self):
+        traces = TraceSet(
+            [7, 3], np.arange(12, dtype=float).reshape(2, 3, 2), dt=5.0
+        )
+        assert traces.person_ids == (3, 7)
+        assert traces.timestamps == (0.0, 5.0, 10.0)
+        assert traces.trajectory(3).points == (Point(6, 7), Point(8, 9), Point(10, 11))
+        assert [t.person_id for t in traces] == [7, 3]
+        assert not traces.positions.flags.writeable
 
     def test_trajectory_lookup(self):
         traces = small_traces()
