@@ -128,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", help="experiment id, e.g. fig5, table1, list")
 
     build = sub.add_parser("build", help="build a synthetic world and save it")
-    build.add_argument("--out", required=True, help="output .npz path")
+    build.add_argument(
+        "--out", required=True, help="output .npz path (written uncompressed)"
+    )
     build.add_argument("--people", type=int, default=400)
     build.add_argument("--cells", type=int, default=4)
     build.add_argument("--duration", type=float, default=1200.0)
@@ -441,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
         "build",
         help="build a world, fit its camera graph, save both to one .npz",
     )
-    tbuild.add_argument("--out", required=True, help="output .npz path")
+    tbuild.add_argument(
+        "--out", required=True, help="output .npz path (written uncompressed)"
+    )
     tbuild.add_argument("--people", type=int, default=400)
     tbuild.add_argument("--cells", type=int, default=4)
     tbuild.add_argument("--duration", type=float, default=1200.0)
@@ -1093,11 +1097,17 @@ def run_serve(args: argparse.Namespace, out=None) -> int:
     return 0
 
 
-def _cluster_stack(args: argparse.Namespace, out):
+def _cluster_stack(args: argparse.Namespace, out, dataset=None):
     """Stand up the shared cluster stack: fleet + router + gateway.
 
-    Returns ``(dataset, supervisor, router, gateway)``; the caller owns
-    teardown (``gateway.drain()`` then ``supervisor.stop()``).
+    Workers load the world themselves: from ``--dataset`` when given,
+    otherwise from a file this saves once into the journal directory
+    (``dataset``, or a world built from the flags when ``None``).  So a
+    ``--dataset`` world is never parsed here unless the caller needs it
+    and passes it in.
+
+    Returns ``(supervisor, router, gateway)``; the caller owns teardown
+    (``gateway.drain()`` then ``supervisor.stop()``).
     """
     import os
     import tempfile
@@ -1110,14 +1120,16 @@ def _cluster_stack(args: argparse.Namespace, out):
     )
     from repro.service import ServiceConfig
 
-    dataset = _world_from_args(args, out)
     journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="repro-cluster-")
     os.makedirs(journal_dir, exist_ok=True)
     if getattr(args, "dataset", None):
         dataset_path = args.dataset
+        print(f"workers load the world from {dataset_path}", file=out)
     else:
-        # Save once; every worker loads the identical world in
-        # milliseconds instead of re-simulating it.
+        if dataset is None:
+            dataset = _world_from_args(args, out)
+        # Save once; every worker loads the identical world instead of
+        # re-simulating it.
         dataset_path = str(
             save_dataset(dataset, os.path.join(journal_dir, "world.npz"))
         )
@@ -1152,7 +1164,7 @@ def _cluster_stack(args: argparse.Namespace, out):
     gateway = ClusterGateway(
         router, supervisor, host=args.host, port=getattr(args, "port", 0)
     ).start()
-    return dataset, supervisor, router, gateway
+    return supervisor, router, gateway
 
 
 def run_cluster_serve(args: argparse.Namespace, out=None) -> int:
@@ -1171,7 +1183,7 @@ def run_cluster_serve(args: argparse.Namespace, out=None) -> int:
     previous_tracer = set_tracer(Tracer())
     supervisor = gateway = None
     try:
-        _dataset, supervisor, router, gateway = _cluster_stack(args, out)
+        supervisor, router, gateway = _cluster_stack(args, out)
         print(
             f"cluster up: gateway on {gateway.host}:{gateway.port}, "
             f"replication {router.replication}, "
@@ -1246,12 +1258,13 @@ def run_cluster_loadtest(args: argparse.Namespace, out=None) -> int:
     previous_log = set_event_log(log)
     supervisor = gateway = None
     try:
+        # Target sampling needs the world itself, not just its path.
+        dataset = _world_from_args(args, out)
         if args.connect:
             host, _, port = args.connect.rpartition(":")
-            dataset = _world_from_args(args, out)
             address = (host or "127.0.0.1", int(port))
         else:
-            dataset, supervisor, _router, gateway = _cluster_stack(args, out)
+            supervisor, _router, gateway = _cluster_stack(args, out, dataset)
             address = (gateway.host, gateway.port)
         targets = list(
             dataset.sample_targets(min(24, len(dataset.eids)), seed=1)
@@ -1312,7 +1325,8 @@ def run_cluster_trace(args: argparse.Namespace, out=None) -> int:
     previous_tracer = set_tracer(Tracer())
     supervisor = gateway = None
     try:
-        dataset, supervisor, _router, gateway = _cluster_stack(args, out)
+        dataset = _world_from_args(args, out)
+        supervisor, _router, gateway = _cluster_stack(args, out, dataset)
         with GatewayClient(gateway.host, gateway.port) as client:
             for i in range(max(1, args.requests)):
                 targets = dataset.sample_targets(
@@ -1377,7 +1391,8 @@ def run_cluster_profile(args: argparse.Namespace, out=None) -> int:
     previous_log = set_event_log(log)
     supervisor = gateway = None
     try:
-        dataset, supervisor, _router, gateway = _cluster_stack(args, out)
+        dataset = _world_from_args(args, out)
+        supervisor, _router, gateway = _cluster_stack(args, out, dataset)
         print(
             f"profiling the fleet at {args.profile_hz:g} Hz "
             f"({max(1, args.requests)} match requests)...",
