@@ -27,6 +27,7 @@ from repro.cluster.protocol import (
     decode_line,
     encode_frame,
     encode_line,
+    read_frame,
     recv_frame,
     send_frame,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "decode_line",
     "encode_frame",
     "encode_line",
+    "read_frame",
     "recv_frame",
     "send_frame",
     "CodecError",

@@ -7,9 +7,9 @@ a closed-loop client pays the dial cost once.
 
 Verbs:
 
-* ``match`` / ``investigate`` / ``ingest`` — data plane; dispatched to
-  worker processes through the :class:`~repro.cluster.router.ClusterRouter`
-  on a thread pool (the event loop never blocks on a worker socket).
+* ``match`` / ``investigate`` / ``ingest`` — data plane; routed to
+  worker processes by the :class:`~repro.cluster.router.ClusterRouter`
+  over pooled asyncio connections on the gateway's own event loop.
   Every outcome feeds the gateway's
   :class:`~repro.service.health.HealthTracker` rolling SLO window.
 * ``health`` — the SLO verdict plus cluster availability
@@ -62,13 +62,12 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set
 
 from repro.cluster import codec
 from repro.cluster.protocol import ProtocolError, decode_line, encode_line
 from repro.cluster.router import ClusterRouter
-from repro.cluster.supervisor import Supervisor, WorkerError
+from repro.cluster.supervisor import Supervisor
 from repro.cluster.telemetry import ClusterTelemetry
 from repro.obs import get_event_log, get_registry
 from repro.obs import events as ev
@@ -89,9 +88,8 @@ from repro.service.health import HealthTracker, SLOConfig
 DATA_VERBS = ("match", "investigate", "ingest")
 
 #: Verbs the gateway answers by fanning out to every available worker
-#: itself (not via the router — there is no key to route on).  They do
-#: one blocking socket exchange per worker, so they run on the dispatch
-#: pool like data-plane requests.
+#: itself (not via the router's read policies — there is no key to
+#: route on); the workers are asked concurrently.
 FANOUT_VERBS = ("profile", "slowlog")
 
 
@@ -129,13 +127,9 @@ class ClusterGateway:
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
+        # Requests being answered; written only on the loop.
         self._inflight = 0
-        self._inflight_lock = threading.Lock()
         self._conn_tasks: Set[asyncio.Task] = set()
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(8, 4 * len(supervisor.workers)),
-            thread_name_prefix="gateway-dispatch",
-        )
         self._registry = get_registry()
         # The observability plane: federates worker metrics, adopts
         # shipped events, and collects distributed traces.  The router
@@ -192,8 +186,14 @@ class ClusterGateway:
         try:
             loop.run_forever()
         finally:
-            for task in list(self._conn_tasks):
+            tasks = list(self._conn_tasks)
+            for task in tasks:
                 task.cancel()
+            loop.run_until_complete(
+                asyncio.gather(*tasks, return_exceptions=True)
+            )
+            for handle in self.supervisor.workers.values():
+                loop.run_until_complete(handle.close_links())
             loop.run_until_complete(loop.shutdown_asyncgens())
             server.close()
             loop.run_until_complete(server.wait_closed())
@@ -215,15 +215,11 @@ class ClusterGateway:
         # Stop accepting new connections.
         if self._server is not None:
             self._loop.call_soon_threadsafe(self._server.close)
-        # Wait for in-flight data-plane requests to resolve.
+        # Wait for in-flight requests to resolve.
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                if self._inflight == 0:
-                    break
+        while self._inflight and time.monotonic() < deadline:
             time.sleep(0.01)
-        with self._inflight_lock:
-            leftover = self._inflight
+        leftover = self._inflight
         log = get_event_log()
         if log.enabled:
             log.emit(
@@ -237,7 +233,6 @@ class ClusterGateway:
             self._thread = None
         self._server = None
         self._loop = None
-        self._executor.shutdown(wait=False)
         return {"drained": leftover == 0, "inflight": leftover}
 
     # alias: symmetric with MatchService.stop
@@ -286,31 +281,32 @@ class ClusterGateway:
             "chrome": chrome,
         }
 
-    def _fanout(
+    async def _fanout(
         self, verb: str, message: Dict[str, Any]
     ) -> "tuple[Dict[str, Dict[str, Any]], Dict[str, str]]":
-        """Ask every available worker ``message``; returns
-        ``(replies_by_worker, errors_by_worker)``.  Blocking — callers
-        run it on the dispatch pool."""
+        """Ask every available worker ``message`` concurrently; returns
+        ``(replies_by_worker, errors_by_worker)``."""
+        worker_ids = self.supervisor.available()
+        outcomes = await asyncio.gather(
+            *(self.supervisor.worker(w).exchange(message) for w in worker_ids),
+            return_exceptions=True,
+        )
         replies: Dict[str, Dict[str, Any]] = {}
         errors: Dict[str, str] = {}
-        for worker_id in self.supervisor.available():
-            try:
-                reply = self.supervisor.worker(worker_id).request(dict(message))
-            except WorkerError as exc:
-                errors[worker_id] = str(exc)
-                continue
-            if reply.get("status") == STATUS_OK:
+        for worker_id, reply in zip(worker_ids, outcomes):
+            if isinstance(reply, BaseException):
+                errors[worker_id] = str(reply)
+            elif reply.get("status") == STATUS_OK:
                 replies[worker_id] = reply
             else:
                 errors[worker_id] = str(reply.get("error", f"no {verb}"))
         return replies, errors
 
-    def _profile_response(self) -> Dict[str, Any]:
+    async def _profile_response(self) -> Dict[str, Any]:
         """The ``profile`` verb: merge every worker's profiler snapshot
         (plus the gateway's own, when one runs in-process) into a
         single collapsed-stack / speedscope pair."""
-        replies, errors = self._fanout("profile", {"verb": "profile"})
+        replies, errors = await self._fanout("profile", {"verb": "profile"})
         profiles: Dict[str, Dict[str, Any]] = {}
         for worker_id, reply in replies.items():
             wire = reply.get("profile")
@@ -339,7 +335,9 @@ class ClusterGateway:
             "speedscope": merged_speedscope(profiles),
         }
 
-    def _slowlog_response(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    async def _slowlog_response(
+        self, message: Dict[str, Any]
+    ) -> Dict[str, Any]:
         """The ``slowlog`` verb: the fleet's slow-query exemplars
         merged slowest-first, each tagged with its worker id."""
         raw_limit = message.get("limit")
@@ -350,7 +348,7 @@ class ClusterGateway:
         request: Dict[str, Any] = {"verb": "slowlog"}
         if limit is not None:
             request["limit"] = limit
-        replies, errors = self._fanout("slowlog", request)
+        replies, errors = await self._fanout("slowlog", request)
         records: "list[Dict[str, Any]]" = []
         workers: Dict[str, Dict[str, Any]] = {}
         for worker_id, reply in replies.items():
@@ -386,13 +384,6 @@ class ClusterGateway:
             "workers": workers,
             "errors": errors,
         }
-
-    def _fanout_dispatch(
-        self, verb: str, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if verb == "profile":
-            return self._profile_response()
-        return self._slowlog_response(message)
 
     def _local_dispatch(
         self, verb: str, message: Dict[str, Any]
@@ -459,42 +450,33 @@ class ClusterGateway:
         self, verb: str, message: Dict[str, Any]
     ) -> Dict[str, Any]:
         started = time.perf_counter()
-        if verb in DATA_VERBS:
-            if self.draining:
-                response = codec.error_response(
-                    verb, "gateway draining", STATUS_SHED
-                )
-            else:
-                with self._inflight_lock:
-                    self._inflight += 1
-                try:
-                    response = await self._dispatch_data(verb, message)
-                except Exception as exc:
-                    response = codec.error_response(
-                        verb, f"{type(exc).__name__}: {exc}"
-                    )
-                finally:
-                    with self._inflight_lock:
-                        self._inflight -= 1
-            latency = time.perf_counter() - started
-            status = str(response.get("status", STATUS_ERROR))
-            self.health_tracker.record(status, latency)
-        elif verb in FANOUT_VERBS:
-            loop = asyncio.get_event_loop()
+        if verb in DATA_VERBS and self.draining:
+            response = codec.error_response(
+                verb, "gateway draining", STATUS_SHED
+            )
+        else:
+            self._inflight += 1
             try:
-                response = await loop.run_in_executor(
-                    self._executor, self._fanout_dispatch, verb, message
-                )
+                if verb in DATA_VERBS:
+                    response = await self._dispatch_data(verb, message)
+                elif verb in FANOUT_VERBS:
+                    response = await (
+                        self._profile_response()
+                        if verb == "profile"
+                        else self._slowlog_response(message)
+                    )
+                else:
+                    response = self._local_dispatch(verb, message)
             except Exception as exc:
                 response = codec.error_response(
                     verb, f"{type(exc).__name__}: {exc}"
                 )
-            latency = time.perf_counter() - started
-            status = str(response.get("status", STATUS_ERROR))
-        else:
-            response = self._local_dispatch(verb, message)
-            latency = time.perf_counter() - started
-            status = str(response.get("status", STATUS_ERROR))
+            finally:
+                self._inflight -= 1
+        latency = time.perf_counter() - started
+        status = str(response.get("status", STATUS_ERROR))
+        if verb in DATA_VERBS:
+            self.health_tracker.record(status, latency)
         self._registry.counter(
             "ev_cluster_gateway_requests_total",
             "Requests answered by the gateway, by verb and status",
@@ -508,23 +490,19 @@ class ClusterGateway:
     async def _dispatch_data(
         self, verb: str, message: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """Route one data-plane request through the dispatch pool,
-        wrapped in a ``gateway.request`` root span when tracing is on.
+        """Route one data-plane request on this loop, wrapped in a
+        ``gateway.request`` root span when tracing is on.
 
         The gateway mints the ``trace_id`` (or adopts the client's, if
         the incoming message already carried a trace envelope) and
         injects ``TraceContext(trace_id, root span)`` into the message
-        — the router re-activates it on the pool thread, the workers
-        parent under it, and after the response lands the whole
-        gateway-side subtree is popped off the tracer and folded into
-        the trace collector next to the worker records.
+        — the workers parent under it, and after the response lands the
+        whole gateway-side subtree is popped off the tracer and folded
+        into the trace collector next to the worker records.
         """
-        loop = asyncio.get_event_loop()
         tracer = get_tracer()
         if not isinstance(tracer, Tracer):
-            return await loop.run_in_executor(
-                self._executor, self.router.dispatch, message
-            )
+            return await self.router.dispatch(message)
         incoming = extract_trace(message)
         trace_id = incoming.trace_id if incoming else new_trace_id()
         root_ctx = TraceContext(
@@ -534,9 +512,7 @@ class ClusterGateway:
             with tracer.remote_context(root_ctx):
                 with tracer.span("gateway.request", verb=verb) as root:
                     inject_trace(message, TraceContext(trace_id, root.span_id))
-                    response = await loop.run_in_executor(
-                        self._executor, self.router.dispatch, message
-                    )
+                    response = await self.router.dispatch(message)
         finally:
             records = tracer.span_records(tracer.take_trace(trace_id))
             collector = self.router.trace_collector
@@ -569,14 +545,17 @@ class ClusterGateway:
             "Flight-recorder events pushed to SSE subscribers",
         )
         while not self.draining:
+            # One snapshot per poll: an event emitted while it is taken
+            # is either in it or newer than its last seq.
+            events = log.events()
             fresh = [
                 event
-                for event in log.events()
+                for event in events
                 if event["seq"] > last_seq
                 and (allowed is None or event["type"] in allowed)
             ]
-            if log.events():
-                last_seq = max(last_seq, log.events()[-1]["seq"])
+            if events:
+                last_seq = max(last_seq, events[-1]["seq"])
             for event in fresh:
                 frame = (
                     f"event: {event['type']}\n"

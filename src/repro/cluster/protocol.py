@@ -9,6 +9,8 @@ Two byte-level protocols, both JSON payloads:
   expositions, error messages with newlines — without escaping games,
   and makes truncation detectable: a short read raises
   :class:`ConnectionClosed` instead of yielding half a document.
+  :func:`recv_frame` reads frames from blocking sockets and
+  :func:`read_frame` from asyncio streams, with the same checks.
 
 * **Newline-delimited JSON** — the public gateway surface
   (``repro cluster serve``).  One JSON object per line is trivially
@@ -36,6 +38,7 @@ only some processes emit telemetry still interoperate.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import struct
@@ -86,6 +89,33 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
+def _frame_length(header: bytes) -> int:
+    (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame header asks for {length} bytes")
+    return length
+
+
+def decode_payload(
+    payload: bytes, what: str = "frame payload"
+) -> Dict[str, Any]:
+    """Parse one UTF-8 JSON object (a frame payload or a request line).
+
+    Raises :class:`ProtocolError` on bytes that are not UTF-8 JSON or
+    on JSON that is not an object; ``what`` names the payload in the
+    error message.
+    """
+    try:
+        message = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"undecodable {what}: {exc}") from exc
+    if not isinstance(message, dict):
+        raise ProtocolError(
+            f"{what} must be a JSON object, got {type(message).__name__}"
+        )
+    return message
+
+
 def recv_frame(sock: socket.socket) -> Dict[str, Any]:
     """Read one length-prefixed JSON frame from a connected socket.
 
@@ -93,19 +123,25 @@ def recv_frame(sock: socket.socket) -> Dict[str, Any]:
     mid-frame, :class:`ProtocolError` on an oversized length or a
     payload that is not a JSON object.
     """
-    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame header asks for {length} bytes")
-    payload = _recv_exact(sock, length)
+    length = _frame_length(_recv_exact(sock, _HEADER.size))
+    return decode_payload(_recv_exact(sock, length))
+
+
+async def read_frame(reader: asyncio.StreamReader) -> Dict[str, Any]:
+    """Read one length-prefixed JSON frame from an asyncio stream.
+
+    The event-loop twin of :func:`recv_frame`, with the same checks
+    and the same errors.
+    """
     try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame payload: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError(
-            f"frame payload must be a JSON object, got {type(message).__name__}"
-        )
-    return message
+        length = _frame_length(await reader.readexactly(_HEADER.size))
+        payload = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ConnectionClosed(
+            f"peer closed with {exc.expected - len(exc.partial)}/"
+            f"{exc.expected} bytes outstanding"
+        ) from exc
+    return decode_payload(payload)
 
 
 # -- NDJSON (the gateway's public surface) --------------------------------
@@ -119,12 +155,4 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     text = line.strip()
     if not text:
         raise ProtocolError("empty request line")
-    try:
-        message = json.loads(text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable request line: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError(
-            f"request line must be a JSON object, got {type(message).__name__}"
-        )
-    return message
+    return decode_payload(text, "request line")

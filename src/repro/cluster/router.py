@@ -33,9 +33,10 @@ fleet's stores convergent across crash/restart cycles.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cluster.codec import error_response, routing_key
 from repro.cluster.hashring import DEFAULT_VNODES, HashRing
@@ -159,60 +160,65 @@ class ClusterRouter:
                 str(trace_id), records, label=f"worker {worker_id}"
             )
 
-    def dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Route one wire request; returns the wire response.
-
-        Runs on the gateway's dispatch pool, whose threads do not
-        inherit the request handler's contextvars — so the message's
-        own trace envelope (injected by the gateway) is re-activated
-        here, putting ``cluster.request`` and everything under it in
-        the request's trace.
-        """
+    async def dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Route one wire request on the running event loop; returns
+        the wire response.  The message's trace envelope is re-activated
+        here, so ``cluster.request`` and everything under it join the
+        request's trace even when the caller holds no open span."""
         verb = str(message.get("verb", "?"))
         tracer = get_tracer()
         with tracer.remote_context(extract_trace(message)):
             with tracer.span("cluster.request", verb=verb):
                 if verb == "ingest":
-                    response = self._dispatch_ingest(message)
+                    response = await self._dispatch_ingest(message)
                 elif self.read_policy == "quorum":
-                    response = self._dispatch_quorum(message, verb)
+                    response = await self._dispatch_quorum(message, verb)
                 else:
-                    response = self._dispatch_first(message, verb)
+                    response = await self._dispatch_first(message, verb)
         self._count(verb, str(response.get("status", "error")))
         return response
 
-    def _dispatch_first(
+    async def _ask(
+        self, worker_id: str, message: Dict[str, Any]
+    ) -> Union[Dict[str, Any], WorkerError]:
+        """One exchange with one worker: its response (span records
+        harvested), or the :class:`WorkerError` it failed with, counted
+        as a fail-over."""
+        try:
+            response = await self.supervisor.worker(worker_id).exchange(message)
+        except WorkerError as exc:
+            self._failover(str(message.get("verb", "?")), worker_id, str(exc))
+            return exc
+        self._harvest_spans(response, worker_id)
+        return response
+
+    async def _dispatch_first(
         self, message: Dict[str, Any], verb: str
     ) -> Dict[str, Any]:
         last_error = "no replica available"
         for attempt, worker_id in enumerate(self.replicas_for(message)):
-            handle = self.supervisor.worker(worker_id)
-            try:
-                response = handle.request(message)
-            except WorkerError as exc:
-                last_error = str(exc)
-                self._failover(verb, worker_id, last_error)
+            response = await self._ask(worker_id, message)
+            if isinstance(response, WorkerError):
+                last_error = str(response)
                 continue
-            self._harvest_spans(response, worker_id)
             response["worker"] = worker_id
             response["failovers"] = attempt
             return response
         return error_response(verb, last_error)
 
-    def _dispatch_quorum(
+    async def _dispatch_quorum(
         self, message: Dict[str, Any], verb: str
     ) -> Dict[str, Any]:
         """Majority-of-responders read (see module docstring)."""
-        responses: List[Tuple[str, Dict[str, Any]]] = []
-        for worker_id in self.replicas_for(message):
-            handle = self.supervisor.worker(worker_id)
-            try:
-                response = handle.request(message)
-            except WorkerError as exc:
-                self._failover(verb, worker_id, str(exc))
-                continue
-            self._harvest_spans(response, worker_id)
-            responses.append((worker_id, response))
+        replicas = self.replicas_for(message)
+        outcomes = await asyncio.gather(
+            *(self._ask(worker_id, message) for worker_id in replicas)
+        )
+        responses = [
+            (worker_id, response)
+            for worker_id, response in zip(replicas, outcomes)
+            if not isinstance(response, WorkerError)
+        ]
         if not responses:
             return error_response(verb, "no replica available")
         votes: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
@@ -233,23 +239,21 @@ class ClusterRouter:
         return response
 
     # -- ingest (broadcast + replay) -------------------------------------
-    def _dispatch_ingest(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    async def _dispatch_ingest(self, message: Dict[str, Any]) -> Dict[str, Any]:
         scenarios = message.get("scenarios", [])
         with self._ingest_lock:
             self._ingest_log.extend(scenarios)
         acked = 0
         ingested = 0
         errors: List[str] = []
-        for worker_id in self.supervisor.available():
-            handle = self.supervisor.worker(worker_id)
-            try:
-                response = handle.request(message)
-            except WorkerError as exc:
-                errors.append(f"{worker_id}: {exc}")
-                self._failover("ingest", worker_id, str(exc))
-                continue
-            self._harvest_spans(response, worker_id)
-            if response.get("status") == STATUS_OK:
+        workers = self.supervisor.available()
+        outcomes = await asyncio.gather(
+            *(self._ask(worker_id, message) for worker_id in workers)
+        )
+        for worker_id, response in zip(workers, outcomes):
+            if isinstance(response, WorkerError):
+                errors.append(f"{worker_id}: {response}")
+            elif response.get("status") == STATUS_OK:
                 acked += 1
                 ingested = max(ingested, int(response.get("ingested", 0)))
             else:

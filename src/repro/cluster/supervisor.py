@@ -3,7 +3,7 @@
 The supervisor owns one :class:`WorkerHandle` per shard.  A handle is
 the *slot*, not the process: the process behind it dies and is
 respawned, while the handle keeps the worker's identity (its ring node
-name), its connection pool, and its restart history.
+name), its event-loop connection pool, and its restart history.
 
 Failure detection runs in one monitor thread:
 
@@ -29,6 +29,7 @@ emits ``cluster.health.degraded``; the event log shows
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import socket
 import threading
@@ -37,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.cluster.protocol import recv_frame, send_frame
+from repro.cluster.protocol import encode_frame, read_frame, recv_frame, send_frame
 from repro.cluster.worker import (
     MSG_HEARTBEAT,
     MSG_READY,
@@ -73,8 +74,9 @@ class SupervisorConfig:
         backoff_base_s / backoff_cap_s: restart delay is
             ``min(cap, base * 2^restarts)``.
         ready_timeout_s: bound on the initial all-workers-up wait.
-        request_timeout_s: socket timeout for one worker request.
-        connect_timeout_s: socket timeout for dialing a worker.
+        request_timeout_s: bound on one worker request (socket timeout,
+            or ``asyncio.wait_for`` bound on the event loop).
+        connect_timeout_s: bound on dialing a worker.
     """
 
     heartbeat_timeout_s: float = 3.0
@@ -111,8 +113,9 @@ class WorkerHandle:
         self.backoff_until = 0.0
         self.last_backoff_s = 0.0
         self.last_heartbeat = 0.0
-        self._pool: List[socket.socket] = []
-        self._pool_lock = threading.Lock()
+        # Event-loop connections, pooled per (loop, port, pid): one
+        # process incarnation as seen from one loop.
+        self._links: Dict[tuple, list] = {}
         # Telemetry payloads piggybacked on heartbeats, drained by the
         # supervisor's monitor loop.  Bounded: with no consumer (or a
         # slow one) old beats fall off instead of growing the handle.
@@ -212,7 +215,6 @@ class WorkerHandle:
     def mark_down(self, backoff: bool = True) -> float:
         """Transition to ``down``; returns the scheduled backoff delay."""
         self.state = DOWN
-        self._close_pool()
         delay = 0.0
         if backoff:
             delay = min(
@@ -227,7 +229,6 @@ class WorkerHandle:
     def shutdown(self, timeout: float = 10.0) -> None:
         """Graceful stop: shutdown message, join, then escalate."""
         self.state = STOPPED
-        self._close_pool()
         if self.conn is not None:
             try:
                 self.conn.send({"type": MSG_SHUTDOWN})
@@ -249,61 +250,76 @@ class WorkerHandle:
             log.emit(ev.CLUSTER_WORKER_STOPPED, worker=self.worker_id)
 
     # -- data channel ----------------------------------------------------
-    def _connect(self) -> socket.socket:
-        if self.port is None:
-            raise WorkerError(f"worker {self.worker_id} has no bound port")
-        try:
-            sock = socket.create_connection(
-                (self.spec.host, self.port),
-                timeout=self.config.connect_timeout_s,
-            )
-        except OSError as exc:
-            raise WorkerError(
-                f"cannot reach worker {self.worker_id}: {exc}"
-            ) from exc
-        sock.settimeout(self.config.request_timeout_s)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
-
-    def _checkout(self) -> socket.socket:
-        with self._pool_lock:
-            if self._pool:
-                return self._pool.pop()
-        return self._connect()
-
-    def _checkin(self, sock: socket.socket) -> None:
-        with self._pool_lock:
-            self._pool.append(sock)
-
-    def _close_pool(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, []
-        for sock in pool:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
     def request(self, message: Dict) -> Dict:
-        """One framed request/response exchange with this worker."""
+        """One blocking exchange on a fresh connection, for callers off
+        the event loop (the monitor thread's ingest replay)."""
+        self._check_ready()
+        address = (self.spec.host, self.port)
+        try:
+            with socket.create_connection(
+                address, self.config.connect_timeout_s
+            ) as sock:
+                sock.settimeout(self.config.request_timeout_s)
+                send_frame(sock, message)
+                return recv_frame(sock)
+        except Exception as exc:
+            raise WorkerError(
+                f"request to worker {self.worker_id} failed: {exc}"
+            ) from exc
+
+    async def exchange(self, message: Dict) -> Dict:
+        """One framed exchange from the running event loop, bounded by
+        ``request_timeout_s``.  A pooled connection serves only its own
+        loop and process incarnation; one that fails in any way
+        (timeout, reset, malformed frame) is closed, never reused."""
+        self._check_ready()
+        key = (asyncio.get_running_loop(), self.port, self.pid)
+        pool = self._links.get(key)
+        writer = None
+        try:
+            if pool:
+                reader, writer = pool.pop()
+            else:
+                await self.close_links(keep=key)  # earlier incarnations
+                reader, writer = await asyncio.wait_for(
+                    asyncio.open_connection(self.spec.host, self.port),
+                    self.config.connect_timeout_s,
+                )
+            # No drain: the transport flushes while the reply is awaited.
+            writer.write(encode_frame(message))
+            response = await asyncio.wait_for(
+                read_frame(reader), self.config.request_timeout_s
+            )
+        except BaseException as exc:
+            if writer is not None:
+                writer.close()
+            if not isinstance(exc, Exception):
+                raise
+            raise WorkerError(
+                f"request to worker {self.worker_id} failed: "
+                f"{str(exc) or type(exc).__name__}"
+            ) from exc
+        self._links.setdefault(key, []).append((reader, writer))
+        return response
+
+    def _check_ready(self) -> None:
         if self.state != READY:
             raise WorkerError(
                 f"worker {self.worker_id} is {self.state}, not ready"
             )
-        sock = self._checkout()
-        try:
-            send_frame(sock, message)
-            response = recv_frame(sock)
-        except Exception as exc:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise WorkerError(
-                f"request to worker {self.worker_id} failed: {exc}"
-            ) from exc
-        self._checkin(sock)
-        return response
+
+    async def close_links(self, keep: Optional[tuple] = None) -> None:
+        """Close the running loop's pooled connections to this worker
+        but ``keep``'s; a loop's owner calls it before closing it."""
+        loop = asyncio.get_running_loop()
+        stale = [k for k in list(self._links) if k[0] is loop and k != keep]
+        writers = [w for k in stale for _r, w in self._links.pop(k, ())]
+        for writer in writers:
+            writer.close()
+        await asyncio.gather(
+            *(writer.wait_closed() for writer in writers),
+            return_exceptions=True,
+        )
 
 
 class Supervisor:

@@ -5,6 +5,9 @@ gets its own gateway (cheap: a thread and an ephemeral port), so the
 drain test can tear one down without starving its neighbours.
 """
 
+import asyncio
+import os
+import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -41,6 +44,7 @@ from repro.service.server import ServiceConfig
 class GatewayStack:
     supervisor: Supervisor
     router: ClusterRouter
+    path: Path
     dataset: EVDataset
     arriving: list
     targets: list
@@ -95,6 +99,7 @@ def stack(tmp_path_factory):
     yield GatewayStack(
         supervisor=supervisor,
         router=router,
+        path=path,
         dataset=dataset,
         arriving=arriving,
         targets=list(dataset.sample_targets(3, seed=2)),
@@ -310,6 +315,104 @@ class TestEventStream:
         assert received == ["cluster.route.failover"]
 
 
+    def test_sse_streams_an_event_emitted_during_a_poll(self, gateway):
+        """An event emitted while a poll copies the ring is streamed on
+        the next poll, never skipped."""
+
+        class RacingLog(EventLog):
+            raced = False
+
+            def events(self, type=None):
+                snapshot = super().events(type)
+                if not self.raced:
+                    self.raced = True
+                    self.emit("cluster.route.failover", worker="racer")
+                return snapshot
+
+        previous = set_event_log(RacingLog())
+        try:
+            with GatewayClient(gateway.host, gateway.port) as tail:
+                # Under the 1 s keepalive: a skipped event ends the
+                # stream empty instead of idling forever.
+                pairs = list(
+                    tail.stream_events(
+                        types=["cluster.route.failover"],
+                        max_events=1,
+                        timeout_s=0.9,
+                    )
+                )
+        finally:
+            set_event_log(previous)
+        assert [event["fields"]["worker"] for _t, event in pairs] == ["racer"]
+
+
+class TestHungWorker:
+    def test_hung_worker_does_not_stall_the_gateway(self, stack):
+        timeout_s = 1.0
+        supervisor = Supervisor(
+            [
+                WorkerSpec(
+                    worker_id=f"h{i}",
+                    dataset_path=str(stack.path),
+                    service=ServiceConfig(workers=2, queue_size=64),
+                )
+                for i in range(2)
+            ],
+            # The heartbeat bound is far off: the request timeout, not
+            # the hang detector, must be what frees the gateway.
+            SupervisorConfig(
+                request_timeout_s=timeout_s,
+                heartbeat_timeout_s=120.0,
+                ready_timeout_s=120.0,
+            ),
+        ).start()
+        router = ClusterRouter(supervisor, replication=2)
+        gateway = ClusterGateway(router, supervisor).start()
+        message = {
+            "verb": "match",
+            "targets": [eid.index for eid in stack.targets],
+            "algorithm": "ss",
+        }
+        victim = router.replicas_for(message)[0]
+        pid = supervisor.worker(victim).pid
+        try:
+            os.kill(pid, signal.SIGSTOP)
+            with GatewayClient(gateway.host, gateway.port) as data, \
+                    GatewayClient(gateway.host, gateway.port) as control:
+                outcome = {}
+
+                def ask():
+                    started = time.monotonic()
+                    outcome["response"] = data.call(message)
+                    outcome["elapsed"] = time.monotonic() - started
+
+                thread = threading.Thread(target=ask)
+                thread.start()
+                time.sleep(0.2)  # the match now waits on the stopped worker
+                started = time.monotonic()
+                assert control.ping()
+                assert control.call({"verb": "health"})["workers_total"] == 2
+                assert time.monotonic() - started < timeout_s / 2
+                thread.join(timeout=timeout_s + 30.0)
+                response = outcome["response"]
+                assert response["status"] == STATUS_OK, response
+                assert response["worker"] != victim
+                assert response["failovers"] == 1
+                assert outcome["elapsed"] < timeout_s + 2.0
+
+                # With one replica there is nothing to fail over to: the
+                # client gets an error reply, not a hang.
+                router.replication = 1
+                started = time.monotonic()
+                response = data.call(message)
+                assert response["status"] == "error", response
+                assert time.monotonic() - started < timeout_s + 2.0
+        finally:
+            os.kill(pid, signal.SIGCONT)
+            gateway.drain(timeout=5.0)
+            supervisor.stop()
+
+
 class TestLoadgenSocketMode:
     def test_run_load_socket_end_to_end(self, stack, gateway):
         report = run_load_socket(
@@ -361,9 +464,9 @@ class TestDrain:
     ):
         real_dispatch = stack.router.dispatch
 
-        def slow_dispatch(message):
-            time.sleep(0.5)
-            return real_dispatch(message)
+        async def slow_dispatch(message):
+            await asyncio.sleep(0.5)
+            return await real_dispatch(message)
 
         monkeypatch.setattr(stack.router, "dispatch", slow_dispatch)
         results = []

@@ -5,9 +5,11 @@ No processes here — sockets are exercised with an in-process
 frames, garbage payloads) is tested deterministically.
 """
 
+import asyncio
 import json
 import socket
 import struct
+import threading
 
 import pytest
 
@@ -27,9 +29,17 @@ from repro.cluster.protocol import (
     decode_line,
     encode_frame,
     encode_line,
+    read_frame,
     recv_frame,
     send_frame,
 )
+from repro.cluster.supervisor import (
+    READY,
+    SupervisorConfig,
+    WorkerError,
+    WorkerHandle,
+)
+from repro.cluster.worker import WorkerSpec
 from repro.service.api import (
     STATUS_ERROR,
     STATUS_OK,
@@ -101,6 +111,85 @@ class TestFraming:
         left.sendall(struct.pack(">I", len(payload)) + payload)
         with pytest.raises(ProtocolError):
             recv_frame(right)
+
+
+#: Frames that must be rejected, as raw header + payload bytes.
+_OVERSIZED = struct.pack(">I", MAX_FRAME_BYTES + 1)
+_NON_OBJECT = struct.pack(">I", 9) + b"[1, 2, 3]"
+_NON_JSON = struct.pack(">I", 10) + b"\xff\xfenot json"
+
+
+class TestAsyncFraming:
+    """The event-loop reader keeps every check :func:`recv_frame` makes."""
+
+    @staticmethod
+    def read(data: bytes):
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await read_frame(reader)
+
+        return asyncio.run(run())
+
+    def test_roundtrip(self):
+        message = {"verb": "ping", "nested": {"a": [1, 2, 3]}, "text": "x\ny"}
+        assert self.read(encode_frame(message)) == message
+
+    def test_eof_mid_frame_raises_connection_closed(self):
+        frame = encode_frame({"verb": "ping"})
+        with pytest.raises(ConnectionClosed):
+            self.read(frame[: len(frame) // 2])
+
+    @pytest.mark.parametrize(
+        "data",
+        [_OVERSIZED, _NON_OBJECT, _NON_JSON],
+        ids=["oversized", "non-object", "non-json"],
+    )
+    def test_bad_frames_rejected(self, data):
+        with pytest.raises(ProtocolError):
+            self.read(data)
+
+    @pytest.mark.parametrize(
+        "reply", [_OVERSIZED, _NON_OBJECT], ids=["oversized", "non-object"]
+    )
+    def test_worker_exchange_closes_the_connection(self, reply):
+        """A fake worker answers one request with a bad frame: the
+        exchange fails with the ProtocolError as its cause, the
+        connection is closed, and nothing is pooled."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        seen = {}
+
+        def fake_worker():
+            conn, _addr = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                seen["request"] = recv_frame(conn)
+                conn.sendall(reply)
+                seen["closed"] = conn.recv(1) == b""
+
+        thread = threading.Thread(target=fake_worker)
+        thread.start()
+        handle = WorkerHandle(
+            WorkerSpec(worker_id="fake", dataset_path="unused.npz"),
+            SupervisorConfig(request_timeout_s=10.0),
+        )
+        handle.state = READY
+        handle.port = listener.getsockname()[1]
+
+        async def run():
+            with pytest.raises(WorkerError) as info:
+                await handle.exchange({"verb": "ping"})
+            return info.value
+
+        try:
+            error = asyncio.run(run())
+            thread.join(timeout=15.0)
+        finally:
+            listener.close()
+        assert isinstance(error.__cause__, ProtocolError)
+        assert seen == {"request": {"verb": "ping"}, "closed": True}
+        assert not any(handle._links.values())
 
 
 class TestNDJSON:

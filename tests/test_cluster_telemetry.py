@@ -16,6 +16,7 @@ flows over real worker processes.  Covered:
   ``MatchService.metrics_text()``.
 """
 
+import asyncio
 import re
 import socket
 import time
@@ -306,7 +307,7 @@ class _FakeHandle:
         self.outcomes = list(outcomes)
         self.requests = []
 
-    def request(self, message, timeout_s=None):
+    async def exchange(self, message):
         self.requests.append(message)
         outcome = self.outcomes.pop(0) if self.outcomes else WorkerError("dry")
         if isinstance(outcome, Exception):
@@ -358,7 +359,7 @@ class TestRouterTracePreservation:
         first, second = router.replicas_for(message)
         handles[first].outcomes = [WorkerError("boom")]
         handles[second].outcomes = [_worker_response(trace_id, 1)]
-        response = router.dispatch(message)
+        response = asyncio.run(router.dispatch(message))
         assert response["status"] == "ok"
         assert response["failovers"] == 1
         assert response["trace_id"] == trace_id
@@ -389,7 +390,7 @@ class TestRouterTracePreservation:
         )
         message = {"verb": "match", "targets": [1], "algorithm": "ss"}
         inject_trace(message, TraceContext(trace_id))
-        response = router.dispatch(message)
+        response = asyncio.run(router.dispatch(message))
         assert response["status"] == "ok"
         assert response["quorum"] == 2  # differing spans did not split the vote
         assert response["trace_id"] == trace_id

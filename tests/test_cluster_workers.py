@@ -11,6 +11,7 @@ them mid-load, and assert the three promises of the supervision layer:
   only when the whole fleet serves again.
 """
 
+import asyncio
 import os
 import signal
 import time
@@ -115,6 +116,24 @@ def fleet(cluster_world, tmp_path, event_log):
     supervisor.stop()
 
 
+@pytest.fixture()
+def dispatch():
+    """``dispatch(router, message)``: route on one event loop per test,
+    closing the worker connections that loop pooled at teardown."""
+    loop = asyncio.new_event_loop()
+    routers = set()
+
+    def run(router, message):
+        routers.add(router)
+        return loop.run_until_complete(router.dispatch(message))
+
+    yield run
+    for router in routers:
+        for handle in router.supervisor.workers.values():
+            loop.run_until_complete(handle.close_links())
+    loop.close()
+
+
 def match_message(world: ClusterWorld) -> dict:
     return {
         "verb": "match",
@@ -175,7 +194,7 @@ class TestBackoffSchedule:
 
 class TestCrashRecovery:
     def test_kill_mid_load_loses_no_query_and_rebuilds_state(
-        self, cluster_world, fleet, event_log
+        self, cluster_world, fleet, event_log, dispatch
     ):
         supervisor, router = fleet
         crashes_before = (
@@ -188,7 +207,7 @@ class TestCrashRecovery:
         )
 
         # Seed live state first so the restart has something to rebuild.
-        ingest = router.dispatch(ingest_message(cluster_world, 5))
+        ingest = dispatch(router, ingest_message(cluster_world, 5))
         assert ingest["status"] == STATUS_OK
         assert ingest["ingested"] == 5
         assert ingest["workers_acked"] == 2
@@ -205,7 +224,7 @@ class TestCrashRecovery:
         answered = 0
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
-            response = router.dispatch(match_message(cluster_world))
+            response = dispatch(router, match_message(cluster_world))
             assert response["status"] == STATUS_OK, response
             answered += 1
             if not detected:
@@ -275,7 +294,7 @@ class TestCrashRecovery:
         assert restarted_event["fields"]["backoff_s"] == pytest.approx(0.2)
 
     def test_hung_worker_is_killed_and_restarted(
-        self, cluster_world, tmp_path, event_log
+        self, cluster_world, tmp_path, event_log, dispatch
     ):
         supervisor = Supervisor(
             make_specs(cluster_world, tmp_path),
@@ -289,7 +308,7 @@ class TestCrashRecovery:
             try:
                 deadline = time.monotonic() + 30.0
                 while time.monotonic() < deadline:
-                    response = router.dispatch(match_message(cluster_world))
+                    response = dispatch(router, match_message(cluster_world))
                     assert response["status"] == STATUS_OK, response
                     types = [e["type"] for e in event_log.events()]
                     if (
@@ -314,7 +333,7 @@ class TestCrashRecovery:
             supervisor.stop()
 
     def test_restarted_worker_catches_up_on_missed_ingests(
-        self, cluster_world, fleet, event_log
+        self, cluster_world, fleet, event_log, dispatch
     ):
         supervisor, router = fleet
         victim = supervisor.worker("w0")
@@ -329,7 +348,7 @@ class TestCrashRecovery:
             time.sleep(0.02)
         assert len(supervisor.available()) < 2
 
-        ingest = router.dispatch(ingest_message(cluster_world, 4))
+        ingest = dispatch(router, ingest_message(cluster_world, 4))
         assert ingest["status"] == STATUS_OK
         assert ingest["workers_acked"] == 1  # only w1 heard it
 
@@ -359,6 +378,43 @@ class TestCrashRecovery:
         assert (
             stats0["snapshot"]["service"]["store_scenarios"]
             == stats1["snapshot"]["service"]["store_scenarios"]
+        )
+
+
+class TestLoopConnections:
+    def test_restart_reconnects_and_never_reuses_old_connections(
+        self, cluster_world, fleet, dispatch
+    ):
+        supervisor, router = fleet
+        message = match_message(cluster_world)
+        victim_id = router.replicas_for(message)[0]
+        victim = supervisor.worker(victim_id)
+        assert dispatch(router, message)["worker"] == victim_id
+        old_port, old_pid = victim.port, victim.pid
+        old = [w for pool in victim._links.values() for _r, w in pool]
+        assert old
+        assert all(w.get_extra_info("peername")[1] == old_port for w in old)
+
+        victim.kill()
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            if victim.pid != old_pid and victim.state == "ready":
+                break
+            time.sleep(0.05)
+        assert victim.pid != old_pid, supervisor.describe()
+
+        for _ in range(3):
+            response = dispatch(router, message)
+            assert response["status"] == STATUS_OK, response
+            assert response["worker"] == victim_id
+            assert response["failovers"] == 0
+        # The connections to the dead incarnation were closed, not
+        # reused; every pooled connection reaches the new process.
+        assert all(w.is_closing() for w in old)
+        live = [w for pool in victim._links.values() for _r, w in pool]
+        assert live and not set(live) & set(old)
+        assert all(
+            w.get_extra_info("peername")[1] == victim.port for w in live
         )
 
 
