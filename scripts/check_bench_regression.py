@@ -7,8 +7,8 @@ line: ``{artifact, ts, git_sha, backend_label, payload}`` — see
 :mod:`repro.obs.regress`); this script loads that history and judges
 each artifact's **newest** entry against
 
-* absolute floors/ceilings (e.g. ``split.speedup`` must stay above its
-  floor no matter what the history says), and
+* absolute floors/ceilings (e.g. ``filter.targets_per_s`` must stay
+  above its floor no matter what the history says), and
 * a relative tolerance against the **median** of the earlier entries —
   the baseline a single noisy CI run cannot move.
 

@@ -22,10 +22,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench import experiments as exp_mod
 from repro.bench.reporting import render_rows
-from repro.core.edp import EDPConfig
 from repro.core.matcher import EVMatcher, MatcherConfig
 from repro.core.refining import RefiningConfig
-from repro.core.set_splitting import CONFIGURABLE_BACKENDS, SplitConfig
+from repro.core.set_splitting import SplitConfig
 from repro.datagen.config import ExperimentConfig
 from repro.datagen.dataset import build_dataset
 from repro.datagen.io import load_dataset, save_dataset
@@ -120,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a markdown run report (manifest, metrics, span tree, "
         "event timeline, match provenance) after the run",
     )
-    _add_backend_arg(match)
 
     experiment = sub.add_parser(
         "experiment", help="regenerate one paper table/figure (or 'list')"
@@ -150,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     investigate.add_argument(
         "--suspect", type=int, default=0, help="EID index to profile"
     )
-    _add_backend_arg(investigate)
 
     report = sub.add_parser(
         "report", help="run every experiment and write a markdown report"
@@ -187,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--watch", type=int, default=5,
         help="targets to track on the incremental watch-list",
     )
-    _add_backend_arg(serve)
 
     loadtest = sub.add_parser(
         "loadtest",
@@ -208,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--targets-per-request", type=int, default=3)
     loadtest.add_argument("--workers", type=int, default=2)
     loadtest.add_argument("--shards", type=int, default=4)
-    _add_backend_arg(loadtest)
 
     cluster = sub.add_parser(
         "cluster",
@@ -471,28 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_backend_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--backend",
-        choices=CONFIGURABLE_BACKENDS,
-        default="bitset",
-        help="E-stage candidate-set kernels (results are identical; "
-        "bitset is the fast packed-row path, python the reference, "
-        "numba the JIT kernels when installed, auto the fastest "
-        "available)",
-    )
-
-
-def _matcher_config(args: argparse.Namespace, **overrides) -> MatcherConfig:
-    """A MatcherConfig with the chosen backend on both E stages."""
-    backend = getattr(args, "backend", "bitset")
-    return MatcherConfig(
-        split=SplitConfig(backend=backend),
-        edp=EDPConfig(backend=backend),
-        **overrides,
-    )
-
-
 def _world_from_args(args: argparse.Namespace, out) -> "EVDataset":  # noqa: F821
     if getattr(args, "dataset", None):
         print(f"loading world from {args.dataset}", file=out)
@@ -597,7 +570,7 @@ def run_match(args: argparse.Namespace, out=None) -> int:
                 "topology": use_topology,
             },
             seed=args.seed,
-            backend=getattr(args, "backend", "bitset"),
+            backend=SplitConfig.backend,
         )
         previous_run = set_run_context(run)
     try:
@@ -608,18 +581,12 @@ def run_match(args: argparse.Namespace, out=None) -> int:
             if engine == "mapreduce":
                 from repro.parallel.driver import ParallelEVMatcher
 
-                backend = getattr(args, "backend", "bitset")
-                matcher = ParallelEVMatcher(
-                    dataset.store,
-                    split_config=SplitConfig(backend=backend),
-                    edp_config=EDPConfig(backend=backend),
-                )
+                matcher = ParallelEVMatcher(dataset.store)
             else:
                 overrides = {}
                 if topology_filter is not None:
                     overrides["filter"] = topology_filter
-                matcher_config = _matcher_config(
-                    args,
+                matcher_config = MatcherConfig(
                     refining=RefiningConfig(max_rounds=4) if args.refine else None,
                     **overrides,
                 )
@@ -830,24 +797,11 @@ def run_inspect(args: argparse.Namespace, out=None) -> int:
         file=out,
     )
 
-    # The packed E-stage matrix the accelerated backends share, and
-    # which kernel backend this interpreter resolves to.
-    from repro.core.accel import (
-        AUTO_BACKEND,
-        available_backends,
-        matrix_for,
-        resolve_backend,
-    )
+    # The packed co-occurrence index the co-traveler queries read.
+    from repro.core.accel import matrix_for
 
-    backend = resolve_backend(AUTO_BACKEND)
     matrix = matrix_for(store)
     matrix.sync()
-    print("\nE-stage kernels:", file=out)
-    print(
-        f"  backend {backend} [ev_accel_backend_info] "
-        f"(available: {', '.join(available_backends())})",
-        file=out,
-    )
     print(
         f"  packed scenario matrix: {len(matrix)} rows x "
         f"{matrix.num_words} words = {matrix.nbytes / 1024:.1f} KiB "
@@ -861,7 +815,7 @@ def run_inspect(args: argparse.Namespace, out=None) -> int:
     from repro.core.vid_filtering import FilterConfig, VIDFilter
 
     sample = list(dataset.sample_targets(min(10, len(dataset.eids)), seed=1))
-    split = SetSplitter(store, SplitConfig(backend=backend)).run(sample)
+    split = SetSplitter(store).run(sample)
     vid_filter = VIDFilter(store, FilterConfig())
     vid_filter.match(split.evidence)
     print(f"\nV-stage caches after matching {len(sample)} EIDs:", file=out)
@@ -972,7 +926,7 @@ def run_investigate(args: argparse.Namespace, out=None) -> int:
 
     dataset = _world_from_args(args, out)
     print("running universal labeling...", file=out)
-    report = EVMatcher(dataset.store, _matcher_config(args)).match_universal()
+    report = EVMatcher(dataset.store).match_universal()
     index = FusedIndex(dataset.store, report)
     print(f"indexed {index.num_profiles} profiles", file=out)
 
@@ -1046,7 +1000,6 @@ def run_serve(args: argparse.Namespace, out=None) -> int:
         queue_size=args.queue_size,
         num_shards=args.shards,
         cache_capacity=0 if args.no_cache else 256,
-        matcher=_matcher_config(args),
     )
     with MatchService.from_dataset(dataset, config) as service, \
             _drain_on_signals(service.begin_drain, out):
@@ -1782,7 +1735,6 @@ def run_loadtest(args: argparse.Namespace, out=None) -> int:
             workers=args.workers,
             num_shards=args.shards,
             cache_capacity=capacity,
-            matcher=_matcher_config(args),
         )
         with MatchService.from_dataset(dataset, config) as service:
             report = run_load(service, targets, load)

@@ -177,59 +177,9 @@ class WorkerSpec:
             )
 
 
-def _pick_backend(spec: WorkerSpec) -> tuple:
-    """(service_config, backend) — the worker's kernel backend choice.
-
-    Workers are throughput shards: the pure-Python reference kernels
-    exist for in-process debugging, not for serving.  A spec whose
-    matcher config leaves the E-stage backends at their defaults (or
-    pins ``"auto"``) therefore gets the fastest backend available in
-    *this* child interpreter — each worker probes independently at
-    startup, so a heterogeneous fleet (some nodes with numba
-    installed, some without) just works.  An explicit ``"bitset"`` /
-    ``"numba"`` pin is respected, still routed through
-    :func:`~repro.core.accel.resolve_backend` so a numba pin on a
-    node without numba degrades to ``"bitset"`` with a warning
-    instead of dying.  The choice is reported in the ``ready``
-    control message and the ``stats`` verb.
-    """
-    from dataclasses import replace
-
-    from repro.core.accel import AUTO_BACKEND, resolve_backend
-
-    matcher = spec.service.matcher
-    split_b = matcher.split.backend
-    edp_b = matcher.edp.backend
-    split_r = resolve_backend(
-        AUTO_BACKEND
-        if split_b in (AUTO_BACKEND, type(matcher.split)().backend)
-        else split_b
-    )
-    edp_r = resolve_backend(
-        AUTO_BACKEND
-        if edp_b in (AUTO_BACKEND, type(matcher.edp)().backend)
-        else edp_b
-    )
-    if split_r == split_b and edp_r == edp_b:
-        return spec.service, split_r
-    return (
-        replace(
-            spec.service,
-            matcher=replace(
-                matcher,
-                split=replace(matcher.split, backend=split_r),
-                edp=replace(matcher.edp, backend=edp_r),
-            ),
-        ),
-        split_r,
-    )
-
-
 def _build_service(spec: WorkerSpec) -> tuple:
-    """(service, reloaded, backend, topology) — standing dataset +
-    journal + the kernel backend this worker picked (see
-    :func:`_pick_backend`) + the topology summary (``None`` unless
-    ``spec.use_topology``)."""
+    """(service, reloaded, topology) — standing dataset + journal +
+    the topology summary (``None`` unless ``spec.use_topology``)."""
     if spec.dataset_path is not None:
         from repro.datagen.io import load_dataset
 
@@ -246,7 +196,7 @@ def _build_service(spec: WorkerSpec) -> tuple:
         # ingest stays on the service path (shards + watch + cache).
         sink = DurableStoreSink(dataset.store, spec.journal_path)
         reloaded = sink.reloaded
-    service_config, backend = _pick_backend(spec)
+    service_config = spec.service
     topology = None
     if spec.use_topology:
         model = getattr(dataset, "topology", None)
@@ -276,7 +226,7 @@ def _build_service(spec: WorkerSpec) -> tuple:
         universe=dataset.eids,
         config=service_config,
     )
-    return service, reloaded, backend, topology
+    return service, reloaded, topology
 
 
 class _WorkerServer:
@@ -287,7 +237,7 @@ class _WorkerServer:
         self.control = control
         self.stop_event = threading.Event()
         self.service: Optional[MatchService] = None
-        self.backend: str = "python"  # resolved in run()
+        self.backend: str = spec.service.matcher.split.backend
         self.topology: Optional[Dict[str, Any]] = None  # resolved in run()
         self._journal_lock = threading.Lock()
         self._send_lock = threading.Lock()
@@ -564,9 +514,7 @@ class _WorkerServer:
                 hz=self.spec.profile_hz, tag=self.spec.worker_id
             ).start()
             set_profiler(self._profiler)
-        service, reloaded, self.backend, self.topology = _build_service(
-            self.spec
-        )
+        service, reloaded, self.topology = _build_service(self.spec)
         self.service = service.start()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

@@ -17,18 +17,13 @@ Layout:
 * :mod:`repro.core.matcher` — the high-level API supporting single,
   multiple and universal matching sizes.
 * :mod:`repro.core.analysis` — Theorems 4.2 / 4.4 as checkable bounds.
-* :mod:`repro.core.accel` — packed-bitset E-stage kernels behind
-  ``SplitConfig(backend="bitset")``.
+* :mod:`repro.core.accel` — the packed inclusive-EID index behind the
+  co-traveler and convoy queries.
 * :mod:`repro.core.caches` — byte-budgeted LRU caches bounding the
   V stage's memoized arrays in long-running processes.
 """
 
-from repro.core.accel import (
-    CandidateMatrix,
-    EIDInterner,
-    ScenarioMatrix,
-    matrix_for,
-)
+from repro.core.accel import EIDInterner, ScenarioMatrix, matrix_for
 from repro.core.caches import ByteBudgetLRU, ByteCacheStats
 from repro.core.partition import EIDPartition, SeparationTracker
 from repro.core.set_splitting import (
@@ -57,7 +52,6 @@ from repro.core.analysis import (
 __all__ = [
     "ByteBudgetLRU",
     "ByteCacheStats",
-    "CandidateMatrix",
     "EDPConfig",
     "EDPMatcher",
     "EDPResult",

@@ -53,24 +53,12 @@ class EDPConfig:
             :class:`~repro.core.set_splitting.SplitConfig` — skip
             scenarios from a cell the target's evidence already covers
             within this many ticks.
-        backend: candidate-set representation, mirroring
-            :class:`~repro.core.set_splitting.SplitConfig.backend` —
-            ``"python"`` (reference frozensets), ``"bitset"`` (packed
-            rows from the store's shared
-            :class:`~repro.core.accel.ScenarioMatrix`, with the whole
-            greedy window scored as one batched AND + popcount), or
-            ``"auto"``/``"numba"`` (resolved via
-            :func:`repro.core.accel.resolve_backend`; EDP's windows
-            are a dozen rows, far below JIT pay-off, so both run the
-            batched bitset kernels).  Results are identical, so the
-            SS-vs-EDP comparisons stay fair under any backend.
     """
 
     seed: int = 0
     max_scenarios_per_eid: Optional[int] = None
     greedy_sample: int = 12
     min_gap_ticks: int = 5
-    backend: str = "python"
 
     def __post_init__(self) -> None:
         if self.max_scenarios_per_eid is not None and self.max_scenarios_per_eid <= 0:
@@ -85,13 +73,6 @@ class EDPConfig:
         if self.min_gap_ticks < 0:
             raise ValueError(
                 f"min_gap_ticks must be non-negative, got {self.min_gap_ticks}"
-            )
-        from repro.core.set_splitting import CONFIGURABLE_BACKENDS
-
-        if self.backend not in CONFIGURABLE_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {CONFIGURABLE_BACKENDS}, "
-                f"got {self.backend!r}"
             )
 
 
@@ -156,7 +137,6 @@ class EDPMatcher:
         self.clock = clock if clock is not None else SimulatedClock()
         self._index: Optional[Dict[EID, List[ScenarioKey]]] = None
         self._universe: Optional[FrozenSet[EID]] = None
-        self._resolved_backend = self.config.backend
 
     def run(
         self,
@@ -179,9 +159,6 @@ class EDPMatcher:
                 f"targets not in universe: {sorted(e.index for e in missing)}"
             )
 
-        from repro.core.accel import resolve_backend
-
-        self._resolved_backend = resolve_backend(self.config.backend)
         result = EDPResult(targets=tuple(targets))
         seed_seq = np.random.SeedSequence(self.config.seed)
         children = seed_seq.spawn(len(targets))
@@ -222,8 +199,6 @@ class EDPMatcher:
         scenarios, inspects them all (charged to the E clock), and
         selects the one leaving the fewest candidates.
         """
-        if self._resolved_backend in ("bitset", "numba"):
-            return self._filter_one_bitset(target, universe, rng)
         assert self._index is not None
         pool = list(self._index.get(target, ()))
         rng.shuffle(pool)  # type: ignore[arg-type]
@@ -258,71 +233,6 @@ class EDPMatcher:
             candidates = best_left if best_left is not None else candidates
             evidence.append(best_key)
         return evidence, frozenset(candidates), examined
-
-    def _filter_one_bitset(
-        self,
-        target: EID,
-        universe: FrozenSet[EID],
-        rng: np.random.Generator,
-    ) -> Tuple[List[ScenarioKey], FrozenSet[EID], int]:
-        """`_filter_one` over packed rows of the store's shared matrix.
-
-        EDP folds vague sightings into inclusive ones, so the allowed
-        row *is* the scenario's EID set here.  Universe EIDs never seen
-        by any scenario cannot be interned; they survive as an
-        ``extras`` count until the first selection (every scenario
-        intersection drops them), exactly as in the reference path.
-        """
-        from repro.core.accel import matrix_for, popcount
-
-        assert self._index is not None
-        matrix = matrix_for(self.store)
-        matrix.sync()
-        words = matrix.num_words
-        pool = list(self._index.get(target, ()))
-        rng.shuffle(pool)  # type: ignore[arg-type]
-        budget = self.config.max_scenarios_per_eid
-        cand = matrix.interner.pack(universe, words)
-        extras = universe - matrix.interner.unpack(cand)
-        cand_count = int(popcount(cand)) + len(extras)
-        evidence: List[ScenarioKey] = []
-        examined = 0
-        cursor = 0
-        while cand_count > 1 and cursor < len(pool):
-            if budget is not None and len(evidence) >= budget:
-                break
-            batch = pool[cursor : cursor + self.config.greedy_sample]
-            examined += len(batch)
-            self.clock.charge_e_scenarios(len(batch))
-            # Score the whole window at once: one broadcast AND and one
-            # popcount vector instead of a per-key loop.  The reference
-            # keeps the first strict improvement on ties, which is
-            # exactly argmin's first-minimum rule over the diverse keys
-            # in window order.
-            diverse = [k for k in batch if self._is_diverse(k, evidence)]
-            best_key = None
-            if diverse:
-                rows = np.stack(
-                    [matrix.allowed_row(key)[:words] for key in diverse]
-                )
-                left = cand & rows
-                counts = popcount(left)
-                improving = counts < cand_count
-                if improving.any():
-                    masked = np.where(
-                        improving, counts, np.iinfo(np.int64).max
-                    )
-                    j = int(np.argmin(masked))
-                    best_key = diverse[j]
-                    best_left = left[j]
-                    best_count = int(counts[j])
-            if best_key is None:
-                cursor += len(batch)
-                continue
-            pool.remove(best_key)
-            cand, cand_count, extras = best_left, best_count, frozenset()
-            evidence.append(best_key)
-        return evidence, matrix.interner.unpack(cand) | extras, examined
 
     def _is_diverse(self, key, evidence) -> bool:
         """The ``min_gap_ticks`` evidence-diversity rule (see SplitConfig)."""

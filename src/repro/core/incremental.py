@@ -25,9 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from repro.core.accel import EIDInterner, popcount
 from repro.core.set_splitting import SplitConfig
 from repro.core.vid_filtering import FilterConfig, MatchResult, VIDFilter
 from repro.metrics.timing import SimulatedClock
@@ -64,12 +61,8 @@ class IncrementalMatcher:
             matching keys.
         universe: the EID population targets must be separated from.
         split_config: reuses the batch E-stage knobs (the diversity
-            rule, the vague handling and the ``backend`` apply
-            unchanged; strategy and budget are meaningless for a
-            stream and ignored).  With ``backend="bitset"`` the
-            per-target candidate sets are packed ``uint64`` rows over
-            the (fixed) universe, so each arriving scenario costs one
-            AND per tracked target instead of a set intersection.
+            rule and the vague handling apply unchanged; strategy and
+            budget are meaningless for a stream and ignored).
         filter_config: V-stage knobs.
         clock: simulated cost accounting, shared with the V stage.
     """
@@ -94,30 +87,6 @@ class IncrementalMatcher:
         self._scenarios_consumed = 0
         self._seen_keys: Set[ScenarioKey] = set()
         self._duplicates_ignored = 0
-        from repro.core.accel import resolve_backend
-
-        # "numba" has no streaming kernel of its own: each arriving
-        # scenario is one batched matrix step already, so both
-        # accelerated backends share the packed 2-D path.
-        self._bitset = resolve_backend(self.split_config.backend) in (
-            "bitset",
-            "numba",
-        )
-        if self._bitset:
-            # The universe is fixed at construction, so unlike the
-            # batch path there are no uninternable "extras" to track.
-            # All pending targets' candidate rows live in one 2-D
-            # matrix: an arriving scenario is scored against every
-            # tracked target with one gather + AND instead of a
-            # per-target loop.
-            self._interner = EIDInterner(sorted(self.universe))
-            self._words = self._interner.num_words
-            self._universe_row = self._interner.pack(self.universe, self._words)
-            self._row_of: Dict[EID, int] = {}
-            self._row_targets: List[EID] = []
-            self._row_ids = np.zeros(0, dtype=np.int64)
-            self._row_live = np.zeros(0, dtype=bool)
-            self._cand_mat = np.zeros((0, self._words), dtype=np.uint64)
 
     # -- target management -------------------------------------------------
     def add_target(self, target: EID) -> None:
@@ -126,26 +95,7 @@ class IncrementalMatcher:
             raise ValueError(f"{target} is not in the universe")
         if target in self._evidence or target in self._emitted:
             return  # already tracked (or already matched)
-        if self._bitset:
-            row = len(self._row_targets)
-            if row == len(self._cand_mat):  # grow by doubling
-                new_cap = max(64, 2 * row)
-                grown = np.zeros((new_cap, self._words), dtype=np.uint64)
-                grown[:row] = self._cand_mat[:row]
-                self._cand_mat = grown
-                ids = np.zeros(new_cap, dtype=np.int64)
-                ids[:row] = self._row_ids[:row]
-                self._row_ids = ids
-                live = np.zeros(new_cap, dtype=bool)
-                live[:row] = self._row_live[:row]
-                self._row_live = live
-            self._cand_mat[row] = self._universe_row
-            self._row_ids[row] = self._interner.id_of(target)
-            self._row_live[row] = True
-            self._row_targets.append(target)
-            self._row_of[target] = row
-        else:
-            self._candidates[target] = set(self.universe)
+        self._candidates[target] = set(self.universe)
         self._evidence[target] = []
 
     def add_targets(self, targets: Sequence[EID]) -> None:
@@ -155,8 +105,6 @@ class IncrementalMatcher:
     @property
     def pending(self) -> FrozenSet[EID]:
         """Targets still waiting for enough evidence."""
-        if self._bitset:
-            return frozenset(self._row_of.keys())
         return frozenset(self._candidates.keys())
 
     @property
@@ -198,8 +146,6 @@ class IncrementalMatcher:
         fired: List[Emission] = []
         gap = self.split_config.min_gap_ticks
         key = scenario.key
-        if self._bitset:
-            return self._observe_bitset(key, inclusive, allowed, gap)
         for target in list(self._candidates):
             if target not in inclusive:
                 continue
@@ -214,59 +160,6 @@ class IncrementalMatcher:
             candidates &= allowed
             self._evidence[target].append(key)
             if len(candidates) == 1:
-                fired.append(self._emit(target, key.tick))
-        return fired
-
-    def _observe_bitset(
-        self,
-        key: ScenarioKey,
-        inclusive: FrozenSet[EID],
-        allowed: FrozenSet[EID],
-        gap: int,
-    ) -> List[Emission]:
-        """One scenario against every pending target as matrix steps.
-
-        The driven test (is the target in the scenario's inclusive
-        set?) is a packed-bit gather over every live row, and the
-        uninformative test (would intersecting change anything?) is a
-        whole-block AND — only targets the scenario actually shrinks
-        fall back to per-target Python for the diversity rule and the
-        emission bookkeeping.
-        """
-        fired: List[Emission] = []
-        n = len(self._row_targets)
-        if n == 0:
-            return fired
-        live = np.nonzero(self._row_live[:n])[0]
-        if live.size == 0:
-            return fired
-        inc_row = self._interner.pack(inclusive, self._words)
-        ids = self._row_ids[live]
-        driven = (
-            inc_row[ids >> 6] >> (ids & 63).astype(np.uint64)
-        ) & np.uint64(1) != 0
-        rows = live[driven]
-        if rows.size == 0:
-            return fired
-        allowed_row = self._interner.pack(allowed, self._words)
-        cand = self._cand_mat[rows]
-        sub = cand & ~allowed_row
-        informative = sub.any(axis=1)
-        rows = rows[informative]
-        if rows.size == 0:
-            return fired
-        shrunk_block = cand[informative] ^ sub[informative]
-        sizes = popcount(shrunk_block)
-        for i, row in enumerate(rows.tolist()):
-            target = self._row_targets[row]
-            if gap and any(
-                prior.cell_id == key.cell_id and abs(prior.tick - key.tick) < gap
-                for prior in self._evidence[target]
-            ):
-                continue
-            self._cand_mat[row] = shrunk_block[i]
-            self._evidence[target].append(key)
-            if int(sizes[i]) == 1:
                 fired.append(self._emit(target, key.tick))
         return fired
 
@@ -289,10 +182,7 @@ class IncrementalMatcher:
             scenarios_consumed=self._scenarios_consumed,
         )
         self._emitted[target] = emission
-        if self._bitset:
-            self._row_live[self._row_of.pop(target)] = False
-        else:
-            del self._candidates[target]
+        del self._candidates[target]
         return emission
 
     # -- reporting -------------------------------------------------------------

@@ -39,6 +39,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    ClassVar,
     Dict,
     FrozenSet,
     Iterable,
@@ -52,20 +53,12 @@ from typing import (
 
 import numpy as np
 
-from repro.core.accel import AUTO_BACKEND, KNOWN_BACKENDS, resolve_backend
 from repro.core.partition import EIDPartition, SeparationTracker
 from repro.metrics.timing import SimulatedClock
 from repro.obs import get_event_log, get_registry, get_tracer
 from repro.obs import events as ev
 from repro.sensing.scenarios import EScenario, ScenarioKey, ScenarioStore
 from repro.world.entities import EID
-
-#: E-stage candidate-set representations (see ``repro.core.accel``).
-BACKENDS = KNOWN_BACKENDS
-#: What a config may set: any concrete backend, or "auto" to pick the
-#: fastest available at run time.
-CONFIGURABLE_BACKENDS = BACKENDS + (AUTO_BACKEND,)
-
 
 class SelectionStrategy(str, enum.Enum):
     """How the E stage orders the untouched scenario pool.
@@ -105,23 +98,19 @@ class SplitConfig:
             travel companions co-occur, the same occlusions persist);
             spacing the evidence keeps the V stage's probability
             products nearly independent.  0 disables the rule.
-        backend: candidate-set representation.  ``"python"`` is the
-            reference implementation (frozenset intersections, exactly
-            the paper's formulation); ``"bitset"`` runs the same
-            semantics as whole-matrix numpy kernels over packed
-            ``uint64`` bitsets via :mod:`repro.core.accel`; ``"numba"``
-            JIT-compiles the streaming pass (optional dependency —
-            degrades to ``"bitset"`` with a warning when numba is
-            absent); ``"auto"`` picks the fastest available.  All
-            backends produce byte-identical results.
+
+    ``backend`` is not a knob: it names the one E-stage implementation
+    (set intersections, exactly the paper's formulation) for the run
+    labels that spans, metrics and worker stats carry.
     """
+
+    backend: ClassVar[str] = "python"
 
     strategy: SelectionStrategy = SelectionStrategy.RANDOM
     seed: int = 0
     max_scenarios: Optional[int] = None
     treat_vague_as_inclusive: bool = False
     min_gap_ticks: int = 5
-    backend: str = "python"
 
     def __post_init__(self) -> None:
         if self.max_scenarios is not None and self.max_scenarios <= 0:
@@ -131,11 +120,6 @@ class SplitConfig:
         if self.min_gap_ticks < 0:
             raise ValueError(
                 f"min_gap_ticks must be non-negative, got {self.min_gap_ticks}"
-            )
-        if self.backend not in CONFIGURABLE_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {CONFIGURABLE_BACKENDS}, "
-                f"got {self.backend!r}"
             )
 
 
@@ -227,12 +211,8 @@ class SetSplitter:
 
     Args:
         store: the scenario database.
-        config: E-stage knobs, including the candidate-set ``backend``.
+        config: E-stage knobs.
         clock: simulated cost accounting.
-        matrix: a prebuilt :class:`~repro.core.accel.ScenarioMatrix` to
-            reuse for the bitset backend (the serving layer passes its
-            shared per-store matrix); defaults to the store's shared
-            matrix via :func:`~repro.core.accel.matrix_for`.
     """
 
     def __init__(
@@ -240,12 +220,10 @@ class SetSplitter:
         store: ScenarioStore,
         config: Optional[SplitConfig] = None,
         clock: Optional[SimulatedClock] = None,
-        matrix: Optional["ScenarioMatrix"] = None,  # noqa: F821
     ) -> None:
         self.store = store
         self.config = config if config is not None else SplitConfig()
         self.clock = clock if clock is not None else SimulatedClock()
-        self.matrix = matrix
 
     def run(
         self,
@@ -286,7 +264,7 @@ class SetSplitter:
             result.evidence[t] = []
         diversity = EvidenceDiversity(self.config.min_gap_ticks)
 
-        backend = resolve_backend(self.config.backend)
+        backend = self.config.backend
         started = time.perf_counter()
         with get_tracer().span(
             "e.split", backend=backend, targets=len(targets)
@@ -300,16 +278,7 @@ class SetSplitter:
                     targets=len(targets),
                     universe=len(universe_set),
                 )
-            if backend in ("bitset", "numba"):
-                self._run_bitset(
-                    result,
-                    universe_set,
-                    diversity,
-                    exclude,
-                    use_jit=backend == "numba",
-                )
-            else:
-                self._run_python(result, universe_set, diversity, exclude)
+            self._run(result, universe_set, diversity, exclude)
             span.set(
                 examined=result.scenarios_examined,
                 recorded=len(result.recorded),
@@ -344,7 +313,7 @@ class SetSplitter:
     ) -> None:
         """One O(1)-ish registry update per run (never per scenario):
         the E-stage counters the paper's Figs. 5-7 are built from, plus
-        real kernel time split by the *resolved* backend."""
+        real kernel time, all labelled with the backend name."""
         registry = get_registry()
         registry.counter(
             "ev_e_scenarios_examined_total",
@@ -375,14 +344,14 @@ class SetSplitter:
             buckets=(1, 2, 4, 8, 16, 64, 256, 1024),
         ).observe_many(sizes)
 
-    def _run_python(
+    def _run(
         self,
         result: SplitResult,
         universe_set: FrozenSet[EID],
         diversity: EvidenceDiversity,
         exclude: FrozenSet[ScenarioKey],
     ) -> None:
-        """The reference frozenset-based candidate representation."""
+        """Shrink each target's candidate set scenario by scenario."""
         candidates: Dict[EID, Set[EID]] = {
             t: set(universe_set) for t in result.targets
         }
@@ -412,165 +381,6 @@ class SetSplitter:
         result.candidates = {
             t: frozenset(candidates[t]) for t in result.targets
         }
-
-    def _run_bitset(
-        self,
-        result: SplitResult,
-        universe_set: FrozenSet[EID],
-        diversity: EvidenceDiversity,
-        exclude: FrozenSet[ScenarioKey],
-        use_jit: bool = False,
-    ) -> None:
-        """The packed-bitset backends: whole-matrix rounds.
-
-        Streaming strategies run as one batched pass (``split_pass`` /
-        the numba kernel when ``use_jit``); GREEDY scores each sweep's
-        whole alive pool with one gain-vector call and picks by argmax.
-        Results are byte-identical to the reference loop — same
-        examination order, budget points, diversity rule, tie-breaks.
-        """
-        from repro.core.accel import CandidateMatrix, matrix_for
-
-        matrix = self.matrix if self.matrix is not None else matrix_for(self.store)
-        matrix.sync()
-        state = CandidateMatrix(matrix, result.targets, universe_set)
-        merge = self.config.treat_vague_as_inclusive
-
-        if self.config.strategy is SelectionStrategy.GREEDY:
-            self._run_greedy_bitset(
-                result, state, matrix, merge, diversity, exclude
-            )
-        else:
-            self._run_streaming_bitset(
-                result, state, matrix, merge, diversity, exclude, use_jit
-            )
-        result.candidates = state.all_candidates()
-
-    def _run_streaming_bitset(
-        self,
-        result: SplitResult,
-        state,  # CandidateMatrix
-        matrix,  # ScenarioMatrix
-        merge: bool,
-        diversity: EvidenceDiversity,
-        exclude: FrozenSet[ScenarioKey],
-        use_jit: bool,
-    ) -> None:
-        """One whole-matrix pass over the ordered pool."""
-        keys = list(self._ordered_keys(exclude))
-        rows = [matrix.row_of(k) for k in keys]
-        gap = self.config.min_gap_ticks
-        budget = self.config.max_scenarios
-        if use_jit:
-            applied, examined = state.split_pass_jit(
-                keys, rows, merge, gap, budget, diversity
-            )
-        else:
-            applied, examined = state.split_pass(
-                keys, rows, merge, diversity if gap > 0 else None, budget
-            )
-        result.scenarios_examined += examined
-        if examined:
-            self.clock.charge_e_scenarios(examined)
-        self._assemble_applied(result, state, applied)
-
-    def _assemble_applied(
-        self,
-        result: SplitResult,
-        state,  # CandidateMatrix
-        applied: List[Tuple[ScenarioKey, np.ndarray]],
-    ) -> None:
-        """Turn the pass's ``(key, helped_rows)`` commits into the
-        result's ``recorded``/``evidence`` lists without a per-target
-        Python loop: one stable argsort groups every commit by target
-        while preserving application order within each target."""
-        if not applied:
-            return
-        result.recorded.extend(key for key, _helped in applied)
-        log = get_event_log()
-        if log.debug:
-            for key, helped in applied:
-                log.emit(
-                    ev.E_SCENARIO_SELECTED,
-                    cell_id=key.cell_id,
-                    tick=key.tick,
-                    helped=int(helped.size),
-                )
-        sizes = [helped.size for _key, helped in applied]
-        all_rows = np.concatenate([helped for _key, helped in applied])
-        key_pos = np.repeat(np.arange(len(applied)), sizes)
-        order = np.argsort(all_rows, kind="stable")
-        keys_obj = np.empty(len(applied), dtype=object)
-        keys_obj[:] = [key for key, _helped in applied]
-        grouped = keys_obj[key_pos[order]].tolist()
-        targets = result.targets
-        counts = np.bincount(all_rows, minlength=len(targets))
-        bounds = np.zeros(len(targets) + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        lo_hi = bounds.tolist()
-        for t_row in np.nonzero(counts)[0].tolist():
-            result.evidence[targets[t_row]] = grouped[
-                lo_hi[t_row]: lo_hi[t_row + 1]
-            ]
-
-    def _run_greedy_bitset(
-        self,
-        result: SplitResult,
-        state,  # CandidateMatrix
-        matrix,  # ScenarioMatrix
-        merge: bool,
-        diversity: EvidenceDiversity,
-        exclude: FrozenSet[ScenarioKey],
-    ) -> None:
-        """GREEDY with a whole-pool gain vector per sweep.
-
-        Mirrors ``_run_greedy`` exactly: every scored key is charged as
-        examined, a sweep stops scoring when the budget lands mid-pool,
-        and ``argmax`` (first maximum) reproduces the reference's
-        strictly-greater scan over the same order.
-        """
-        pool = [k for k in self.store.keys if k not in exclude]
-        pool_rows = np.asarray(
-            [matrix.row_of(k) for k in pool], dtype=np.int64
-        )
-        alive = np.ones(len(pool), dtype=bool)
-        budget = self.config.max_scenarios
-
-        def apply_fn(key: ScenarioKey) -> bool:
-            helped = state.apply(key, merge, lambda t: diversity.ok(t, key))
-            if not helped:
-                return False
-            result.recorded.append(key)
-            for target in helped:
-                result.evidence[target].append(key)
-                diversity.record(target, key)
-            log = get_event_log()
-            if log.debug:
-                log.emit(
-                    ev.E_SCENARIO_SELECTED,
-                    cell_id=key.cell_id,
-                    tick=key.tick,
-                    helped=len(helped),
-                )
-            return True
-
-        while state.any_active and alive.any():
-            if budget is not None and result.scenarios_examined >= budget:
-                break
-            sweep = np.nonzero(alive)[0]
-            if budget is not None:
-                sweep = sweep[: budget - result.scenarios_examined]
-            gains = state.gain_vector(pool_rows[sweep], merge)
-            result.scenarios_examined += int(sweep.size)
-            self.clock.charge_e_scenarios(int(sweep.size))
-            if gains.size == 0:
-                break
-            best = int(np.argmax(gains))
-            if gains[best] <= 0:
-                break
-            best_idx = int(sweep[best])
-            alive[best_idx] = False
-            apply_fn(pool[best_idx])
 
     # ------------------------------------------------------------------
     def _observed_universe(self) -> FrozenSet[EID]:

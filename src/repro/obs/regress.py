@@ -1,7 +1,7 @@
 """The perf-regression sentinel: BENCH history + direction/tolerance rules.
 
 The ``BENCH_*.json`` artifacts are snapshots — each bench run
-overwrites the last, so a commit that halves the split speedup leaves
+overwrites the last, so a commit that halves a kernel's throughput leaves
 no evidence once CI goes green.  This module turns the snapshots into
 an enforced **trajectory**:
 
@@ -156,7 +156,8 @@ class RegressionRule:
 
     Attributes:
         artifact: ``BENCH_*.json`` name the metric lives in.
-        metric: dotted path into the payload (``"split.speedup"``).
+        metric: dotted path into the payload
+            (``"filter.targets_per_s"``).
         direction: ``"higher"`` (throughput-like) or ``"lower"``
             (overhead-like) is better.
         floor: absolute minimum (``direction="higher"`` rules).
@@ -193,14 +194,6 @@ class RegressionRule:
 #: slow shared CI runners — while the relative tolerances catch the
 #: gradual slide against this repo's own committed baseline.
 DEFAULT_RULES: Sequence[RegressionRule] = (
-    RegressionRule(
-        "BENCH_kernels.json", "split.speedup", "higher",
-        floor=3.0, rel_tolerance=0.9,
-    ),
-    RegressionRule(
-        "BENCH_kernels.json", "split_65536.scenarios_per_s", "higher",
-        floor=100.0, rel_tolerance=0.9,
-    ),
     RegressionRule(
         "BENCH_kernels.json", "filter.targets_per_s", "higher",
         floor=50.0, rel_tolerance=0.9,

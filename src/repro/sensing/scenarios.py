@@ -234,7 +234,7 @@ class ScenarioStore:
     def keys_since(self, start: int) -> Sequence[ScenarioKey]:
         """Keys ingested at arrival positions ``>= start``, in arrival
         order — the append-only log incremental index structures (the
-        bitset :class:`~repro.core.accel.ScenarioMatrix`, shard routing)
+        packed :class:`~repro.core.accel.ScenarioMatrix`, shard routing)
         consume to stay in sync without rescans."""
         return tuple(self._arrival[start:])
 

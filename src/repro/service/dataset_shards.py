@@ -20,10 +20,9 @@ at build time are assigned round-robin by ``cell_id % N`` so a growing
 deployment keeps balancing.
 
 The dataset also holds the store's shared
-:class:`~repro.core.accel.ScenarioMatrix` so every served query — the
-matchers' bitset backends and the investigate path's co-traveler
-kernel alike — reuses one packed index instead of re-deriving per-run
-state; ingest keeps it synced.
+:class:`~repro.core.accel.ScenarioMatrix` so the investigate path's
+co-traveler kernel reuses one packed index instead of re-deriving
+per-query state; ingest keeps it synced.
 """
 
 from __future__ import annotations

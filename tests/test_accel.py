@@ -1,10 +1,9 @@
-"""Unit tests for the packed-bitset kernel layer (repro.core.accel)."""
+"""Unit tests for the packed co-occurrence index (repro.core.accel)."""
 
 import numpy as np
 import pytest
 
 from repro.core.accel import (
-    CandidateMatrix,
     EIDInterner,
     ScenarioMatrix,
     matrix_for,
@@ -78,17 +77,6 @@ class TestScenarioMatrix:
         key = ScenarioKey(0, 0)
         assert len(matrix) == 2
         assert matrix.interner.unpack(matrix.inclusive_row(key)) == eids(0, 1)
-        assert matrix.interner.unpack(matrix.allowed_row(key)) == eids(0, 1, 2)
-
-    def test_sides_vague_rule(self):
-        store = ScenarioStore([scenario(0, 0, {0}, {1})])
-        matrix = ScenarioMatrix(store)
-        key = ScenarioKey(0, 0)
-        ids, allowed = matrix.sides(key, merge_vague=False)
-        assert list(ids) == [matrix.interner.id_of(EID(0))]
-        merged_ids, merged_allowed = matrix.sides(key, merge_vague=True)
-        assert len(merged_ids) == 2
-        assert np.array_equal(allowed, merged_allowed)
 
     def test_live_add_syncs_incrementally(self):
         store = ScenarioStore([scenario(0, 0, {0, 1})])
@@ -135,38 +123,3 @@ class TestScenarioMatrix:
         store = ScenarioStore([scenario(0, 0, {0, 1})])
         assert matrix_for(store) is matrix_for(store)
 
-
-class TestCandidateMatrix:
-    def test_unobserved_universe_eids_survive_until_first_evidence(self):
-        store = ScenarioStore([scenario(0, 0, {0, 1}), scenario(1, 1, {0})])
-        matrix = ScenarioMatrix(store)
-        universe = eids(0, 1, 99)  # EID 99 never observed
-        state = CandidateMatrix(matrix, [EID(0)], universe)
-        assert state.extras == eids(99)
-        assert state.candidates_of(EID(0)) == universe
-        helped = state.apply(ScenarioKey(0, 0), False, lambda t: True)
-        assert helped == [EID(0)]
-        assert state.candidates_of(EID(0)) == eids(0, 1)
-
-    def test_apply_deactivates_singletons(self):
-        store = ScenarioStore([scenario(0, 0, {0}), scenario(1, 1, {0, 1})])
-        matrix = ScenarioMatrix(store)
-        state = CandidateMatrix(matrix, [EID(0)], eids(0, 1))
-        assert state.any_active
-        state.apply(ScenarioKey(0, 0), False, lambda t: True)
-        assert not state.any_active
-        assert state.candidates_of(EID(0)) == eids(0)
-
-    def test_score_counts_helped_targets_without_committing(self):
-        store = ScenarioStore([scenario(0, 0, {0, 1})])
-        matrix = ScenarioMatrix(store)
-        state = CandidateMatrix(matrix, [EID(0), EID(1), EID(2)], eids(0, 1, 2))
-        assert state.score(ScenarioKey(0, 0), False) == 2
-        assert state.candidates_of(EID(0)) == eids(0, 1, 2)  # unchanged
-
-    def test_diversity_veto_blocks_commit(self):
-        store = ScenarioStore([scenario(0, 0, {0, 1})])
-        matrix = ScenarioMatrix(store)
-        state = CandidateMatrix(matrix, [EID(0)], eids(0, 1, 2))
-        assert state.apply(ScenarioKey(0, 0), False, lambda t: False) == []
-        assert state.candidates_of(EID(0)) == eids(0, 1, 2)

@@ -1,28 +1,18 @@
-"""Property tests pinning every installed kernel backend byte-identical
-to the pure-Python reference across the E stage, the EDP baseline and
-the incremental matcher — including vague zones, the diversity rule,
-extra (unobserved) universe EIDs, and live ``ScenarioStore.add`` syncs
-mid-run — plus the backend-resolution rules (``auto``, the numba
-fallback), the published accel gauges, the numba kernel's plain-Python
-twin, and the V stage's shared membership table against its pairwise
-Eq. 1 oracle."""
+"""Equivalence properties of the E and V stages.
 
-import warnings
+The E stage: a split on a store grown scenario by scenario through the
+live ``ScenarioStore.add`` path equals the split on the same scenarios
+built whole, and an examination budget stops the split exactly where
+the unbudgeted run would be after that many scenarios.  Alongside them:
+the published co-occurrence-index gauge, the backend name run labels
+carry, and the V stage's shared membership table against its pairwise
+Eq. 1 oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.accel import (
-    AUTO_BACKEND,
-    available_backends,
-    best_available_backend,
-    matrix_for,
-    numba_available,
-    resolve_backend,
-)
-from repro.core.edp import EDPConfig, EDPMatcher
-from repro.core.incremental import IncrementalMatcher
+from repro.core.accel import matrix_for, resolve_backend
 from repro.core.set_splitting import SelectionStrategy, SetSplitter, SplitConfig
 from repro.sensing.scenarios import (
     EScenario,
@@ -33,13 +23,7 @@ from repro.sensing.scenarios import (
 )
 from repro.world.entities import EID
 
-#: Every backend this interpreter can run; "python" is always first,
-#: so INSTALLED[1:] are the accelerated ones to compare against it.
-INSTALLED = available_backends()
-
-
-def eids(*indices):
-    return frozenset(EID(i) for i in indices)
+STREAMING = [s for s in SelectionStrategy if s is not SelectionStrategy.GREEDY]
 
 
 def make_scenario(cell, tick, inclusive, vague=()):
@@ -68,7 +52,7 @@ scenario_entries = st.lists(
 )
 
 
-def build_store(entries):
+def build_scenarios(entries):
     scenarios = []
     seen_keys = set()
     for inclusive, vague, cell, tick in entries:
@@ -78,10 +62,14 @@ def build_store(entries):
         scenarios.append(
             make_scenario(cell, tick, inclusive, set(vague) - set(inclusive))
         )
-    return ScenarioStore(scenarios)
+    return scenarios
 
 
-def run_split(store, targets, universe, **cfg):
+def build_store(entries):
+    return ScenarioStore(build_scenarios(entries))
+
+
+def run_split(store, targets, universe=None, **cfg):
     splitter = SetSplitter(store, SplitConfig(**cfg))
     return splitter.run(targets, universe=universe)
 
@@ -97,200 +85,80 @@ class TestSetSplitterEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(
         entries=scenario_entries,
+        cut=st.integers(1, 12),
         strategy=st.sampled_from(list(SelectionStrategy)),
-        seed=st.integers(0, 3),
         gap=st.sampled_from([0, 3]),
         merge_vague=st.booleans(),
-        add_extra=st.booleans(),
     )
-    def test_bitset_equals_python(
-        self, entries, strategy, seed, gap, merge_vague, add_extra
+    def test_equivalence_survives_live_store_add(
+        self, entries, cut, strategy, gap, merge_vague
     ):
-        store = build_store(entries)
-        universe = sorted(store.eid_universe)
-        if add_extra:
-            universe = universe + [EID(99)]  # never observed: extras path
-        targets = universe[:4]
-        results = {
-            backend: run_split(
-                store,
-                targets,
-                universe,
-                strategy=strategy,
-                seed=seed,
-                min_gap_ticks=gap,
-                treat_vague_as_inclusive=merge_vague,
-                backend=backend,
-            )
-            for backend in INSTALLED
-        }
-        for backend in INSTALLED[1:]:
-            assert_splits_equal(results["python"], results[backend])
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        entries=scenario_entries,
-        strategy=st.sampled_from(
-            [SelectionStrategy.SEQUENTIAL, SelectionStrategy.GREEDY]
-        ),
-    )
-    def test_equivalence_survives_live_store_add(self, entries, strategy):
-        """Adding scenarios after the shared matrix was built must keep
-        every backend identical (the live-ingest path: matrix rows and
-        interner ids are appended, never rebuilt)."""
-        store = build_store(entries)
-        matrix = matrix_for(store)  # built against the initial store
-        pre_rows = len(matrix)
-        store.add(make_scenario(7, 90, {0, 12}, {13}))
-        store.add(make_scenario(7, 91, {12, 13}))
-        universe = sorted(store.eid_universe)
-        targets = universe[:4]
-        kwargs = dict(strategy=strategy, min_gap_ticks=3)
-        python = run_split(store, targets, universe, backend="python", **kwargs)
-        for backend in INSTALLED[1:]:
-            accel = run_split(store, targets, universe, backend=backend, **kwargs)
-            assert_splits_equal(python, accel)
-        assert len(matrix) == pre_rows + 2  # synced, not rebuilt
-
-        # Another add *between* runs: the next run must sync again,
-        # mid-session, and stay equivalent with the grown universe.
-        store.add(make_scenario(6, 95, {0, 14}))
-        universe = sorted(store.eid_universe)
-        python = run_split(store, targets, universe, backend="python", **kwargs)
-        for backend in INSTALLED[1:]:
-            accel = run_split(store, targets, universe, backend=backend, **kwargs)
-            assert_splits_equal(python, accel)
-        assert len(matrix) == pre_rows + 3
-
-    def test_max_scenarios_budget_equivalence(self):
-        store = build_store(
-            [({0, 1, 2}, set(), 0, 0), ({0, 1}, {3}, 1, 5), ({0}, set(), 2, 9)]
+        """A split on a store grown by ``ScenarioStore.add`` equals the
+        split on the same store built whole — the live-ingest path's
+        key, tick and universe caches follow every add, including adds
+        after the grown store already served a split."""
+        scenarios = build_scenarios(entries)
+        cut = min(cut, len(scenarios))
+        kwargs = dict(
+            strategy=strategy,
+            min_gap_ticks=gap,
+            treat_vague_as_inclusive=merge_vague,
         )
-        universe = sorted(store.eid_universe)
-        for budget in (1, 2):
-            python = run_split(
-                store,
-                universe,
-                universe,
-                strategy=SelectionStrategy.SEQUENTIAL,
-                max_scenarios=budget,
-                backend="python",
-            )
-            bitset = run_split(
-                store,
-                universe,
-                universe,
-                strategy=SelectionStrategy.SEQUENTIAL,
-                max_scenarios=budget,
-                backend="bitset",
-            )
-            assert_splits_equal(python, bitset)
+        grown = ScenarioStore(scenarios[:cut])
+        run_split(grown, sorted(grown.eid_universe)[:4], **kwargs)
+        for scenario in scenarios[cut:]:
+            grown.add(scenario)
+        whole = ScenarioStore(scenarios)
+        targets = sorted(whole.eid_universe)[:4]
+        assert_splits_equal(
+            run_split(grown, targets, **kwargs),
+            run_split(whole, targets, **kwargs),
+        )
 
-
-class TestEDPEquivalence:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         entries=scenario_entries,
-        seed=st.integers(0, 3),
-        greedy_sample=st.sampled_from([1, 3]),
-        gap=st.sampled_from([0, 3]),
-        add_extra=st.booleans(),
-    )
-    def test_bitset_equals_python(
-        self, entries, seed, greedy_sample, gap, add_extra
-    ):
-        store = build_store(entries)
-        universe = sorted(store.eid_universe)
-        if add_extra:
-            universe = universe + [EID(99)]
-        targets = universe[:4]
-        results = {}
-        for backend in INSTALLED:
-            edp = EDPMatcher(
-                store,
-                EDPConfig(
-                    seed=seed,
-                    greedy_sample=greedy_sample,
-                    min_gap_ticks=gap,
-                    backend=backend,
-                ),
-            )
-            results[backend] = edp.run(targets, universe=universe)
-        a = results["python"]
-        for backend in INSTALLED[1:]:
-            b = results[backend]
-            assert a.evidence == b.evidence
-            assert a.candidates == b.candidates
-            assert a.scenarios_examined == b.scenarios_examined
-
-
-class TestIncrementalEquivalence:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        entries=scenario_entries,
+        budget=st.integers(1, 6),
+        strategy=st.sampled_from(STREAMING),
         gap=st.sampled_from([0, 3]),
         merge_vague=st.booleans(),
     )
-    def test_bitset_equals_python(self, entries, gap, merge_vague):
+    def test_max_scenarios_budget_equivalence(
+        self, entries, budget, strategy, gap, merge_vague
+    ):
+        """A streaming split under ``max_scenarios`` is the unbudgeted
+        split cut after that many examined scenarios: same examined
+        count (capped), and recorded and per-target evidence are
+        prefixes of the full run's."""
         store = build_store(entries)
-        universe = sorted(store.eid_universe)
-        targets = universe[:4]
-        states = {}
-        for backend in INSTALLED:
-            inc = IncrementalMatcher(
-                store,
-                universe,
-                split_config=SplitConfig(
-                    min_gap_ticks=gap,
-                    treat_vague_as_inclusive=merge_vague,
-                    backend=backend,
-                ),
-            )
-            inc.add_targets(targets)
-            for key in store.keys:
-                inc.observe(store.get(key))
-            states[backend] = (
-                inc.pending,
-                {t: inc.evidence_of(t) for t in targets},
-                {
-                    t: (em.emitted_at_tick, em.scenarios_consumed)
-                    for t, em in inc.emissions.items()
-                },
-            )
-        for backend in INSTALLED[1:]:
-            assert states["python"] == states[backend]
+        targets = sorted(store.eid_universe)
+        kwargs = dict(
+            strategy=strategy,
+            min_gap_ticks=gap,
+            treat_vague_as_inclusive=merge_vague,
+        )
+        full = run_split(store, targets, **kwargs)
+        cut = run_split(store, targets, max_scenarios=budget, **kwargs)
+        assert cut.scenarios_examined == min(budget, full.scenarios_examined)
+        assert cut.recorded == full.recorded[: len(cut.recorded)]
+        for target in targets:
+            evidence = cut.evidence[target]
+            assert evidence == full.evidence[target][: len(evidence)]
+        if cut.scenarios_examined == full.scenarios_examined:
+            assert_splits_equal(cut, full)
 
 
 class TestBackendResolution:
-    def test_auto_is_silent_and_picks_the_best(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend(AUTO_BACKEND) == best_available_backend()
-
     def test_explicit_backends_resolve_to_themselves(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for backend in ("python", "bitset"):
-                assert resolve_backend(backend) == backend
-
-    @pytest.mark.skipif(
-        numba_available(), reason="numba installed: no fallback to test"
-    )
-    def test_missing_numba_degrades_to_bitset_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="numba"):
-            assert resolve_backend("numba") == "bitset"
-        assert best_available_backend() == "bitset"
-        assert "numba" not in INSTALLED
-
-    @pytest.mark.skipif(
-        not numba_available(), reason="numba not installed"
-    )
-    def test_numba_resolves_when_installed(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend("numba") == "numba"
-        assert best_available_backend() == "numba"
-        assert "numba" in INSTALLED
+        """Run labels name the one E-stage implementation; any other
+        name is a configuration error, not a silent fallback."""
+        assert SplitConfig.backend == "python"
+        assert resolve_backend(SplitConfig().backend) == "python"
+        for name in ("bitset", "numba", "auto"):
+            with pytest.raises(ValueError, match="python"):
+                resolve_backend(name)
+        with pytest.raises(TypeError):
+            SplitConfig(backend="python")
 
 
 class TestAccelGauges:
@@ -310,71 +178,6 @@ class TestAccelGauges:
         ]
         assert values, "ev_accel_matrix_bytes gauge not published"
         assert values[-1] == matrix.nbytes
-
-    def test_backend_info_gauge_published(self):
-        from repro.obs import get_registry
-
-        resolved = resolve_backend(AUTO_BACKEND)
-        text = get_registry().render_prometheus()
-        info_lines = [
-            line
-            for line in text.splitlines()
-            if line.startswith("ev_accel_backend_info{")
-        ]
-        assert any(
-            f'backend="{resolved}"' in line and line.endswith(" 1")
-            for line in info_lines
-        )
-        presence = "present" if numba_available() else "absent"
-        assert any(f'numba="{presence}"' in line for line in info_lines)
-
-
-class TestNumbaTwinKernel:
-    """The JIT kernel's plain-Python twin is the compiled function's
-    executable specification: forcing the ``numba`` backend to run the
-    uncompiled twin must still reproduce the reference exactly (same
-    in-kernel diversity rule, budget, and singleton accounting)."""
-
-    # The SWAR popcount multiply wraps mod 2^64 by design; numpy warns
-    # about the overflow only when the twin runs uncompiled.
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered:RuntimeWarning"
-    )
-    @settings(max_examples=20, deadline=None)
-    @given(
-        entries=scenario_entries,
-        strategy=st.sampled_from(
-            [SelectionStrategy.SEQUENTIAL, SelectionStrategy.GREEDY]
-        ),
-        gap=st.sampled_from([0, 3]),
-        merge_vague=st.booleans(),
-        budget=st.sampled_from([None, 2]),
-    )
-    def test_twin_kernel_equals_reference(
-        self, entries, strategy, gap, merge_vague, budget
-    ):
-        from repro.core import accel, accel_numba
-
-        store = build_store(entries)
-        universe = sorted(store.eid_universe)
-        targets = universe[:4]
-        kwargs = dict(
-            strategy=strategy,
-            min_gap_ticks=gap,
-            treat_vague_as_inclusive=merge_vague,
-            max_scenarios=budget,
-        )
-        python = run_split(store, targets, universe, backend="python", **kwargs)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(accel, "numba_available", lambda: True)
-            mp.setattr(
-                accel_numba, "load_stream_pass",
-                lambda: accel_numba.stream_pass,
-            )
-            twin = run_split(
-                store, targets, universe, backend="numba", **kwargs
-            )
-        assert_splits_equal(python, twin)
 
 
 def _vstage_filters(store, config):
@@ -435,9 +238,7 @@ class TestVStageSharedTableEquivalence:
             )
         )
         targets = list(dataset.sample_targets(10, seed=2))
-        split = SetSplitter(
-            dataset.store, SplitConfig(backend="bitset")
-        ).run(targets)
+        split = SetSplitter(dataset.store).run(targets)
         return dataset, split.evidence
 
     @staticmethod

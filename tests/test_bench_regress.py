@@ -213,32 +213,32 @@ class TestSentinelScript:
             append_bench_history(
                 path,
                 "BENCH_kernels.json",
-                {
-                    "split": {"speedup": value},
-                    "split_65536": {"scenarios_per_s": 1e6},
-                    "filter": {"targets_per_s": 1e4},
-                },
+                {"filter": {"targets_per_s": value}},
                 git_sha="cafe",
                 ts=float(i + 1),
             )
         return path
 
     def test_good_history_exits_zero(self, tmp_path):
-        path = self.write_history(tmp_path, [20.0, 21.0, 19.5])
+        path = self.write_history(tmp_path, [2000.0, 2100.0, 1950.0])
         # Other artifacts' rules fail (no entries) — restricting the
         # check to one artifact's rules needs the full repo history, so
         # this fixture covers only BENCH_kernels rules via the committed
         # repo check below; here assert the kernels verdicts directly.
         result = run_script("--history", str(path))
-        assert "ok      BENCH_kernels.json:split.speedup" in result.stdout
+        assert (
+            "ok      BENCH_kernels.json:filter.targets_per_s" in result.stdout
+        )
 
     def test_injected_regression_fails(self, tmp_path):
         # Healthy baseline, then the tentpole acceptance fixture: a
         # collapse far beyond the relative tolerance and the floor.
-        path = self.write_history(tmp_path, [20.0, 21.0, 19.5, 1.2])
+        path = self.write_history(tmp_path, [2000.0, 2100.0, 1950.0, 12.0])
         result = run_script("--history", str(path))
         assert result.returncode == 1
-        assert "FAIL    BENCH_kernels.json:split.speedup" in result.stdout
+        assert (
+            "FAIL    BENCH_kernels.json:filter.targets_per_s" in result.stdout
+        )
         assert "below absolute floor" in result.stdout
         assert "regressed" in result.stdout
 

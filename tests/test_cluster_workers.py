@@ -419,45 +419,10 @@ class TestLoopConnections:
 
 
 class TestWorkerBackendChoice:
-    """Each worker picks the fastest kernel backend at startup and
-    reports it (``ready`` control message, ``stats`` verb)."""
-
-    def test_default_spec_upgrades_to_fastest_backend(
-        self, cluster_world, tmp_path
-    ):
-        from repro.cluster.worker import _pick_backend
-        from repro.core.accel import best_available_backend
-
-        spec = make_specs(cluster_world, tmp_path, count=1)[0]
-        service_config, backend = _pick_backend(spec)
-        assert backend == best_available_backend()
-        assert service_config.matcher.split.backend == backend
-        assert service_config.matcher.edp.backend == backend
-
-    def test_explicit_pin_is_respected(self, cluster_world, tmp_path):
-        from repro.cluster.worker import _pick_backend
-        from repro.core.edp import EDPConfig
-        from repro.core.matcher import MatcherConfig
-        from repro.core.set_splitting import SplitConfig
-
-        spec = make_specs(cluster_world, tmp_path, count=1)[0]
-        pinned = WorkerSpec(
-            worker_id=spec.worker_id,
-            dataset_path=spec.dataset_path,
-            service=ServiceConfig(
-                matcher=MatcherConfig(
-                    split=SplitConfig(backend="bitset"),
-                    edp=EDPConfig(backend="bitset"),
-                )
-            ),
-        )
-        service_config, backend = _pick_backend(pinned)
-        assert backend == "bitset"
-        assert service_config is pinned.service  # untouched, not rebuilt
+    """Each worker reports the E-stage backend it runs (``ready``
+    control message, ``stats`` verb): the one candidate-set path."""
 
     def test_stats_verb_reports_backend(self, fleet):
-        from repro.core.accel import best_available_backend
-
         supervisor, _router = fleet
         stats = supervisor.worker("w0").request({"verb": "stats"})
-        assert stats["backend"] == best_available_backend()
+        assert stats["backend"] == "python"

@@ -357,7 +357,7 @@ class TestWorkerTopology:
             ),
             use_topology=True,
         )
-        service, _reloaded, _backend, topology = _build_service(spec)
+        service, _reloaded, topology = _build_service(spec)
         assert topology["enabled"] is True
         assert topology["edges"] > 0
         assert service.config.matcher.filter.topology is not None
@@ -371,7 +371,7 @@ class TestWorkerTopology:
                 num_people=30, cells_per_side=3, duration=200.0, seed=4
             ),
         )
-        service, _reloaded, _backend, topology = _build_service(spec)
+        service, _reloaded, topology = _build_service(spec)
         assert topology is None
         assert service.config.matcher.filter.topology is None
 
@@ -383,7 +383,7 @@ class TestWorkerTopology:
         spec = WorkerSpec(
             worker_id="w0", dataset_path=str(path), use_topology=True
         )
-        service, _reloaded, _backend, topology = _build_service(spec)
+        service, _reloaded, topology = _build_service(spec)
         assert topology == {"enabled": False}
         assert service.config.matcher.filter.topology is None
 
