@@ -809,27 +809,6 @@ def run_inspect(args: argparse.Namespace, out=None) -> int:
         file=out,
     )
 
-    # Warm the V-stage caches with a small match so the report below
-    # shows real traffic, then print both caches' counters.
-    from repro.core.set_splitting import SetSplitter
-    from repro.core.vid_filtering import FilterConfig, VIDFilter
-
-    sample = list(dataset.sample_targets(min(10, len(dataset.eids)), seed=1))
-    split = SetSplitter(store).run(sample)
-    vid_filter = VIDFilter(store, FilterConfig())
-    vid_filter.match(split.evidence)
-    print(f"\nV-stage caches after matching {len(sample)} EIDs:", file=out)
-    for cache, counters in vid_filter.cache_report().items():
-        print(
-            f"  {cache:<11} hits {counters['hits']:.0f}  "
-            f"misses {counters['misses']:.0f}  "
-            f"hit rate {counters['hit_rate']:.2f}  "
-            f"evictions {counters['evictions']:.0f}  "
-            f"bytes {counters['current_bytes']:.0f} "
-            f"(peak {counters['peak_bytes']:.0f})",
-            file=out,
-        )
-
     # The camera graph fitted alongside this world (what --topology
     # matching and the convoy queries consult).
     model = dataset.topology

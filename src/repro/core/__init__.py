@@ -19,12 +19,11 @@ Layout:
 * :mod:`repro.core.analysis` — Theorems 4.2 / 4.4 as checkable bounds.
 * :mod:`repro.core.accel` — the packed inclusive-EID index behind the
   co-traveler and convoy queries.
-* :mod:`repro.core.caches` — byte-budgeted LRU caches bounding the
-  V stage's memoized arrays in long-running processes.
+* :mod:`repro.core.blas` — the one-thread OpenBLAS bound the V
+  stage's pair fill runs under.
 """
 
 from repro.core.accel import EIDInterner, ScenarioMatrix, matrix_for
-from repro.core.caches import ByteBudgetLRU, ByteCacheStats
 from repro.core.partition import EIDPartition, SeparationTracker
 from repro.core.set_splitting import (
     SelectionStrategy,
@@ -50,8 +49,6 @@ from repro.core.analysis import (
 )
 
 __all__ = [
-    "ByteBudgetLRU",
-    "ByteCacheStats",
     "EDPConfig",
     "EDPMatcher",
     "EDPResult",

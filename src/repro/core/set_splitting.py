@@ -351,10 +351,15 @@ class SetSplitter:
         diversity: EvidenceDiversity,
         exclude: FrozenSet[ScenarioKey],
     ) -> None:
-        """Shrink each target's candidate set scenario by scenario."""
-        candidates: Dict[EID, Set[EID]] = {
-            t: set(universe_set) for t in result.targets
-        }
+        """Shrink each target's candidate set scenario by scenario.
+
+        Every target starts at the shared universe and each positive
+        scenario narrows it to a new, smaller frozenset, so nothing is
+        copied per target.
+        """
+        candidates: Dict[EID, FrozenSet[EID]] = dict.fromkeys(
+            result.targets, universe_set
+        )
         active: Set[EID] = set(result.targets)
 
         def apply_fn(key: ScenarioKey) -> bool:
@@ -365,11 +370,7 @@ class SetSplitter:
         def score_fn(key: ScenarioKey) -> int:
             e_scenario = self.store.e_scenario(key)
             inclusive, allowed = self._scenario_sides(e_scenario)
-            return sum(
-                1
-                for t in inclusive
-                if t in active and not candidates[t] <= allowed
-            )
+            return sum(1 for t in inclusive & active if not candidates[t] <= allowed)
 
         def done() -> bool:
             return not active
@@ -378,9 +379,7 @@ class SetSplitter:
             self._run_greedy(result, apply_fn, score_fn, done, exclude)
         else:
             self._run_streaming(result, apply_fn, done, exclude)
-        result.candidates = {
-            t: frozenset(candidates[t]) for t in result.targets
-        }
+        result.candidates = candidates
 
     # ------------------------------------------------------------------
     def _observed_universe(self) -> FrozenSet[EID]:
@@ -397,35 +396,37 @@ class SetSplitter:
         plus vague, because a vague sighting must never eliminate its
         EID from a candidate set.
         """
+        inclusive, vague = e_scenario.inclusive, e_scenario.vague
+        allowed = inclusive | vague if vague else inclusive
         if self.config.treat_vague_as_inclusive:
-            merged = e_scenario.inclusive | e_scenario.vague
-            return merged, merged
-        return e_scenario.inclusive, e_scenario.inclusive | e_scenario.vague
+            return allowed, allowed
+        return inclusive, allowed
 
     def _apply_scenario(
         self,
         key: ScenarioKey,
         result: SplitResult,
-        candidates: Dict[EID, Set[EID]],
+        candidates: Dict[EID, FrozenSet[EID]],
         active: Set[EID],
         diversity: EvidenceDiversity,
     ) -> bool:
-        """Use one scenario if it is effective.  Returns True if recorded."""
+        """Use one scenario if it is effective.  Returns True if recorded.
+
+        ``inclusive & active`` is a C-level intersection over the sets'
+        stored hashes; no EID is hashed again.
+        """
         e_scenario = self.store.e_scenario(key)
         inclusive, allowed = self._scenario_sides(e_scenario)
-        helped: List[EID] = []
-        for target in inclusive:
-            if (
-                target in active
-                and not candidates[target] <= allowed
-                and diversity.ok(target, key)
-            ):
-                helped.append(target)
+        helped = [
+            target
+            for target in inclusive & active
+            if not candidates[target] <= allowed and diversity.ok(target, key)
+        ]
         if not helped:
             return False
         result.recorded.append(key)
         for target in helped:
-            candidates[target] &= allowed
+            candidates[target] = candidates[target] & allowed
             result.evidence[target].append(key)
             diversity.record(target, key)
             if len(candidates[target]) == 1:

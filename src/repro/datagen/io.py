@@ -275,6 +275,7 @@ def _read_scenarios(archive) -> List[EVScenario]:
                 v=VScenario(
                     key=key,
                     detections=tuple(detections[det_bounds[i] : det_bounds[i + 1]]),
+                    features=det_features[det_bounds[i] : det_bounds[i + 1]],
                 ),
             )
         )

@@ -46,7 +46,7 @@ draws in cell-then-VID order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
@@ -104,11 +104,15 @@ class VFrame:
         tick: the window's middle tick (event time).
         cell_id: the filming cell.
         detections: the extracted appearance detections (may be empty).
+        features: their ``(n, d)`` feature block (rows are the
+            detections' features), or ``None`` when the frame was built
+            without one.
     """
 
     tick: int
     cell_id: int
     detections: Tuple[Detection, ...]
+    features: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,12 +343,17 @@ class ScenarioBuilder:
         frame_cells = np.union1d(e_cells, present_cells)
         starts = np.searchsorted(present_cells, frame_cells, side="left").tolist()
         ends = np.searchsorted(present_cells, frame_cells, side="right").tolist()
-        detections = self.v_model.sense(
+        blocks = self.v_model.sense(
             [present_vids[start:end] for start, end in zip(starts, ends)], rng
         )
         frames = tuple(
-            VFrame(tick=first_tick + middle, cell_id=cell_id, detections=found)
-            for cell_id, found in zip(frame_cells.tolist(), detections)
+            VFrame(
+                tick=first_tick + middle,
+                cell_id=cell_id,
+                detections=found,
+                features=features,
+            )
+            for cell_id, (found, features) in zip(frame_cells.tolist(), blocks)
         )
         return WindowSensing(
             window=window,
@@ -419,7 +428,9 @@ class ScenarioBuilder:
                         inclusive=frozenset([eids[e] for e in inclusive]),
                         vague=frozenset([eids[e] for e in vague]),
                     ),
-                    v=VScenario(key=key, detections=frame.detections),
+                    v=VScenario(
+                        key=key, detections=frame.detections, features=frame.features
+                    ),
                 )
             )
         return scenarios

@@ -61,7 +61,7 @@ class VSensingModel:
         self,
         frames: Sequence[Sequence[int]],
         rng: np.random.Generator,
-    ) -> List[Tuple[Detection, ...]]:
+    ) -> List[Tuple[Tuple[Detection, ...], np.ndarray]]:
         """Detect the people present in one instant's camera frames.
 
         Args:
@@ -72,7 +72,9 @@ class VSensingModel:
         Returns:
             Per frame, one :class:`Detection` per successfully-detected
             person, in the given order, each with a fresh globally
-            unique ``detection_id`` and a noisy feature vector.
+            unique ``detection_id`` and a noisy feature vector; and the
+            frame's ``(n, d)`` feature block, whose rows those features
+            are (views, not copies).
 
         Draws are scalar and in frame-then-VID order: per person, the
         miss draw (when ``miss_rate > 0``), then for a detected person
@@ -107,10 +109,10 @@ class VSensingModel:
             Detection(first_id + k, feature, vids[vid])
             for k, (feature, vid) in enumerate(zip(features, detected))
         ]
-        out: List[Tuple[Detection, ...]] = []
+        out: List[Tuple[Tuple[Detection, ...], np.ndarray]] = []
         start = 0
         for end in ends:
-            out.append(tuple(detections[start:end]))
+            out.append((tuple(detections[start:end]), features[start:end]))
             start = end
         return out
 

@@ -620,8 +620,6 @@ class MatchService:
     #: scenarios" from "same work, slower machine".
     _SLOWLOG_COUNTERS = (
         ("scenarios_examined", "ev_e_scenarios_examined_total"),
-        ("cache_hits", "ev_cache_hits_total"),
-        ("cache_misses", "ev_cache_misses_total"),
         ("topology_pruned", "ev_topology_pruned_total"),
     )
 

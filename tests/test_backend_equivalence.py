@@ -96,7 +96,8 @@ class TestSetSplitterEquivalence:
         """A split on a store grown by ``ScenarioStore.add`` equals the
         split on the same store built whole — the live-ingest path's
         key, tick and universe caches follow every add, including adds
-        after the grown store already served a split."""
+        after the grown store already served a split, and the
+        incrementally kept key order is the full sort's."""
         scenarios = build_scenarios(entries)
         cut = min(cut, len(scenarios))
         kwargs = dict(
@@ -105,9 +106,11 @@ class TestSetSplitterEquivalence:
             treat_vague_as_inclusive=merge_vague,
         )
         grown = ScenarioStore(scenarios[:cut])
+        assert grown.keys == tuple(sorted(s.key for s in scenarios[:cut]))
         run_split(grown, sorted(grown.eid_universe)[:4], **kwargs)
-        for scenario in scenarios[cut:]:
+        for i, scenario in enumerate(scenarios[cut:], start=cut + 1):
             grown.add(scenario)
+            assert grown.keys == tuple(sorted(s.key for s in scenarios[:i]))
         whole = ScenarioStore(scenarios)
         targets = sorted(whole.eid_universe)[:4]
         assert_splits_equal(
@@ -242,7 +245,7 @@ class TestVStageSharedTableEquivalence:
         return dataset, split.evidence
 
     @staticmethod
-    def _config(topology, max_evidence, budget, dataset):
+    def _config(topology, max_evidence, dataset):
         from repro.core.vid_filtering import FilterConfig
         from repro.topology.matching import TopologyConfig
 
@@ -253,11 +256,7 @@ class TestVStageSharedTableEquivalence:
                 prune=topology in ("prune", "both"),
                 prior=topology in ("prior", "both"),
             )
-        return FilterConfig(
-            max_evidence=max_evidence,
-            membership_cache_bytes=budget,
-            topology=topo,
-        )
+        return FilterConfig(max_evidence=max_evidence, topology=topo)
 
     @staticmethod
     def _mutate(evidence, mutations, store, empty_key):
@@ -302,15 +301,14 @@ class TestVStageSharedTableEquivalence:
         ),
         topology=st.sampled_from([None, "prune", "prior", "both"]),
         max_evidence=st.sampled_from([None, 1, 2, 4]),
-        budget=st.sampled_from([None, 256, 4096]),
         use_exclusion=st.booleans(),
     )
     def test_batch_matches_oracle(
-        self, world, mutations, topology, max_evidence, budget, use_exclusion
+        self, world, mutations, topology, max_evidence, use_exclusion
     ):
         dataset, evidence = world
         store, empty_key = self._store_with_empty(dataset)
-        config = self._config(topology, max_evidence, budget, dataset)
+        config = self._config(topology, max_evidence, dataset)
         drawn = self._mutate(evidence, mutations, store, empty_key)
         production, oracle = _vstage_filters(store, config)
         results = production.match(drawn, use_exclusion=use_exclusion)
@@ -323,9 +321,8 @@ class TestVStageSharedTableEquivalence:
     @given(
         cut=st.sampled_from([0.3, 0.6]),
         topology=st.sampled_from([None, "both"]),
-        budget=st.sampled_from([None, 256, 4096]),
     )
-    def test_long_lived_filter_after_store_add(self, world, cut, topology, budget):
+    def test_long_lived_filter_after_store_add(self, world, cut, topology):
         """One filter matches, the store grows, and the same filter
         matches again (batch and single-target): pairs cached by the
         first batch are reused beside newly computed ones."""
@@ -335,7 +332,7 @@ class TestVStageSharedTableEquivalence:
         store, empty_key = self._store_with_empty(
             dataset, keep=lambda key: key.tick < horizon
         )
-        config = self._config(topology, None, budget, dataset)
+        config = self._config(topology, None, dataset)
         production, oracle = _vstage_filters(store, config)
         early = {
             eid: [key for key in keys if key.tick < horizon]

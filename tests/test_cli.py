@@ -269,7 +269,7 @@ class TestProfilingCli:
         code = main(
             [
                 "match",
-                "--people", "40", "--cells", "2", "--targets", "8",
+                "--people", "80", "--cells", "2", "--targets", "40",
                 "--duration", "300", "--profile", out,
                 "--profile-hz", "400",
             ]

@@ -125,6 +125,20 @@ class TestRoundTrip:
         assert any(eids and not detections for eids, detections in sizes)
         assert any(detections and not eids for eids, detections in sizes)
 
+    def test_scenarios_hold_their_feature_rows(
+        self, dataset, practical_dataset, tmp_path
+    ):
+        """Built and loaded worlds hand each V-Scenario the row block its
+        detections' features are views of: no stacking, no copy."""
+        loaded = load_dataset(save_dataset(dataset, tmp_path / "world.npz"))
+        for world in (practical_dataset, loaded):
+            for key in world.store.keys:
+                v = world.store.v_scenario(key)
+                assert v.features is not None
+                assert v.feature_matrix() is v.features
+                for row, detection in zip(v.features, v.detections):
+                    assert np.shares_memory(row, detection.feature)
+
     def test_empty_store_roundtrip(self, dataset, tmp_path):
         empty = dataclasses.replace(dataset, store=ScenarioStore([]))
         loaded = load_dataset(save_dataset(empty, tmp_path / "empty.npz"))

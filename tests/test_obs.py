@@ -326,7 +326,7 @@ class TestPipelineInstrumentation:
         assert "service_latency_seconds_bucket" in text
         # The global registry's pipeline counters ride along.
         assert "ev_v_detections_extracted_total" in text
-        assert 'ev_cache_hit_rate{cache="features"}' in text
+        assert "ev_v_comparisons_total" in text
 
     def test_noop_overhead_path_unchanged_results(self, tiny_dataset):
         """With the no-op registry/tracer installed, matching still

@@ -71,17 +71,25 @@ class TestVSensing:
 
     def test_detects_everyone_without_misses(self, appearance):
         model = VSensingModel(appearance)
-        first, second = model.sense([[1, 3], [2]], np.random.default_rng(0))
+        (first, block), (second, _) = model.sense(
+            [[1, 3], [2]], np.random.default_rng(0)
+        )
         assert [d.true_vid for d in first] == [VID(1), VID(3)]
         assert [d.true_vid for d in second] == [VID(2)]
         assert [d.detection_id for d in first + second] == [0, 1, 2]
+        # Each frame's block holds its detections' features as rows,
+        # shared rather than copied.
+        assert block.shape == (2, first[0].feature.shape[0])
+        for row, detection in zip(block, first):
+            assert np.shares_memory(row, detection.feature)
+            assert np.array_equal(row, detection.feature)
 
     def test_detection_ids_globally_unique(self, appearance):
         model = VSensingModel(appearance)
         rng = np.random.default_rng(1)
         ids = []
         for _ in range(5):
-            for frame in model.sense([[0, 1], [], [5]], rng):
+            for frame, _block in model.sense([[0, 1], [], [5]], rng):
                 ids.extend(d.detection_id for d in frame)
         assert len(ids) == len(set(ids))
         assert model.detections_issued == len(ids)
@@ -92,13 +100,15 @@ class TestVSensing:
         detected = sum(
             len(frame)
             for _ in range(100)
-            for frame in model.sense([list(range(10)), list(range(10, 20))], rng)
+            for frame, _block in model.sense(
+                [list(range(10)), list(range(10, 20))], rng
+            )
         )
         assert 1200 < detected < 1600  # 2000 * 0.7 = 1400
 
     def test_features_unit_norm(self, appearance):
         model = VSensingModel(appearance)
-        (frame,) = model.sense([list(range(5))], np.random.default_rng(3))
+        ((frame, _block),) = model.sense([list(range(5))], np.random.default_rng(3))
         for d in frame:
             assert np.linalg.norm(d.feature) == pytest.approx(1.0)
 
@@ -106,7 +116,7 @@ class TestVSensing:
         """Sensing a frame draws each person's outlier flag and noise in
         VID order, exactly as observing them one by one does."""
         model = VSensingModel(appearance)
-        (frame,) = model.sense([[2, 4, 7]], np.random.default_rng(4))
+        ((frame, _block),) = model.sense([[2, 4, 7]], np.random.default_rng(4))
         rng = np.random.default_rng(4)
         for d in frame:
             expected = appearance.observe(d.true_vid, rng)
@@ -150,6 +160,9 @@ class TestScenarioTypes:
         )
         assert v.feature_matrix().shape == (2, 4)
         assert v.num_detections == 2
+        # Stacked once, on first use; the matrix is not part of equality.
+        assert v.feature_matrix() is v.feature_matrix()
+        assert v == VScenario(key=v.key, detections=v.detections)
 
     def test_empty_vscenario_feature_matrix(self):
         v = VScenario(key=ScenarioKey(0, 0), detections=())

@@ -342,6 +342,12 @@ class TestBatchEquivalence:
         assert report.late_dropped == 0
         assert diff_stores(small_world.store, store) == []
         assert stores_equivalent(small_world.store, store)
+        # Assembled scenarios carry their frames' feature blocks.
+        for key in store.keys:
+            v = store.v_scenario(key)
+            assert v.features is not None
+            for row, detection in zip(v.features, v.detections):
+                assert np.shares_memory(row, detection.feature)
 
     def test_in_order_replay_threaded(self, small_world):
         source = TraceReplaySource.from_dataset(small_world)

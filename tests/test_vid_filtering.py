@@ -187,12 +187,24 @@ class TestVIDFilter:
         }
         clock = SimulatedClock()
         vid_filter = VIDFilter(store, clock=clock)
+        fetched = []
+        features_of = vid_filter._features_of
+
+        def spy(scenario_id):
+            fetched.append(scenario_id)
+            return features_of(scenario_id)
+
+        vid_filter._features_of = spy
         vid_filter.match(evidence)
-        # Unordered pairs {01, 02, 12, 03, 23}: ten ordered ones, each
-        # computed once; every target then reads its own ordered pairs.
-        stats = vid_filter.cache_report()["membership"]
-        assert stats["misses"] == 10
-        assert stats["hits"] == 6 + 6 + 2
+        # Unordered pairs {01, 02, 12, 03, 23}: the fill computes each
+        # once, grouped by its lower id (partners of 0: 1, 2, 3; of 1:
+        # 2; of 2: 3), for both directions; every target then reads its
+        # own ordered pairs from the table.
+        assert sorted(fetched) == sorted([0, 1, 2, 3] + [1, 2] + [2, 3])
+        table = {
+            (a, b): m for a, row in vid_filter._pairs.items() for b, m in row.items()
+        }
+        assert len(table) == 10
         # Charged per target and ordered pair, shared or not.
         assert clock.comparisons == (
             (3 * 2 + 3 * 3 + 2 * 3) * 2  # target 0: pairs 01, 02, 12
@@ -200,8 +212,10 @@ class TestVIDFilter:
             + (2 * 3) * 2  # target 2: pair 12
         )
         # A long-lived filter matching again recomputes nothing.
+        fetched.clear()
         vid_filter.match(evidence)
-        assert vid_filter.cache_report()["membership"]["misses"] == 10
+        assert fetched == []
+        assert all(vid_filter._pairs[a][b] is m for (a, b), m in table.items())
 
     def test_agreement_high_for_consistent_choices(self):
         store = make_store_with_detections([[0, 1], [0, 2], [0, 3]])
