@@ -10,9 +10,9 @@ Two serving effects collapse redundant Matcher work:
   into *one* Matcher call over the union of their targets.  With the
   default configuration each target's E- and V-stage work is
   independent of its batch-mates, so splitting the union report back
-  per request is exact — and the V stage's per-scenario extraction
-  cache makes the union call strictly cheaper than the sum of the
-  parts (shared scenarios are extracted once).
+  per request is exact — and the V stage's shared pair table makes
+  the union call strictly cheaper than the sum of the parts (shared
+  scenarios are extracted, and shared pairs compared, once).
 
 The batcher owns no threads: the server's workers call
 :meth:`MatchBatcher.execute`, keeping admission control (the bounded
