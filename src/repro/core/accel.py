@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 import numpy as np
@@ -35,6 +36,10 @@ from repro.sensing.scenarios import EScenario, ScenarioKey, ScenarioStore
 from repro.world.entities import EID
 
 WORD_BITS = 64
+
+#: Sort key for EIDs: their index, the order the dataclass comparison
+#: gives, without its per-comparison field tuples.
+_BY_INDEX = attrgetter("index")
 
 
 def resolve_backend(backend: str) -> str:
@@ -136,14 +141,15 @@ class ScenarioMatrix:
     consumes the store's append-only arrival log, so a live
     ``ScenarioStore.add`` costs one packed row, never a rebuild.
     Vague EIDs get interner ids too (so ids stay stable as sightings
-    firm up) but no bits.
+    firm up) but no bits.  The store is held weakly, so a matrix never
+    outlives it (see :func:`matrix_for`).
     """
 
     _INITIAL_ROWS = 64
 
     def __init__(self, store: ScenarioStore) -> None:
-        self.store = store
-        self.interner = EIDInterner(sorted(store.eid_universe))
+        self._store = weakref.ref(store)
+        self.interner = EIDInterner(sorted(store.eid_universe, key=_BY_INDEX))
         self._lock = threading.Lock()
         self._row_of: Dict[ScenarioKey, int] = {}
         self._num_rows = 0
@@ -154,6 +160,11 @@ class ScenarioMatrix:
         self._cursor = 0  # consumed prefix of the store's arrival log
         self.sync()
         self._publish_nbytes()
+
+    @property
+    def store(self) -> Optional[ScenarioStore]:
+        """The indexed store, or ``None`` once it has been freed."""
+        return self._store()
 
     # -- growth --------------------------------------------------------
     def _ensure_capacity(self, rows: int, words: int) -> None:
@@ -167,8 +178,9 @@ class ScenarioMatrix:
 
     def _append(self, e_scenario: EScenario) -> None:
         interner = self.interner
-        ids = [interner.intern(e) for e in sorted(e_scenario.inclusive)]
-        for eid in sorted(e_scenario.vague):
+        inclusive = sorted(e_scenario.inclusive, key=_BY_INDEX)
+        ids = [interner.intern(e) for e in inclusive]
+        for eid in sorted(e_scenario.vague, key=_BY_INDEX):
             interner.intern(eid)
         self._words = max(self._words, interner.num_words)
         self._ensure_capacity(self._num_rows + 1, self._words)
@@ -184,12 +196,13 @@ class ScenarioMatrix:
         changed (one length comparison), so callers sync once at the
         top of each query.
         """
-        if self._cursor >= len(self.store):
+        store = self._store()
+        if store is None or self._cursor >= len(store):
             return 0
         with self._lock:
-            fresh = self.store.keys_since(self._cursor)
+            fresh = store.keys_since(self._cursor)
             for key in fresh:
-                self._append(self.store.e_scenario(key))
+                self._append(store.e_scenario(key))
             self._cursor += len(fresh)
             if fresh:
                 self._publish_nbytes()
@@ -240,7 +253,8 @@ class ScenarioMatrix:
 
 #: Shared per-store matrices: every query over one store (the serving
 #: layer's shards, convoy mining, repeated CLI runs) reuses one matrix
-#: instead of re-packing the dataset per query.
+#: instead of re-packing the dataset per query.  Matrices hold their
+#: store weakly, so an entry dies with its store.
 _MATRICES: "weakref.WeakKeyDictionary[ScenarioStore, ScenarioMatrix]" = (
     weakref.WeakKeyDictionary()
 )

@@ -82,6 +82,9 @@ class IncrementalMatcher:
         self.clock = clock if clock is not None else SimulatedClock()
         self._filter = VIDFilter(store, filter_config, self.clock)
         self._candidates: Dict[EID, Set[EID]] = {}
+        #: Each target's position in watch order: ``observe`` visits
+        #: the targets a scenario names in this order.
+        self._rank: Dict[EID, int] = {}
         self._evidence: Dict[EID, List[ScenarioKey]] = {}
         self._emitted: Dict[EID, Emission] = {}
         self._scenarios_consumed = 0
@@ -96,6 +99,7 @@ class IncrementalMatcher:
         if target in self._evidence or target in self._emitted:
             return  # already tracked (or already matched)
         self._candidates[target] = set(self.universe)
+        self._rank[target] = len(self._rank)
         self._evidence[target] = []
 
     def add_targets(self, targets: Sequence[EID]) -> None:
@@ -146,9 +150,8 @@ class IncrementalMatcher:
         fired: List[Emission] = []
         gap = self.split_config.min_gap_ticks
         key = scenario.key
-        for target in list(self._candidates):
-            if target not in inclusive:
-                continue
+        named = self._candidates.keys() & inclusive
+        for target in sorted(named, key=self._rank.__getitem__):
             candidates = self._candidates[target]
             if candidates <= allowed:
                 continue  # uninformative for this target

@@ -130,6 +130,8 @@ class WindowSensing:
         e_eids: the captured EID's index.
         e_vague: whether the observed position fell in the vague band.
         frames: one camera frame per occupied cell, in cell order.
+        eids: the population's EID object of each index; sightings
+            carry these, so a stream holds one object per identity.
     """
 
     window: int
@@ -138,13 +140,15 @@ class WindowSensing:
     e_eids: np.ndarray
     e_vague: np.ndarray
     frames: Tuple[VFrame, ...]
+    eids: Mapping[int, EID] = field(compare=False, repr=False)
 
     @property
     def sightings(self) -> Tuple[CellSighting, ...]:
         """Every cell-attributed E sighting of the window's ticks, in
         capture order."""
+        eids = self.eids
         return tuple(
-            CellSighting(tick=tick, cell_id=cell_id, eid=EID(eid), vague=vague)
+            CellSighting(tick=tick, cell_id=cell_id, eid=eids[eid], vague=vague)
             for tick, cell_id, eid, vague in zip(
                 self.e_ticks.tolist(),
                 self.e_cells.tolist(),
@@ -362,6 +366,7 @@ class ScenarioBuilder:
             e_eids=e_eids,
             e_vague=e_vague,
             frames=frames,
+            eids=self._eids,
         )
 
     def _layout(self, person_ids: Sequence[int]) -> _Layout:

@@ -123,7 +123,9 @@ class WindowAssembler:
         window = event.tick // self.window_ticks
         late = window < self._next_window
         if not late:
-            state = self._open.setdefault(window, OpenWindow())
+            state = self._open.get(window)
+            if state is None:
+                state = self._open[window] = OpenWindow()
             if isinstance(event, CellSighting):
                 state.absorb_sighting(event)
             else:

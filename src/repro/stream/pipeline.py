@@ -20,10 +20,12 @@ source, and a resume offset could silently re-apply shed-adjacent
 events into open windows.
 
 **Observability.**  Every run records to :mod:`repro.obs`: counters
-(``ev_stream_events_total`` by kind, late/shed/emitted/duplicate
-totals), gauges (open windows, watermark), one span per window close,
-and flight-recorder events for window close, scenario emission, late
-drops, sheds, and checkpoint save/restore.
+(``ev_stream_events_total`` by kind, tallied in plain ints and
+published at each window close and at the end of the run;
+late/shed/emitted/duplicate totals), gauges (open windows, watermark),
+one span per window close, and flight-recorder events for window
+close, scenario emission, late drops, sheds, and checkpoint
+save/restore.
 """
 
 from __future__ import annotations
@@ -343,6 +345,7 @@ class StreamPipeline:
             "ev_stream_watermark", "Event-time watermark (ticks)"
         )
         self._events_applied = 0
+        self._unpublished_events = {"e": 0, "v": 0}
         self._events_processed_total = 0
         self._scenarios_applied = 0
         self._scenarios_emitted_total = 0
@@ -404,7 +407,7 @@ class StreamPipeline:
     def _apply(self, event: StreamEvent) -> None:
         self._events_applied += 1
         self._events_processed_total += 1
-        self._events_counter.inc(kind=event_kind(event))
+        self._unpublished_events[event_kind(event)] += 1
         closed, late = self.assembler.offer(event)
         if late:
             self._late_counter.inc()
@@ -420,7 +423,14 @@ class StreamPipeline:
         for closed_window in closed:
             self._handle_closed(closed_window)
 
+    def _publish_event_counts(self) -> None:
+        for kind, count in self._unpublished_events.items():
+            if count:
+                self._events_counter.inc(count, kind=kind)
+                self._unpublished_events[kind] = 0
+
     def _handle_closed(self, closed: ClosedWindow) -> None:
+        self._publish_event_counts()
         tracer = get_tracer()
         with tracer.span(
             "stream.window.close",
@@ -492,6 +502,7 @@ class StreamPipeline:
                 and self._windows_since_checkpoint > 0
             ):
                 self._save_checkpoint()
+        self._publish_event_counts()
         elapsed = time.perf_counter() - started
         mark = self.assembler.watermark.watermark
         return StreamReport(

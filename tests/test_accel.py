@@ -1,5 +1,9 @@
 """Unit tests for the packed co-occurrence index (repro.core.accel)."""
 
+import gc
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,8 @@ from repro.sensing.scenarios import (
     ScenarioStore,
     VScenario,
 )
+from repro.service.dataset_shards import ShardedDataset
+from repro.service.server import MatchService
 from repro.world.entities import EID
 
 
@@ -123,3 +129,56 @@ class TestScenarioMatrix:
         store = ScenarioStore([scenario(0, 0, {0, 1})])
         assert matrix_for(store) is matrix_for(store)
 
+
+
+@contextmanager
+def collector_off():
+    """Only reference counting frees objects inside: anything still
+    alive there is kept by a reference, not by an uncollected cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestStoreLifetime:
+    """A store is freed the moment its last user lets go: the shared
+    matrix registry must not keep it (or its matrix) alive."""
+
+    def make_store(self):
+        return ScenarioStore(
+            [scenario(0, 0, {0, 1}, {2}), scenario(1, 1, {1, 2})]
+        )
+
+    def test_matrix_for_frees_its_store(self):
+        with collector_off():
+            store = self.make_store()
+            matrix = matrix_for(store)
+            ref = weakref.ref(store)
+            del store
+            assert ref() is None
+            assert matrix.store is None
+            assert matrix.sync() == 0
+
+    def test_sharded_dataset_frees_its_store(self):
+        with collector_off():
+            store = self.make_store()
+            shards = ShardedDataset(store, num_shards=2)
+            fresh = scenario(2, 2, {0, 3})
+            store.add(fresh)
+            shards.add_scenario(fresh)
+            ref = weakref.ref(store)
+            del store, shards
+            assert ref() is None
+
+    def test_stopped_service_frees_its_store(self):
+        with collector_off():
+            store = self.make_store()
+            service = MatchService(store).start()
+            service.ingest_tick([scenario(2, 2, {0, 3})])
+            service.stop()
+            ref = weakref.ref(store)
+            del store, service
+            assert ref() is None

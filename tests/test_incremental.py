@@ -1,12 +1,17 @@
 """Tests for the streaming (incremental) matcher."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.incremental import IncrementalMatcher
 from repro.core.set_splitting import SetSplitter, SplitConfig
 from repro.core.vid_filtering import VIDFilter
 from repro.metrics.accuracy import accuracy_of
+from repro.metrics.timing import SimulatedClock
 from repro.world.entities import EID
+from tests.oracles.incremental import AllPendingIncrementalMatcher
 
 
 def replay_all(matcher, store):
@@ -182,3 +187,83 @@ class TestStreamSemantics:
             assert emission.scenarios_consumed <= stream.scenarios_consumed
             assert emission.result.scenario_keys
             assert emission.emitted_at_tick == emission.result.scenario_keys[-1].tick
+
+
+def stream_run(matcher_cls, dataset, keys, targets, late, add_at, split_config):
+    """Feed ``keys`` of the dataset's store to a fresh matcher, adding
+    ``late`` targets before the ``add_at``-th scenario; returns every
+    observable outcome plus the number of targets each scenario fired."""
+    store = dataset.store
+    clock = SimulatedClock()
+    matcher = matcher_cls(store, dataset.eids, split_config, clock=clock)
+    matcher.add_targets(targets)
+    emissions, fired_per_scenario = [], []
+    for i, key in enumerate(keys):
+        if i == add_at:
+            matcher.add_targets(late)
+        fired = matcher.observe(store.get(key))
+        emissions.extend(fired)
+        fired_per_scenario.append(len(fired))
+    tracked = list(dict.fromkeys([*targets, *late]))
+    outcome = (
+        emissions,
+        {t: matcher.evidence_of(t) for t in tracked},
+        clock.times(),
+        clock.comparisons,
+        matcher.pending,
+        matcher.duplicates_ignored,
+    )
+    return outcome, fired_per_scenario
+
+
+class TestObserveOrderOracle:
+    """``observe`` visits only the pending targets a scenario names;
+    the all-pending loop it replaced (``tests/oracles/incremental.py``)
+    must agree on emissions in order, evidence and the clock."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        min_gap_ticks=st.integers(min_value=0, max_value=6),
+        treat_vague_as_inclusive=st.booleans(),
+        shuffle_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+    )
+    def test_observe_equals_all_pending_loop(
+        self,
+        practical_dataset,
+        data,
+        min_gap_ticks,
+        treat_vague_as_inclusive,
+        shuffle_seed,
+    ):
+        dataset = practical_dataset
+        eids = sorted(dataset.eids)
+        targets = data.draw(
+            st.lists(st.sampled_from(eids), min_size=1, max_size=40, unique=True)
+        )
+        late = data.draw(st.lists(st.sampled_from(eids), max_size=10, unique=True))
+        keys = list(dataset.store.keys)
+        if shuffle_seed is not None:
+            random.Random(shuffle_seed).shuffle(keys)
+        # Re-offered scenarios must be ignored alike.
+        keys += keys[: data.draw(st.integers(0, 5))]
+        add_at = data.draw(st.integers(0, len(keys) - 1))
+        split_config = SplitConfig(
+            min_gap_ticks=min_gap_ticks,
+            treat_vague_as_inclusive=treat_vague_as_inclusive,
+        )
+        args = (dataset, keys, targets, late, add_at, split_config)
+        fast, _ = stream_run(IncrementalMatcher, *args)
+        oracle, _ = stream_run(AllPendingIncrementalMatcher, *args)
+        assert fast == oracle
+
+    def test_several_targets_fire_on_one_scenario(self, practical_dataset):
+        """Watching every EID makes scenarios fire several targets at
+        once; their emission order is still the watch order."""
+        dataset = practical_dataset
+        targets = list(dataset.eids)[::-1]
+        args = (dataset, list(dataset.store.keys), targets, [], 0, SplitConfig())
+        fast, fired = stream_run(IncrementalMatcher, *args)
+        oracle, _ = stream_run(AllPendingIncrementalMatcher, *args)
+        assert max(fired) >= 2
+        assert fast == oracle

@@ -4,6 +4,8 @@ assembler, checkpoint/restore, and the end-to-end pipeline guarantees
 
 import json
 import os
+from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from repro.stream import (
     snapshot,
     stores_equivalent,
 )
+from repro.stream.events import event_kind
 from repro.world.entities import EID, VID
 
 
@@ -66,6 +69,41 @@ def windowed_world():
             seed=11,
         )
     )
+
+
+@contextmanager
+def private_registry():
+    """Route the process-global metrics to a fresh registry."""
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        yield registry
+    finally:
+        set_registry(previous)
+
+
+def kind_counts(events):
+    counts = {"e": 0, "v": 0}
+    for event in events:
+        counts[event_kind(event)] += 1
+    return counts
+
+
+def published_events(registry):
+    """``ev_stream_events_total`` split by kind, as a scrape sees it."""
+    counter = registry.counter("ev_stream_events_total")
+    return {kind: int(counter.value(kind=kind)) for kind in ("e", "v")}
+
+
+def assert_population_eids(store, population):
+    """Every EID in ``store`` is the population's object for its index."""
+    by_index = {
+        eid.index: eid for person in population.people for eid in person.all_eids
+    }
+    for key in store.keys:
+        e = store.e_scenario(key)
+        for eid in (*e.inclusive, *e.vague):
+            assert eid is by_index[eid.index]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +380,7 @@ class TestBatchEquivalence:
         assert report.late_dropped == 0
         assert diff_stores(small_world.store, store) == []
         assert stores_equivalent(small_world.store, store)
+        assert_population_eids(store, small_world.population)
         # Assembled scenarios carry their frames' feature blocks.
         for key in store.keys:
             v = store.v_scenario(key)
@@ -579,13 +618,15 @@ class TestPipelineIntegration:
         runs = []
         for _ in range(2):
             store = ScenarioStore([])
+            source = SyntheticLiveSource(config, max_windows=5)
             StreamPipeline(
-                SyntheticLiveSource(config, max_windows=5),
+                source,
                 StoreSink(store),
                 StreamConfig.from_builder(
                     config.builder_config(), synchronous=True
                 ),
             ).run()
+            assert_population_eids(store, source.population)
             runs.append(store)
         assert stores_equivalent(runs[0], runs[1])
         assert {k.tick for k in runs[0].keys} == {0, 1, 2, 3, 4}
@@ -605,22 +646,19 @@ class TestPipelineIntegration:
         assert report.events_applied + report.shed == total
 
     def test_metrics_recorded(self, small_world):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
+        with private_registry() as registry:
             store = ScenarioStore([])
             config = StreamConfig.from_builder(
                 small_world.config.builder_config(), synchronous=True
             )
-            StreamPipeline(
+            report = StreamPipeline(
                 TraceReplaySource.from_dataset(small_world),
                 StoreSink(store),
                 config,
             ).run()
-        finally:
-            set_registry(previous)
-        events_total = registry.counter("ev_stream_events_total")
-        assert events_total.total() > 0
+        source_events = TraceReplaySource.from_dataset(small_world).events()
+        assert published_events(registry) == kind_counts(source_events)
+        assert sum(published_events(registry).values()) == report.events_applied
         assert registry.counter(
             "ev_stream_scenarios_emitted_total"
         ).total() == len(small_world.store)
@@ -655,3 +693,71 @@ class TestPipelineIntegration:
             ReplayConfig(speedup=-1.0)
         with pytest.raises(ValueError, match="jitter"):
             ReplayConfig(jitter_ticks=-2)
+
+
+class TestEventCounter:
+    """``ev_stream_events_total`` is tallied in the pipeline and
+    published per window close and at run end: whenever it can be
+    scraped, it equals the events applied so far, by kind."""
+
+    def config(self, world, **overrides):
+        return StreamConfig.from_builder(world.config.builder_config(), **overrides)
+
+    def test_killed_run_publishes_its_events(self, small_world):
+        source_events = list(TraceReplaySource.from_dataset(small_world).events())
+        max_events = len(source_events) // 2 + 1
+        # The kill lands mid-window, after events no close published.
+        window_ticks = small_world.config.builder_config().window_ticks
+        last, before = source_events[max_events - 1], source_events[max_events - 2]
+        assert last.tick // window_ticks == before.tick // window_ticks
+        with private_registry() as registry:
+            report = StreamPipeline(
+                TraceReplaySource.from_dataset(small_world),
+                StoreSink(ScenarioStore([])),
+                self.config(small_world, synchronous=True, max_events=max_events),
+            ).run()
+        assert report.killed
+        assert report.events_applied == max_events
+        assert published_events(registry) == kind_counts(
+            islice(source_events, max_events)
+        )
+
+    def test_threaded_run_publishes_every_event(self, small_world):
+        with private_registry() as registry:
+            report = StreamPipeline(
+                TraceReplaySource.from_dataset(small_world),
+                StoreSink(ScenarioStore([])),
+                self.config(small_world, queue_capacity=32),
+            ).run()
+        assert report.shed == 0
+        assert published_events(registry) == kind_counts(
+            TraceReplaySource.from_dataset(small_world).events()
+        )
+
+    def test_scrape_at_window_close_sees_every_applied_event(self, small_world):
+        class CountingSource:
+            def __init__(self, source):
+                self.source = source
+                self.counts = {"e": 0, "v": 0}
+
+            def events(self):
+                for event in self.source.events():
+                    self.counts[event_kind(event)] += 1
+                    yield event
+
+        class ScrapingSink(StoreSink):
+            def emit_window(self, scenarios):
+                scrapes.append((published_events(registry), dict(source.counts)))
+                return super().emit_window(scenarios)
+
+        scrapes = []
+        source = CountingSource(TraceReplaySource.from_dataset(small_world))
+        with private_registry() as registry:
+            report = StreamPipeline(
+                source,
+                ScrapingSink(ScenarioStore([])),
+                self.config(small_world, synchronous=True),
+            ).run()
+        assert len(scrapes) == report.windows_closed
+        for scraped, applied in scrapes:
+            assert scraped == applied
