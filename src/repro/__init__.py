@@ -16,7 +16,7 @@ Packages:
   filtering, refining, the EDP baseline).
 * :mod:`repro.world`, :mod:`repro.mobility`, :mod:`repro.sensing` —
   the synthetic surveillance world.
-* :mod:`repro.mapreduce` — the MapReduce/RDD execution substrate.
+* :mod:`repro.mapreduce` — the MapReduce execution substrate.
 * :mod:`repro.parallel` — the parallelized pipeline (paper Sec. V).
 * :mod:`repro.datagen`, :mod:`repro.metrics`, :mod:`repro.bench` —
   dataset generation, metrics, and the figure/table harness.

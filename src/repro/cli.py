@@ -495,9 +495,6 @@ def run_match(args: argparse.Namespace, out=None) -> int:
         print("--refine is not supported with --engine mapreduce", file=sys.stderr)
         return 2
     use_topology = getattr(args, "topology", False)
-    if engine == "mapreduce" and use_topology:
-        print("--topology is not supported with --engine mapreduce", file=sys.stderr)
-        return 2
     events_path = getattr(args, "events", None)
     report_path = getattr(args, "report", None)
     recording = bool(events_path or report_path)
@@ -581,7 +578,9 @@ def run_match(args: argparse.Namespace, out=None) -> int:
             if engine == "mapreduce":
                 from repro.parallel.driver import ParallelEVMatcher
 
-                matcher = ParallelEVMatcher(dataset.store)
+                matcher = ParallelEVMatcher(
+                    dataset.store, filter_config=topology_filter
+                )
             else:
                 overrides = {}
                 if topology_filter is not None:

@@ -2,7 +2,7 @@
 
 The paper parallelizes EV-Matching with MapReduce and implements it on
 Apache Spark.  Neither is importable here, so this package provides the
-substrate from scratch:
+substrate the paper's three jobs run on:
 
 * :mod:`repro.mapreduce.cluster` — a simulated cluster: nodes with
   worker slots, a list scheduler that assigns tasks and computes the
@@ -10,35 +10,24 @@ substrate from scratch:
   the matcher's serial cost accounting into the parallel times of
   Figs. 8/9).
 * :mod:`repro.mapreduce.job` / :mod:`engine` — the programming model:
-  jobs with map / combine / partition / reduce functions, executed
-  split -> map -> shuffle -> reduce with task retry under injected
-  failures, serially or on a thread pool.
+  jobs with map / reduce functions, executed split -> map -> hash
+  shuffle -> reduce with task retry under injected failures.
 * :mod:`repro.mapreduce.storage` — an in-memory stand-in for the
   "underlying distributed file system": named, partitioned datasets
   with block placement.
-* :mod:`repro.mapreduce.rdd` / :mod:`context` — a small Spark-like RDD
-  layer (lineage of narrow transformations compiled onto the engine,
-  wide ones via its shuffle) mirroring how the authors moved from
-  MapReduce pseudocode to a Spark implementation.
 """
 
-from repro.mapreduce.accumulators import Accumulator, AccumulatorRegistry
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster, TaskStats
 from repro.mapreduce.failures import FailureInjector, FailurePolicy, InjectedTaskFailure
 from repro.mapreduce.job import JobMetrics, MapReduceJob
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.shuffle import HashPartitioner, Partitioner, RangePartitioner
+from repro.mapreduce.shuffle import HashPartitioner
 from repro.mapreduce.storage import DatasetHandle, InMemoryDFS
-from repro.mapreduce.rdd import RDD
 from repro.mapreduce.speculation import SkewModel, StagePolicy, simulate_stage
-from repro.mapreduce.context import EVSparkContext
 
 __all__ = [
-    "Accumulator",
-    "AccumulatorRegistry",
     "ClusterConfig",
     "DatasetHandle",
-    "EVSparkContext",
     "FailureInjector",
     "FailurePolicy",
     "HashPartitioner",
@@ -47,9 +36,6 @@ __all__ = [
     "JobMetrics",
     "MapReduceEngine",
     "MapReduceJob",
-    "Partitioner",
-    "RDD",
-    "RangePartitioner",
     "SimulatedCluster",
     "SkewModel",
     "StagePolicy",

@@ -5,27 +5,25 @@ the :class:`~repro.mapreduce.storage.InMemoryDFS`:
 
 * **split** — the input dataset's partitions are the map tasks (the
   DFS already stores data in blocks, as HDFS does);
-* **map** — each task runs the mapper over its block, applies the
-  optional combiner, and writes one shuffle bucket per reducer;
+* **map** — each task runs the mapper over its block and writes one
+  shuffle bucket per reducer;
 * **shuffle** — each reduce task gathers its bucket from every map
-  output and groups values by key (sorted);
+  output and groups values by key (sorted by ``repr``);
 * **reduce** — the reducer runs per key group; outputs become the
   partitions of the output dataset.
 
 Task attempts go through the :class:`~repro.mapreduce.failures.FailureInjector`
 and are retried up to the policy's ``max_attempts`` — the master-side
-"task failure recovery" of Sec. V-A.  Real execution runs serially or
-on a thread pool; *simulated* stage times come from scheduling each
+"task failure recovery" of Sec. V-A.  Tasks run one after another in
+this process; *simulated* stage times come from scheduling each
 task's accumulated cost onto the :class:`~repro.mapreduce.cluster.SimulatedCluster`
 (failed attempts are charged too: a retried task occupied a slot).
 """
 
 from __future__ import annotations
 
-import contextvars
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, List, Optional, Tuple
 
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.obs import get_event_log, get_registry, get_tracer
@@ -51,11 +49,6 @@ class MapReduceEngine:
         dfs: the storage layer; a fresh one is created if omitted.
         cluster: resource shape for simulated-time scheduling.
         failure_policy: injected-fault configuration (default: none).
-        executor: ``"serial"`` or ``"threads"``.  Threads give real
-            concurrency for numpy-heavy tasks; simulated times are
-            identical either way, by construction.
-        max_workers: thread-pool width for the ``"threads"`` executor
-            (default: the cluster's slot count, capped at 16).
     """
 
     def __init__(
@@ -63,8 +56,6 @@ class MapReduceEngine:
         dfs: Optional[InMemoryDFS] = None,
         cluster: Optional[SimulatedCluster] = None,
         failure_policy: Optional[FailurePolicy] = None,
-        executor: str = "serial",
-        max_workers: Optional[int] = None,
     ) -> None:
         self.cluster = cluster if cluster is not None else SimulatedCluster()
         self.dfs = (
@@ -75,14 +66,6 @@ class MapReduceEngine:
         self.injector = FailureInjector(
             failure_policy if failure_policy is not None else FailurePolicy()
         )
-        if executor not in ("serial", "threads"):
-            raise ValueError(f"unknown executor {executor!r}")
-        self.executor = executor
-        if max_workers is None:
-            max_workers = min(self.cluster.config.total_slots, 16)
-        if max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
 
     # ------------------------------------------------------------------
     def run(
@@ -220,12 +203,8 @@ class MapReduceEngine:
         metrics: JobMetrics,
     ) -> DatasetHandle:
         """Shuffled job: map, bucket, merge, reduce."""
-        partitioner = (
-            job.partitioner
-            if job.partitioner is not None
-            else HashPartitioner(job.num_reducers)
-        )
-        num_reducers = partitioner.num_partitions
+        partitioner = HashPartitioner(job.num_reducers)
+        num_reducers = job.num_reducers
 
         def map_task(index: int) -> Tuple[List[List[Tuple[Hashable, Any]]], float]:
             records = self.dfs.read_partition(input_name, index)
@@ -235,8 +214,6 @@ class MapReduceEngine:
                 pairs.extend(job.mapper(record))
                 if job.map_cost is not None:
                     cost += job.map_cost(record)
-            if job.combiner is not None:
-                pairs = self._combine(job, pairs)
             return bucket_pairs(pairs, partitioner), cost
 
         num_map_tasks = self.dfs.num_partitions(input_name)
@@ -252,19 +229,16 @@ class MapReduceEngine:
             len(bucket) for buckets in all_buckets for bucket in buckets
         )
 
-        key_order = job.key_order if job.key_order is not None else repr
-
+        # Reduce tasks carry no simulated work of their own (the cost
+        # model prices map records only); each is charged just the
+        # cluster's per-task overhead.
         def reduce_task(index: int) -> Tuple[List[Any], float]:
             grouped = merge_buckets(all_buckets, index)
             output: List[Any] = []
-            cost = 0.0
             assert job.reducer is not None
-            for key in sorted(grouped.keys(), key=key_order):
-                values = grouped[key]
-                output.extend(job.reducer(key, values))
-                if job.reduce_cost is not None:
-                    cost += job.reduce_cost(key, values)
-            return output, cost
+            for key in sorted(grouped.keys(), key=repr):
+                output.extend(job.reducer(key, grouped[key]))
+            return output, 0.0
 
         reduce_results, reduce_attempts, reduce_costs = self._run_tasks(
             job.name + ":reduce", reduce_task, num_reducers
@@ -286,20 +260,6 @@ class MapReduceEngine:
         if num_costs != num_partitions:
             return None
         return [self.dfs.node_of(input_name, i) for i in range(num_partitions)]
-
-    @staticmethod
-    def _combine(
-        job: MapReduceJob, pairs: Sequence[Tuple[Hashable, Any]]
-    ) -> List[Tuple[Hashable, Any]]:
-        """Map-side combining: group this task's pairs, re-emit."""
-        grouped: Dict[Hashable, List[Any]] = {}
-        for key, value in pairs:
-            grouped.setdefault(key, []).append(value)
-        combined: List[Tuple[Hashable, Any]] = []
-        assert job.combiner is not None
-        for key in sorted(grouped.keys(), key=repr):
-            combined.extend(job.combiner(key, grouped[key]))
-        return combined
 
     # ------------------------------------------------------------------
     def _run_tasks(
@@ -348,24 +308,7 @@ class MapReduceEngine:
                 )
 
         with tracer.span("mr.stage", stage=stage_id, tasks=num_tasks):
-            if self.executor == "threads" and num_tasks > 1:
-                # Worker threads start with an empty contextvars context,
-                # which would orphan the task spans; snapshot the caller's
-                # context (holding the current stage span) per task so each
-                # mr.task span parents correctly regardless of which thread
-                # runs it.
-                contexts = [
-                    contextvars.copy_context() for _ in range(num_tasks)
-                ]
-                with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                    outcomes = list(
-                        pool.map(
-                            lambda i: contexts[i].run(attempt_task, i),
-                            range(num_tasks),
-                        )
-                    )
-            else:
-                outcomes = [attempt_task(i) for i in range(num_tasks)]
+            outcomes = [attempt_task(i) for i in range(num_tasks)]
 
         results: List[Any] = []
         for result, cost, attempts, local_costs in outcomes:

@@ -3,13 +3,10 @@
 A job is the paper's four-stage unit (Sec. V-A): the input dataset is
 already split (its partitions are the map tasks), the ``mapper`` turns
 records into ``(key, value)`` pairs, the shuffle routes pairs to
-reducers, and the ``reducer`` aggregates each key group.  Two optional
-pieces match real deployments:
-
-* a ``combiner`` — map-side pre-aggregation, applied per map task;
-* simulated **cost functions** — per-record map cost and per-group
-  reduce cost, accumulated into per-task costs and scheduled onto the
-  simulated cluster to obtain the stage makespans the figures report.
+reducers, and the ``reducer`` aggregates each key group.  An optional
+per-record **map cost** is accumulated into per-task costs and
+scheduled onto the simulated cluster to obtain the stage makespans the
+figures report.
 """
 
 from __future__ import annotations
@@ -21,9 +18,7 @@ from repro.mapreduce.cluster import TaskStats
 
 Mapper = Callable[[Any], Iterable[Tuple[Hashable, Any]]]
 Reducer = Callable[[Hashable, List[Any]], Iterable[Any]]
-Combiner = Callable[[Hashable, List[Any]], Iterable[Tuple[Hashable, Any]]]
 MapCost = Callable[[Any], float]
-ReduceCost = Callable[[Hashable, List[Any]], float]
 
 
 @dataclass(frozen=True)
@@ -37,28 +32,16 @@ class MapReduceJob:
             makes the job *map-only*: mapper outputs are written out
             partition-for-partition with no shuffle (Spark's narrow
             stage; the VID feature-extraction job uses this).
-        combiner: optional map-side aggregation, (key, values) ->
-            iterable of (key, value); applied once per map task.
-        num_reducers: reduce-task count for shuffled jobs (ignored when
-            ``partitioner`` is given — its partition count wins).
+        num_reducers: reduce-task count for shuffled jobs; keys are
+            hash-partitioned over them.
         map_cost: simulated seconds of one core to map one record.
-        reduce_cost: simulated seconds to reduce one key group.
-        partitioner: custom key routing (e.g. a range partitioner for
-            sorted output); ``None`` uses hash partitioning.
-        key_order: sort key applied to each reduce task's keys before
-            reducing ("shuffled, *sorted* ... and grouped"); ``None``
-            sorts by ``repr``, which is deterministic for any key type.
     """
 
     name: str
     mapper: Mapper
     reducer: Optional[Reducer] = None
-    combiner: Optional[Combiner] = None
     num_reducers: int = 8
     map_cost: Optional[MapCost] = None
-    reduce_cost: Optional[ReduceCost] = None
-    partitioner: Optional[Any] = None
-    key_order: Optional[Callable[[Hashable], Any]] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -75,8 +58,7 @@ class JobMetrics:
 
     ``simulated_time`` is the number the paper's Figs. 8/9 plot: the
     sum of the two stages' makespans on the simulated cluster.
-    ``wall_time`` is the real elapsed seconds of this Python process,
-    reported by the engine ablation bench.
+    ``wall_time`` is the real elapsed seconds of this Python process.
     """
 
     job_name: str

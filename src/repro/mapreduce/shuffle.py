@@ -1,4 +1,4 @@
-"""Shuffle machinery: partitioners and the group-by-key exchange.
+"""Shuffle machinery: the hash partitioner and the group-by-key exchange.
 
 "Then all the (key, value) pairs from all mappers are shuffled, sorted
 to put in order and grouped" (paper Sec. V-A).  The EV-Matching
@@ -9,12 +9,16 @@ set id containing a given EID to one reducer (Sec. V-B).
 
 from __future__ import annotations
 
-import abc
 from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 
-class Partitioner(abc.ABC):
-    """Maps a key to one of ``num_partitions`` reducers."""
+class HashPartitioner:
+    """Maps a key to one of ``num_partitions`` reducers by a stable hash.
+
+    Uses a simple polynomial hash over ``repr(key)`` rather than
+    built-in ``hash`` so partition assignment is stable across
+    processes and Python's hash randomization — reproducibility again.
+    """
 
     def __init__(self, num_partitions: int) -> None:
         if num_partitions <= 0:
@@ -23,20 +27,8 @@ class Partitioner(abc.ABC):
             )
         self.num_partitions = num_partitions
 
-    @abc.abstractmethod
     def partition(self, key: Hashable) -> int:
         """The reducer index for ``key``, in ``[0, num_partitions)``."""
-
-
-class HashPartitioner(Partitioner):
-    """Stable hash partitioning (the MapReduce default).
-
-    Uses a simple polynomial hash over ``repr(key)`` rather than
-    built-in ``hash`` so partition assignment is stable across
-    processes and Python's hash randomization — reproducibility again.
-    """
-
-    def partition(self, key: Hashable) -> int:
         text = repr(key)
         value = 2166136261
         for ch in text.encode("utf-8", errors="backslashreplace"):
@@ -44,27 +36,9 @@ class HashPartitioner(Partitioner):
         return value % self.num_partitions
 
 
-class RangePartitioner(Partitioner):
-    """Partition by sorted key ranges (for ordered outputs).
-
-    Built from an explicit boundary list: key goes to the first range
-    whose upper boundary is >= key.  Used by ``RDD.sortBy``.
-    """
-
-    def __init__(self, boundaries: Sequence[Any]) -> None:
-        super().__init__(len(boundaries) + 1)
-        self.boundaries = tuple(boundaries)
-
-    def partition(self, key: Hashable) -> int:
-        for i, bound in enumerate(self.boundaries):
-            if key <= bound:  # type: ignore[operator]
-                return i
-        return len(self.boundaries)
-
-
 def bucket_pairs(
     pairs: Iterable[Tuple[Hashable, Any]],
-    partitioner: Partitioner,
+    partitioner: HashPartitioner,
 ) -> List[List[Tuple[Hashable, Any]]]:
     """One map task's shuffle write: split emitted pairs into buckets."""
     buckets: List[List[Tuple[Hashable, Any]]] = [

@@ -55,7 +55,16 @@ class ParallelMatchReport:
 
 
 class ParallelEVMatcher:
-    """Single / multiple / universal matching on the simulated cluster."""
+    """Single / multiple / universal matching on the simulated cluster.
+
+    The stages are the serial ones run as MapReduce jobs: the V stage's
+    results equal :class:`~repro.core.vid_filtering.VIDFilter`'s for
+    the same ``filter_config`` (topology included), and the SS split
+    equals :class:`~repro.core.set_splitting.SetSplitter`'s with the
+    ``RANDOM_TICK`` strategy — the MapReduce split always examines
+    scenarios in Algorithm 3's random-tick order, whatever
+    ``split_config.strategy`` says.
+    """
 
     def __init__(
         self,
@@ -65,7 +74,6 @@ class ParallelEVMatcher:
         filter_config: Optional[FilterConfig] = None,
         edp_config: Optional[EDPConfig] = None,
         cost_model: Optional[CostModel] = None,
-        executor: str = "serial",
         failure_policy: Optional[FailurePolicy] = None,
     ) -> None:
         self.store = store
@@ -77,15 +85,12 @@ class ParallelEVMatcher:
         )
         self.edp_config = edp_config if edp_config is not None else EDPConfig()
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.executor = executor
         self.failure_policy = failure_policy
 
     def _engine(self) -> MapReduceEngine:
         """A fresh engine (and DFS) per run keeps runs independent."""
         return MapReduceEngine(
-            cluster=self.cluster,
-            executor=self.executor,
-            failure_policy=self.failure_policy,
+            cluster=self.cluster, failure_policy=self.failure_policy
         )
 
     def _record_provenance(

@@ -5,7 +5,7 @@ Two MapReduce jobs:
 1. **Extraction** (map-only): "we use MapReduce to parallelize human
    detection and feature extraction by processing different V-Scenarios
    on different mappers.  Because these visual operations require no
-   data dependency."  The input is the *distinct* set of selected
+   data dependency."  The input is the *distinct* set of planned
    scenario keys — a scenario shared by many EIDs is extracted once,
    which is where set splitting's reuse pays off.  Each map task is
    charged the per-detection extraction cost; the stage makespan is the
@@ -13,31 +13,29 @@ Two MapReduce jobs:
 
 2. **Comparison**: "the V-Scenarios in the selected list of one EID
    will be conveyed to the same mapper to do feature comparison."  The
-   input records are ``(eid, scenario-key list)``; each mapper scores
-   and chooses detections with the exact same logic as the serial
-   :class:`~repro.core.vid_filtering.VIDFilter` (it *is* that filter,
-   run against a pre-extracted feature store) and is charged the
-   pairwise comparison cost.
+   input records are the target EIDs, one per map task; each mapper
+   decides its target with the serial
+   :class:`~repro.core.vid_filtering.VIDFilter`'s own ``_decide``
+   (planning, topology pruning and prior, Eq. 1 scoring and choice) and
+   is charged the pairwise comparison cost of its planned evidence.
+
+The filter plans every target and fills its pair table once, exactly as
+:meth:`VIDFilter.match` does, so the MapReduce results are bit-identical
+to the serial ones; the jobs model where that work runs and what it
+costs on the cluster.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.vid_filtering import (
-    FilterConfig,
-    MatchResult,
-    agreement_of,
-    membership_vector,
-)
+from repro.core.vid_filtering import FilterConfig, MatchResult, VIDFilter
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobMetrics, MapReduceJob
 from repro.metrics.timing import CostModel
-from repro.sensing.scenarios import Detection, ScenarioKey, ScenarioStore
+from repro.sensing.scenarios import ScenarioKey, ScenarioStore
 from repro.world.entities import EID
 
 
@@ -69,17 +67,11 @@ class ParallelVIDFilter:
         engine: MapReduceEngine,
         config: Optional[FilterConfig] = None,
         cost_model: Optional[CostModel] = None,
-        num_input_partitions: int = 56,
     ) -> None:
-        if num_input_partitions <= 0:
-            raise ValueError(
-                f"num_input_partitions must be positive, got {num_input_partitions}"
-            )
         self.store = store
         self.engine = engine
         self.config = config if config is not None else FilterConfig()
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.num_input_partitions = num_input_partitions
         self._name_counter = itertools.count()
 
     def match(
@@ -87,39 +79,24 @@ class ParallelVIDFilter:
     ) -> Tuple[Dict[EID, MatchResult], ParallelFilterStats]:
         """Run both jobs for every target in ``evidence``."""
         stats = ParallelFilterStats()
-        usable = {
-            eid: self._usable_keys(keys) for eid, keys in evidence.items()
-        }
-        distinct: List[ScenarioKey] = sorted(
-            {key for keys in usable.values() for key in keys}
-        )
-        features = self._extraction_job(distinct, stats)
-        results = self._comparison_job(usable, features, stats)
+        vid_filter = VIDFilter(self.store, self.config)
+        plans = {eid: vid_filter._evidence(keys) for eid, keys in evidence.items()}
+        ids = {eid: vid_filter._ids_of(plan[0]) for eid, plan in plans.items()}
+        vid_filter._fill(ids.values())
+        distinct = sorted({key for plan in plans.values() for key in plan[0]})
+        self._extraction_job(distinct, stats)
+        results = self._comparison_job(vid_filter, plans, ids, stats)
         return results, stats
 
     # ------------------------------------------------------------------
-    def _usable_keys(self, keys: Sequence[ScenarioKey]) -> List[ScenarioKey]:
-        """Same evidence hygiene as the serial filter."""
-        seen = set()
-        out: List[ScenarioKey] = []
-        for key in keys:
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(self.store.v_scenario(key)) > 0:
-                out.append(key)
-        if self.config.max_evidence is not None:
-            out = out[: self.config.max_evidence]
-        return out
-
     def _extraction_job(
         self,
         distinct: Sequence[ScenarioKey],
         stats: ParallelFilterStats,
-    ) -> Dict[ScenarioKey, np.ndarray]:
-        """Map-only fan-out: one record per distinct selected scenario."""
+    ) -> None:
+        """Map-only fan-out: one record per distinct planned scenario."""
         if not distinct:
-            return {}
+            return
         input_name = self._fresh("extract-in")
         # "Processing different V-Scenarios on different mappers": one
         # scenario per map task, so the stage balances itself.
@@ -128,8 +105,7 @@ class ParallelVIDFilter:
         extraction_cost = self.cost_model.v_extraction_cost
 
         def mapper(key: ScenarioKey):
-            scenario = store.v_scenario(key)
-            yield (key, scenario.feature_matrix())
+            yield (key, len(store.v_scenario(key)))
 
         job = MapReduceJob(
             name=self._fresh("extract"),
@@ -142,20 +118,19 @@ class ParallelVIDFilter:
         stats.extract_metrics = metrics
         stats.scenarios_extracted = len(distinct)
         stats.detections_extracted = sum(
-            len(store.v_scenario(k)) for k in distinct
+            count for _key, count in self.engine.dfs.read_all(handle.name)
         )
-        return dict(self.engine.dfs.read_all(handle.name))
 
     def _comparison_job(
         self,
-        usable: Mapping[EID, Sequence[ScenarioKey]],
-        features: Mapping[ScenarioKey, np.ndarray],
+        vid_filter: VIDFilter,
+        plans: Mapping[EID, Tuple[List[ScenarioKey], ...]],
+        ids: Mapping[EID, List[int]],
         stats: ParallelFilterStats,
     ) -> Dict[EID, MatchResult]:
-        """Per-EID comparison: one record per target, scored on a mapper."""
-        records = [
-            (eid, tuple(keys)) for eid, keys in sorted(usable.items())
-        ]
+        """Per-EID comparison: one record per target, decided on a mapper
+        from the filled pair table."""
+        records = sorted(plans)
         if not records:
             return {}
         input_name = self._fresh("compare-in")
@@ -164,23 +139,20 @@ class ParallelVIDFilter:
         self.engine.dfs.write_records(input_name, records, len(records))
         store = self.store
         comparison_cost = self.cost_model.v_comparison_cost
-        agreement_threshold = self.config.agreement_threshold
 
-        def comparisons_of(record) -> int:
-            _eid, keys = record
-            sizes = [len(store.v_scenario(k)) for k in keys]
+        def comparisons_of(eid: EID) -> int:
+            sizes = [len(store.v_scenario(k)) for k in plans[eid][0]]
             return sum(
                 a * b for i, a in enumerate(sizes) for j, b in enumerate(sizes) if i != j
             )
 
-        def mapper(record):
-            eid, keys = record
-            yield (eid, _score_target(eid, keys, store, features, agreement_threshold))
+        def mapper(eid: EID):
+            yield (eid, vid_filter._decide(eid, plans[eid], ids[eid]))
 
         job = MapReduceJob(
             name=self._fresh("compare"),
             mapper=mapper,
-            map_cost=lambda record: comparison_cost * comparisons_of(record),
+            map_cost=lambda eid: comparison_cost * comparisons_of(eid),
         )
         handle, metrics = self.engine.run(
             job, input_name, self._fresh("compare-out")
@@ -190,39 +162,3 @@ class ParallelVIDFilter:
 
     def _fresh(self, prefix: str) -> str:
         return f"{prefix}-{next(self._name_counter)}"
-
-
-def _score_target(
-    eid: EID,
-    keys: Sequence[ScenarioKey],
-    store: ScenarioStore,
-    features: Mapping[ScenarioKey, np.ndarray],
-    agreement_threshold: float,
-) -> MatchResult:
-    """One mapper's work: the serial scoring logic for one EID."""
-    if not keys:
-        return MatchResult(
-            eid=eid, scenario_keys=(), chosen=(), scores=(), agreement=0.0
-        )
-    chosen: List[Detection] = []
-    scores: List[float] = []
-    for key_a in keys:
-        scenario = store.v_scenario(key_a)
-        score_vec = np.ones(len(scenario))
-        for key_b in keys:
-            if key_b == key_a:
-                continue
-            score_vec = score_vec * membership_vector(
-                features[key_a], features[key_b]
-            )
-        winner = int(np.argmax(score_vec))
-        chosen.append(scenario.detections[winner])
-        scores.append(float(score_vec[winner]))
-    return MatchResult(
-        eid=eid,
-        scenario_keys=tuple(keys),
-        chosen=tuple(chosen),
-        scores=tuple(scores),
-        agreement=agreement_of(chosen, agreement_threshold),
-    )
-

@@ -17,17 +17,18 @@ EID partition and a batch of E-Scenarios:
   intersection of exactly those sets, i.e. one set of the refined
   partition.
 
-The driver records which scenario ids appear in signatures that split a
-set, maintains the same per-target candidate/evidence bookkeeping as
-the serial :class:`~repro.core.set_splitting.SetSplitter` (so serial
-and parallel produce comparably-shaped evidence), and iterates until
-every target is distinguished or the scenario pool is exhausted.
+The per-target candidate/evidence bookkeeping is the serial
+:class:`~repro.core.set_splitting.SetSplitter`'s own
+``_apply_scenario``, applied to each round's batch in tick order, so
+the split equals ``SetSplitter`` run with the ``RANDOM_TICK`` strategy:
+same evidence, recorded scenarios and candidate sets.  The driver
+iterates until every target is distinguished or the ticks run out.
 
-Vague attributes: Algorithm 3 is stated for the ideal setting.  This
-implementation applies the serial vague rule on the driver side — only
-inclusive sightings make a target eligible, and vague EIDs are never
-ruled out of candidate sets — while the signature jobs operate on the
-inclusive sets, so the MapReduce dataflow stays exactly the paper's.
+Vague attributes: Algorithm 3 is stated for the ideal setting.  The
+bookkeeping applies the serial vague rule — only inclusive sightings
+make a target eligible, and vague EIDs are never ruled out of candidate
+sets — while the signature jobs operate on the inclusive sets, so the
+MapReduce dataflow stays exactly the paper's.
 """
 
 from __future__ import annotations
@@ -38,7 +39,12 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.set_splitting import SplitConfig, SplitResult
+from repro.core.set_splitting import (
+    EvidenceDiversity,
+    SetSplitter,
+    SplitConfig,
+    SplitResult,
+)
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobMetrics, MapReduceJob
 from repro.metrics.timing import CostModel
@@ -46,10 +52,12 @@ from repro.obs import get_tracer
 from repro.sensing.scenarios import ScenarioKey, ScenarioStore
 from repro.world.entities import EID
 
-# Set ids distinguish partition sets from scenario sets so the driver
-# can tell which signature components are recordable scenarios.
+# Set ids distinguish partition sets ``("P", n)`` from scenario sets
+# ``("S", cell, tick)``; only scenario sets are charged map cost.
 PartitionSetId = Tuple[str, int]
-ScenarioSetId = Tuple[str, int, int]
+
+# Input partitions (= map tasks) and reducers of every split/merge job.
+NUM_PARTITIONS = 16
 
 
 @dataclass
@@ -71,7 +79,13 @@ class ParallelSplitStats:
 
 
 class ParallelSetSplitter:
-    """Algorithm 3 on the MapReduce engine."""
+    """Algorithm 3 on the MapReduce engine.
+
+    Scenarios are always examined in Algorithm 3's order — one random
+    tick's scenarios per round, ticks shuffled by ``config.seed`` —
+    whatever ``config.strategy`` says.  ``config.max_scenarios`` has
+    no counterpart in that dataflow and is rejected.
+    """
 
     def __init__(
         self,
@@ -79,17 +93,16 @@ class ParallelSetSplitter:
         engine: MapReduceEngine,
         config: Optional[SplitConfig] = None,
         cost_model: Optional[CostModel] = None,
-        num_input_partitions: int = 16,
     ) -> None:
-        if num_input_partitions <= 0:
-            raise ValueError(
-                f"num_input_partitions must be positive, got {num_input_partitions}"
-            )
         self.store = store
         self.engine = engine
         self.config = config if config is not None else SplitConfig()
+        if self.config.max_scenarios is not None:
+            raise ValueError(
+                "the MapReduce split has no examination budget; "
+                f"max_scenarios must be None, got {self.config.max_scenarios}"
+            )
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.num_input_partitions = num_input_partitions
         self._name_counter = itertools.count()
 
     def run(
@@ -100,10 +113,11 @@ class ParallelSetSplitter:
         """Iterate map/reduce/merge until all ``targets`` stand alone."""
         if not targets:
             raise ValueError("targets must not be empty")
+        splitter = SetSplitter(self.store, self.config)
         universe_set = (
             frozenset(universe)
             if universe is not None
-            else self._observed_universe()
+            else splitter._observed_universe()
         )
         missing = [t for t in targets if t not in universe_set]
         if missing:
@@ -113,15 +127,16 @@ class ParallelSetSplitter:
 
         result = SplitResult(targets=tuple(targets))
         stats = ParallelSplitStats()
-        candidates: Dict[EID, Set[EID]] = {t: set(universe_set) for t in targets}
+        diversity = EvidenceDiversity(self.config.min_gap_ticks)
+        candidates: Dict[EID, FrozenSet[EID]] = dict.fromkeys(
+            targets, universe_set
+        )
         for t in targets:
             result.evidence[t] = []
         active: Set[EID] = set(targets)
 
         # Current partition: set id -> members.  Starts as {U_eid}.
-        partition: Dict[PartitionSetId, FrozenSet[EID]] = {
-            ("P", 0): frozenset(universe_set)
-        }
+        partition: Dict[PartitionSetId, FrozenSet[EID]] = {("P", 0): universe_set}
         next_partition_id = 1
 
         rng = np.random.default_rng(self.config.seed)
@@ -132,7 +147,7 @@ class ParallelSetSplitter:
         for tick in ticks:
             if not active:
                 break
-            batch = self._preprocess(tick, active, result)
+            batch = self._preprocess(splitter, tick, active, result)
             if not batch:
                 continue
             stats.iterations += 1
@@ -147,61 +162,54 @@ class ParallelSetSplitter:
                 partition, next_partition_id = self._merge_job(
                     signatures, partition, next_partition_id, stats
                 )
-                self._update_targets(batch, candidates, active, result)
+                for key, _inclusive in batch:
+                    splitter._apply_scenario(
+                        key, result, candidates, active, diversity
+                    )
                 stats.partition_sets = len(partition)
                 round_span.set(
                     partition_sets=len(partition), undistinguished=len(active)
                 )
 
-        result.candidates = {t: frozenset(candidates[t]) for t in targets}
+        result.candidates = candidates
         return result, stats
 
     # ------------------------------------------------------------------
-    def _observed_universe(self) -> FrozenSet[EID]:
-        eids: Set[EID] = set()
-        for e_scenario in self.store.e_scenarios():
-            eids.update(e_scenario.eids)
-        if not eids:
-            raise ValueError("the scenario store contains no EIDs")
-        return frozenset(eids)
-
     def _preprocess(
         self,
+        splitter: SetSplitter,
         tick: int,
         active: Set[EID],
         result: SplitResult,
-    ) -> List[Tuple[ScenarioSetId, FrozenSet[EID], FrozenSet[EID]]]:
+    ) -> List[Tuple[ScenarioKey, FrozenSet[EID]]]:
         """One iteration's scenario batch: this tick's scenarios that
         contain at least one still-active target (inclusive)."""
         batch = []
         for key in self.store.keys_at_tick(tick):
             result.scenarios_examined += 1
-            e_scenario = self.store.e_scenario(key)
-            if self.config.treat_vague_as_inclusive:
-                inclusive = e_scenario.inclusive | e_scenario.vague
-                vague: FrozenSet[EID] = frozenset()
-            else:
-                inclusive = e_scenario.inclusive
-                vague = e_scenario.vague
+            inclusive, _allowed = splitter._scenario_sides(
+                self.store.e_scenario(key)
+            )
             if inclusive & active:
-                set_id: ScenarioSetId = ("S", key.cell_id, key.tick)
-                batch.append((set_id, inclusive, vague))
+                batch.append((key, inclusive))
         return batch
 
     def _signature_job(
         self,
         partition: Dict[PartitionSetId, FrozenSet[EID]],
-        batch: Sequence[Tuple[ScenarioSetId, FrozenSet[EID], FrozenSet[EID]]],
+        batch: Sequence[Tuple[ScenarioKey, FrozenSet[EID]]],
         stats: ParallelSplitStats,
     ) -> List[Tuple[Tuple, EID]]:
         """Map + reduce of Algorithm 3: EIDs to their set-id signatures."""
         records: List[Tuple[Tuple, FrozenSet[EID]]] = [
             (set_id, members) for set_id, members in partition.items()
         ]
-        records.extend((set_id, inclusive) for set_id, inclusive, _ in batch)
+        records.extend(
+            (("S", key.cell_id, key.tick), inclusive) for key, inclusive in batch
+        )
         input_name = self._fresh("split-in")
         self.engine.dfs.write_records(
-            input_name, records, min(self.num_input_partitions, len(records))
+            input_name, records, min(NUM_PARTITIONS, len(records))
         )
 
         e_cost = self.cost_model.e_scenario_cost
@@ -218,7 +226,7 @@ class ParallelSetSplitter:
             name=self._fresh("split"),
             mapper=mapper,
             reducer=reducer,
-            num_reducers=self.num_input_partitions,
+            num_reducers=NUM_PARTITIONS,
             map_cost=lambda record: e_cost if record[0][0] == "S" else 0.0,
         )
         handle, metrics = self.engine.run(job, input_name, self._fresh("split-out"))
@@ -237,7 +245,7 @@ class ParallelSetSplitter:
         self.engine.dfs.write_records(
             input_name,
             list(signatures),
-            min(self.num_input_partitions, max(len(signatures), 1)),
+            min(NUM_PARTITIONS, max(len(signatures), 1)),
         )
 
         def mapper(record):
@@ -251,7 +259,7 @@ class ParallelSetSplitter:
             name=self._fresh("merge"),
             mapper=mapper,
             reducer=reducer,
-            num_reducers=self.num_input_partitions,
+            num_reducers=NUM_PARTITIONS,
         )
         handle, metrics = self.engine.run(job, input_name, self._fresh("merge-out"))
         stats.job_metrics.append(metrics)
@@ -262,43 +270,6 @@ class ParallelSetSplitter:
             new_partition[("P", next_id)] = members
             next_id += 1
         return new_partition, next_id
-
-    def _update_targets(
-        self,
-        batch: Sequence[Tuple[ScenarioSetId, FrozenSet[EID], FrozenSet[EID]]],
-        candidates: Dict[EID, Set[EID]],
-        active: Set[EID],
-        result: SplitResult,
-    ) -> None:
-        """Apply the serial candidate/evidence rules for this batch.
-
-        Mirrors :meth:`SetSplitter._apply_scenario` so parallel and
-        serial evidence have the same shape (strict shrink + the
-        ``min_gap_ticks`` diversity rule); the scenario is recorded if
-        it helped any target.
-        """
-        gap = self.config.min_gap_ticks
-        for set_id, inclusive, vague in batch:
-            key = ScenarioKey(cell_id=set_id[1], tick=set_id[2])
-            allowed = inclusive | vague
-            helped = False
-            for target in inclusive:
-                if target not in active:
-                    continue
-                if candidates[target] <= allowed:
-                    continue
-                if gap and any(
-                    prior.cell_id == key.cell_id and abs(prior.tick - key.tick) < gap
-                    for prior in result.evidence[target]
-                ):
-                    continue
-                candidates[target] &= allowed
-                result.evidence[target].append(key)
-                helped = True
-                if len(candidates[target]) == 1:
-                    active.discard(target)
-            if helped:
-                result.recorded.append(key)
 
     def _fresh(self, prefix: str) -> str:
         return f"{prefix}-{next(self._name_counter)}"

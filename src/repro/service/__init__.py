@@ -51,21 +51,19 @@ from repro.service.loadgen import (
     run_load,
     run_load_socket,
 )
-from repro.service.metrics import EndpointMetrics, LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.server import MatchService, ServiceConfig
 
 __all__ = [
     "ALGORITHMS",
     "CacheStats",
     "DatasetShard",
-    "EndpointMetrics",
     "HealthResponse",
     "HealthTracker",
     "IngestTickRequest",
     "IngestTickResponse",
     "InvestigateRequest",
     "InvestigateResponse",
-    "LatencyHistogram",
     "LoadConfig",
     "LoadReport",
     "MatchBatcher",

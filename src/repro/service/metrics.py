@@ -30,72 +30,22 @@ smallest, so p50 of ``[1, 2, 3, 4]`` is deterministically 2.  See
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.obs.registry import (
-    DEFAULT_MAX_SAMPLES,
-    Histogram,
-    MetricsRegistry,
+from repro.obs.registry import DEFAULT_MAX_SAMPLES, MetricsRegistry
+
+
+# The counters of one endpoint's ``stats`` snapshot, in dict order.
+SNAPSHOT_COUNTERS: Tuple[str, ...] = (
+    "requests",
+    "ok",
+    "shed",
+    "errors",
+    "cache_hits",
+    "cache_misses",
+    "batched",
+    "deduplicated",
 )
-
-
-class LatencyHistogram(Histogram):
-    """Bounded reservoir of latency samples with exact percentiles.
-
-    A thin veneer over :class:`repro.obs.registry.Histogram` that keeps
-    the serving layer's historical API: ``record()``, a ``count``
-    *property* (total observations, not just retained ones), no-label
-    ``mean()`` / ``percentile()``.  Percentiles follow the pinned
-    nearest-rank convention.
-    """
-
-    def __init__(
-        self,
-        max_samples: int = DEFAULT_MAX_SAMPLES,
-        name: str = "latency_seconds",
-        help: str = "",
-    ) -> None:
-        super().__init__(name, help, max_samples=max_samples)
-
-    def record(self, latency_s: float) -> None:
-        self.observe(latency_s)
-
-    @property  # type: ignore[misc]
-    def count(self) -> int:  # type: ignore[override]
-        return Histogram.count(self)
-
-
-class EndpointMetrics:
-    """Read view of one endpoint's series inside a :class:`ServiceMetrics`."""
-
-    COUNTERS: Tuple[str, ...] = (
-        "requests",
-        "ok",
-        "shed",
-        "errors",
-        "cache_hits",
-        "cache_misses",
-        "batched",
-        "deduplicated",
-    )
-
-    def __init__(self, owner: "ServiceMetrics", endpoint: str) -> None:
-        self._owner = owner
-        self.endpoint = endpoint
-
-    def count(self, counter: str) -> int:
-        return self._owner._count(self.endpoint, counter)
-
-    def snapshot(self) -> Dict[str, float]:
-        out: Dict[str, float] = {
-            name: self._owner._count(self.endpoint, name)
-            for name in self.COUNTERS
-        }
-        latency = self._owner.latency
-        out["latency_mean_s"] = latency.mean(endpoint=self.endpoint)
-        for name, value in latency.percentiles(endpoint=self.endpoint).items():
-            out[f"latency_{name}_s"] = value
-        return out
 
 
 class ServiceMetrics:
@@ -116,7 +66,7 @@ class ServiceMetrics:
     ) -> None:
         self._lock = threading.Lock()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._endpoints: Dict[str, EndpointMetrics] = {}
+        self._endpoints: Set[str] = set()
         self.requests = self.registry.counter(
             "service_requests_total", "Requests seen, by endpoint"
         )
@@ -136,15 +86,7 @@ class ServiceMetrics:
             max_samples=max_samples,
         )
 
-    def endpoint(self, name: str) -> EndpointMetrics:
-        with self._lock:
-            view = self._endpoints.get(name)
-            if view is None:
-                view = EndpointMetrics(self, name)
-                self._endpoints[name] = view
-            return view
-
-    # Legacy counter names map onto (instrument, extra labels).
+    # Snapshot counter names map onto (instrument, extra labels).
     def _count(self, endpoint: str, counter: str) -> int:
         if counter == "requests":
             return int(self.requests.value(endpoint=endpoint))
@@ -158,21 +100,6 @@ class ServiceMetrics:
             return int(self.coalesced.value(endpoint=endpoint, how=counter))
         raise KeyError(f"unknown counter {counter!r}")
 
-    def incr(self, endpoint: str, counter: str, by: int = 1) -> None:
-        self.endpoint(endpoint)
-        if counter == "requests":
-            self.requests.inc(by, endpoint=endpoint)
-        elif counter in ("ok", "shed", "errors"):
-            outcome = "error" if counter == "errors" else counter
-            self.responses.inc(by, endpoint=endpoint, outcome=outcome)
-        elif counter in ("cache_hits", "cache_misses"):
-            event = "hit" if counter == "cache_hits" else "miss"
-            self.cache.inc(by, endpoint=endpoint, event=event)
-        elif counter in ("batched", "deduplicated"):
-            self.coalesced.inc(by, endpoint=endpoint, how=counter)
-        else:
-            raise KeyError(f"unknown counter {counter!r}")
-
     def observe(
         self,
         endpoint: str,
@@ -183,7 +110,8 @@ class ServiceMetrics:
         batched: bool = False,
     ) -> None:
         """Record one finished request."""
-        self.endpoint(endpoint)
+        with self._lock:
+            self._endpoints.add(endpoint)
         self.requests.inc(endpoint=endpoint)
         outcome = status if status in ("ok", "shed") else "error"
         self.responses.inc(endpoint=endpoint, outcome=outcome)
@@ -201,8 +129,17 @@ class ServiceMetrics:
         """Every endpoint's counters/percentiles, in the historical
         ``stats`` dict shape."""
         with self._lock:
-            endpoints = sorted(self._endpoints.items())
-        return {name: view.snapshot() for name, view in endpoints}
+            endpoints = sorted(self._endpoints)
+        return {name: self._snapshot_of(name) for name in endpoints}
+
+    def _snapshot_of(self, endpoint: str) -> Dict[str, float]:
+        out: Dict[str, float] = {
+            name: self._count(endpoint, name) for name in SNAPSHOT_COUNTERS
+        }
+        out["latency_mean_s"] = self.latency.mean(endpoint=endpoint)
+        for name, value in self.latency.percentiles(endpoint=endpoint).items():
+            out[f"latency_{name}_s"] = value
+        return out
 
     def render_prometheus(self) -> str:
         """This service's instrument family as text exposition."""

@@ -336,12 +336,19 @@ class TestTopologyCli:
         assert "topology:" in captured and "fitted edges" in captured
         assert "accuracy_pct" in captured
 
-    def test_match_topology_rejects_mapreduce(self, capsys):
+    def test_match_topology_on_mapreduce(self, tmp_path, capsys):
+        out = str(tmp_path / "world.npz")
         assert main(
-            ["match", "--topology", "--engine", "mapreduce",
-             "--people", "40", "--cells", "2", "--duration", "200"]
-        ) == 2
-        assert "not supported" in capsys.readouterr().err
+            ["build", "--out", out, "--people", "40", "--cells", "2",
+             "--duration", "200"]
+        ) == 0
+        assert main(
+            ["match", "--dataset", out, "--targets", "8", "--topology",
+             "--engine", "mapreduce", "--algorithm", "ss"]
+        ) == 0
+        captured = capsys.readouterr().out
+        assert "topology:" in captured
+        assert any(line.split()[:1] == ["ss"] for line in captured.splitlines())
 
     def test_match_topology_needs_a_fitted_graph(self, tmp_path, capsys):
         from repro.datagen.config import ExperimentConfig

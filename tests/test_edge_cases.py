@@ -11,7 +11,6 @@ from repro.datagen.config import ExperimentConfig
 from repro.datagen.dataset import build_dataset
 from repro.mapreduce.engine import MapReduceEngine
 from repro.parallel.filter_job import ParallelVIDFilter
-from repro.parallel.split_job import ParallelSetSplitter
 from repro.sensing.scenarios import (
     Detection,
     EScenario,
@@ -115,18 +114,6 @@ class TestFilterEdges:
         results, _stats = filt.match(split.evidence)
         for result in results.values():
             assert len(result.scenario_keys) <= 2
-
-    def test_parallel_filter_invalid_partitions(self, ideal_dataset):
-        with pytest.raises(ValueError):
-            ParallelVIDFilter(
-                ideal_dataset.store, MapReduceEngine(), num_input_partitions=0
-            )
-
-    def test_parallel_splitter_invalid_partitions(self, ideal_dataset):
-        with pytest.raises(ValueError):
-            ParallelSetSplitter(
-                ideal_dataset.store, MapReduceEngine(), num_input_partitions=0
-            )
 
 
 class TestWorldEdges:

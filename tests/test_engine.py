@@ -1,5 +1,5 @@
-"""Tests for the MapReduce engine: map-only and shuffled jobs,
-combiners, retry under injected failures, cost scheduling."""
+"""Tests for the MapReduce engine: map-only and shuffled jobs, retry
+under injected failures, cost scheduling."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.engine import JobFailedError, MapReduceEngine
 from repro.mapreduce.failures import FailurePolicy
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.shuffle import RangePartitioner
 
 
 def word_count_job(name="wc"):
@@ -48,50 +47,12 @@ class TestEngineBasics:
         assert engine.dfs.read_partition("output", 1) == (6,)
         assert metrics.reduce_tasks == 0
 
-    def test_combiner_reduces_shuffle_volume(self, engine):
-        engine.dfs.write_records("lines", ["a a a a"] * 4, num_partitions=2)
-        plain = word_count_job("plain")
-        combined = MapReduceJob(
-            name="combined",
-            mapper=plain.mapper,
-            reducer=plain.reducer,
-            combiner=lambda word, counts: ((word, sum(counts)),),
-            num_reducers=4,
-        )
-        _, metrics_plain = engine.run(plain, "lines", "out-plain")
-        _, metrics_combined = engine.run(combined, "lines", "out-combined")
-        assert dict(engine.dfs.read_all("out-plain")) == dict(
-            engine.dfs.read_all("out-combined")
-        )
-        assert metrics_combined.pairs_shuffled < metrics_plain.pairs_shuffled
-
-    def test_custom_partitioner_and_key_order(self, engine):
-        engine.dfs.write_records("nums", list(range(20)), num_partitions=3)
-        job = MapReduceJob(
-            name="sort",
-            mapper=lambda x: ((x, x),),
-            reducer=lambda k, vs: iter(vs),
-            partitioner=RangePartitioner([6, 13]),
-            key_order=lambda k: k,
-        )
-        handle, metrics = engine.run(job, "nums", "sorted")
-        assert metrics.reduce_tasks == 3
-        flat = engine.dfs.read_all("sorted")
-        assert flat == sorted(flat)
-
     def test_wall_time_recorded(self, engine):
         engine.dfs.write_records("xs", [1, 2, 3], num_partitions=1)
         _, metrics = engine.run(
             MapReduceJob(name="noop", mapper=lambda x: (x,)), "xs", "ys"
         )
         assert metrics.wall_time > 0
-
-    def test_invalid_executor(self):
-        with pytest.raises(ValueError):
-            MapReduceEngine(executor="processes")
-        with pytest.raises(ValueError):
-            MapReduceEngine(max_workers=0)
-
 
 class TestCostScheduling:
     def test_map_costs_drive_simulated_time(self):
@@ -106,13 +67,12 @@ class TestCostScheduling:
             mapper=lambda x: ((x, x),),
             reducer=lambda k, vs: (k,),
             map_cost=lambda x: 2.0,
-            reduce_cost=lambda k, vs: 1.0,
         )
         _, metrics = engine.run(job, "xs", "ys")
         assert metrics.map_stats.serial_cost == pytest.approx(20.0)
-        # One key ("1") -> reduce serial cost 1.0.
-        assert metrics.reduce_stats.serial_cost == pytest.approx(1.0)
-        assert metrics.simulated_time == pytest.approx(21.0)
+        # Reduce tasks carry no simulated work of their own.
+        assert metrics.reduce_stats.serial_cost == 0.0
+        assert metrics.simulated_time == pytest.approx(20.0)
 
     def test_more_slots_shrink_makespan(self):
         def run(slots):
@@ -176,12 +136,3 @@ class TestFailureRecovery:
                 flaky_time = metrics.map_stats.makespan
                 assert metrics.retries > 0
         assert flaky_time > quiet_time
-
-    def test_threads_executor_matches_serial(self):
-        def run(executor):
-            engine = MapReduceEngine(executor=executor)
-            engine.dfs.write_records("lines", ["x y z", "x"] * 5, num_partitions=4)
-            engine.run(word_count_job(), "lines", "counts")
-            return dict(engine.dfs.read_all("counts"))
-
-        assert run("serial") == run("threads")

@@ -1,8 +1,8 @@
 """Property tests: the MapReduce engine against reference semantics.
 
 For arbitrary generated inputs, a full engine run (any partitioning,
-with or without combiner, with injected failures) must equal a plain
-Python reference implementation of map -> group -> reduce.
+with injected failures) must equal a plain Python reference
+implementation of map -> group -> reduce.
 """
 
 from collections import defaultdict
@@ -29,7 +29,7 @@ def reference_sum_by_key(records):
     return dict(grouped)
 
 
-def run_engine(records, num_partitions, combiner=False, failure_rate=0.0, seed=0):
+def run_engine(records, num_partitions, failure_rate=0.0, seed=0):
     engine = MapReduceEngine(
         cluster=SimulatedCluster(ClusterConfig(num_nodes=2, cores_per_node=2)),
         failure_policy=FailurePolicy(
@@ -41,7 +41,6 @@ def run_engine(records, num_partitions, combiner=False, failure_rate=0.0, seed=0
         name="sum",
         mapper=lambda kv: (kv,),
         reducer=lambda k, vs: ((k, sum(vs)),),
-        combiner=(lambda k, vs: ((k, sum(vs)),)) if combiner else None,
         num_reducers=3,
     )
     engine.run(job, "in", "out")
@@ -53,13 +52,6 @@ class TestEngineSemantics:
     @settings(max_examples=40, deadline=None)
     def test_matches_reference(self, records, partitions):
         assert run_engine(records, partitions) == reference_sum_by_key(records)
-
-    @given(records_strategy, st.integers(min_value=1, max_value=7))
-    @settings(max_examples=40, deadline=None)
-    def test_combiner_is_transparent(self, records, partitions):
-        assert run_engine(records, partitions, combiner=True) == (
-            reference_sum_by_key(records)
-        )
 
     @given(
         records_strategy.filter(lambda r: len(r) > 0),

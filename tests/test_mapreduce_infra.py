@@ -9,7 +9,6 @@ from repro.mapreduce.failures import (
 )
 from repro.mapreduce.shuffle import (
     HashPartitioner,
-    RangePartitioner,
     bucket_pairs,
     merge_buckets,
 )
@@ -139,14 +138,6 @@ class TestPartitioners:
     def test_invalid_partition_count(self):
         with pytest.raises(ValueError):
             HashPartitioner(0)
-
-    def test_range_partitioner(self):
-        p = RangePartitioner([10, 20])
-        assert p.num_partitions == 3
-        assert p.partition(5) == 0
-        assert p.partition(10) == 0
-        assert p.partition(15) == 1
-        assert p.partition(99) == 2
 
 
 class TestBucketing:

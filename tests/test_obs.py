@@ -141,13 +141,14 @@ class TestPercentileConvention:
         assert series_a.bucket_counts == series_b.bucket_counts
 
     def test_latency_histogram_matches(self):
-        from repro.service.metrics import LatencyHistogram
+        from repro.service.metrics import ServiceMetrics
 
-        hist = LatencyHistogram()
+        metrics = ServiceMetrics()
         for v in (1.0, 2.0, 3.0, 4.0):
-            hist.record(v)
-        assert hist.percentile(50) == 2.0
-        assert hist.count == 4
+            metrics.observe("match", "ok", v)
+        assert metrics.latency.percentile(50, endpoint="match") == 2.0
+        assert metrics.latency.count(endpoint="match") == 4
+        assert metrics.snapshot()["match"]["latency_p50_s"] == 2.0
 
 
 class TestNoOpMode:
@@ -295,7 +296,7 @@ class TestPipelineInstrumentation:
         assert times.as_dict() == {"e": 1.5, "v": 2.5, "total": 4.0}
 
     def test_mapreduce_task_spans_parent_under_stage(self, registry, tracer):
-        engine = MapReduceEngine(executor="threads", max_workers=4)
+        engine = MapReduceEngine()
         engine.dfs.write_records("in", list(range(40)), 8)
         job = MapReduceJob(
             name="sum",

@@ -1,11 +1,15 @@
 """Tests for the parallel pipeline (Algorithm 3, V-stage jobs, EDP job,
-driver) including serial-vs-parallel consistency."""
+driver) including serial-vs-parallel equivalence."""
+
+import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.edp import EDPConfig, EDPMatcher
 from repro.core.matcher import EVMatcher, MatcherConfig
-from repro.core.set_splitting import SetSplitter, SplitConfig
+from repro.core.set_splitting import SelectionStrategy, SetSplitter, SplitConfig
 from repro.core.vid_filtering import FilterConfig, VIDFilter
 from repro.mapreduce.cluster import ClusterConfig
 from repro.mapreduce.engine import MapReduceEngine
@@ -13,6 +17,7 @@ from repro.parallel.driver import ParallelEVMatcher
 from repro.parallel.edp_job import ParallelEDP
 from repro.parallel.filter_job import ParallelVIDFilter
 from repro.parallel.split_job import ParallelSetSplitter
+from repro.topology import TopologyConfig
 
 
 @pytest.fixture
@@ -75,6 +80,14 @@ class TestParallelSetSplitter:
         with pytest.raises(ValueError, match="not in universe"):
             splitter.run([EID(10**6)])
 
+    def test_rejects_an_examination_budget(self, ideal_dataset, engine):
+        # Algorithm 3 examines whole ticks; a scenario budget has no
+        # counterpart there and must not be silently ignored.
+        with pytest.raises(ValueError, match="max_scenarios"):
+            ParallelSetSplitter(
+                ideal_dataset.store, engine, SplitConfig(max_scenarios=50)
+            )
+
 
 class TestParallelVIDFilter:
     def test_matches_serial_filter_exactly(self, ideal_dataset, engine):
@@ -83,13 +96,7 @@ class TestParallelVIDFilter:
         serial = VIDFilter(ideal_dataset.store, FilterConfig()).match(split.evidence)
         par_filter = ParallelVIDFilter(ideal_dataset.store, engine, FilterConfig())
         parallel, stats = par_filter.match(split.evidence)
-        assert set(parallel.keys()) == set(serial.keys())
-        for eid in serial:
-            assert serial[eid].scenario_keys == parallel[eid].scenario_keys
-            assert [d.detection_id for d in serial[eid].chosen] == [
-                d.detection_id for d in parallel[eid].chosen
-            ]
-            assert serial[eid].agreement == pytest.approx(parallel[eid].agreement)
+        assert_same_results(parallel, serial)
 
     def test_extraction_deduplicated(self, ideal_dataset, engine):
         targets = list(ideal_dataset.sample_targets(12, seed=6))
@@ -167,30 +174,22 @@ class TestParallelDriver:
         ).match(targets)
         assert large.times.total < small.times.total
 
-    def test_threads_executor_consistent(self, ideal_dataset):
-        targets = list(ideal_dataset.sample_targets(10, seed=13))
-        serial = ParallelEVMatcher(
-            ideal_dataset.store, split_config=SplitConfig(seed=7)
-        ).match(targets)
-        threaded = ParallelEVMatcher(
-            ideal_dataset.store, split_config=SplitConfig(seed=7), executor="threads"
-        ).match(targets)
-        assert serial.predictions_equal(threaded) if hasattr(serial, "predictions_equal") else (
-            {e: [d.detection_id for d in r.chosen] for e, r in serial.results.items()}
-            == {e: [d.detection_id for d in r.chosen] for e, r in threaded.results.items()}
-        )
-
     def test_serial_vs_parallel_same_accuracy_band(self, ideal_dataset):
+        # The MapReduce split examines scenarios in random-tick order,
+        # so the serial pipeline with that strategy is its exact twin.
         targets = list(ideal_dataset.sample_targets(30, seed=14))
+        split = SplitConfig(seed=7, strategy=SelectionStrategy.RANDOM_TICK)
         serial = EVMatcher(
-            ideal_dataset.store, MatcherConfig(split=SplitConfig(seed=7))
+            ideal_dataset.store, MatcherConfig(split=split)
         ).match(targets)
         parallel = ParallelEVMatcher(
-            ideal_dataset.store, split_config=SplitConfig(seed=7)
+            ideal_dataset.store, split_config=split
         ).match(targets)
-        s = serial.score(ideal_dataset.truth).accuracy
-        p = parallel.score(ideal_dataset.truth).accuracy
-        assert abs(s - p) <= 0.15
+        assert serial.score(ideal_dataset.truth) == parallel.score(
+            ideal_dataset.truth
+        )
+        assert parallel.num_selected == serial.num_selected
+        assert_same_results(parallel.results, serial.results)
 
 
 class TestFaultTolerantPipeline:
@@ -216,3 +215,85 @@ class TestFaultTolerantPipeline:
         }
         # Retried attempts occupied slots: the flaky schedule is no faster.
         assert flaky.times.total >= quiet.times.total
+
+
+def assert_same_results(parallel, serial):
+    """Field-for-field equality, with bit-equal scores and agreement."""
+    assert list(parallel) == list(serial)
+    for eid, want in serial.items():
+        got = parallel[eid]
+        assert got.eid == want.eid
+        assert got.scenario_keys == want.scenario_keys
+        assert got.chosen == want.chosen
+        assert got.scores == want.scores
+        assert got.agreement == want.agreement
+
+
+class TestSerialEquivalence:
+    """The MapReduce jobs run the production stages, so their results
+    equal the serial ones for every config, by construction.
+
+    The V stage also gets ``decoys`` random scenarios appended to each
+    target's evidence: split evidence is transit-consistent on this
+    world, and the decoys give the topology pruner and prior something
+    to drop and downweight.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        num_targets=st.integers(min_value=1, max_value=25),
+        target_seed=st.integers(min_value=0, max_value=10**4),
+        split_seed=st.integers(min_value=0, max_value=10**4),
+        max_evidence=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+        agreement_threshold=st.floats(min_value=0.3, max_value=0.9),
+        topology=st.sampled_from(
+            [None, (True, True), (True, False), (False, True)]
+        ),
+        decoys=st.integers(min_value=0, max_value=3),
+    )
+    def test_mapreduce_equals_serial(
+        self,
+        practical_dataset,
+        num_targets,
+        target_seed,
+        split_seed,
+        max_evidence,
+        agreement_threshold,
+        topology,
+        decoys,
+    ):
+        store = practical_dataset.store
+        targets = list(practical_dataset.sample_targets(num_targets, seed=target_seed))
+        split_config = SplitConfig(seed=split_seed)
+        serial_split = SetSplitter(
+            store, replace(split_config, strategy=SelectionStrategy.RANDOM_TICK)
+        ).run(targets)
+        parallel_split, _stats = ParallelSetSplitter(
+            store, MapReduceEngine(), split_config
+        ).run(targets)
+        assert parallel_split.evidence == serial_split.evidence
+        assert parallel_split.recorded == serial_split.recorded
+        assert parallel_split.candidates == serial_split.candidates
+
+        topology_config = None
+        if topology is not None:
+            prune, prior = topology
+            topology_config = TopologyConfig(
+                model=practical_dataset.topology, prune=prune, prior=prior
+            )
+        filter_config = FilterConfig(
+            max_evidence=max_evidence,
+            agreement_threshold=agreement_threshold,
+            topology=topology_config,
+        )
+        keys = list(store.keys)
+        rng = random.Random(split_seed)
+        evidence = {
+            eid: list(evidence) + rng.sample(keys, decoys)
+            for eid, evidence in serial_split.evidence.items()
+        }
+        serial = VIDFilter(store, filter_config).match(evidence)
+        parallel, _stats = ParallelVIDFilter(
+            store, MapReduceEngine(), filter_config
+        ).match(evidence)
+        assert_same_results(parallel, serial)

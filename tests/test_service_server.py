@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.matcher import EVMatcher
+from repro.obs.registry import Histogram
 from repro.sensing.scenarios import ScenarioStore
 from repro.service import (
     LoadConfig,
@@ -12,7 +13,7 @@ from repro.service import (
     run_load,
 )
 from repro.service.loadgen import build_request_pool
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 
 
 @pytest.fixture()
@@ -228,9 +229,9 @@ class TestInvestigateAndStats:
 
 class TestMetricsUnit:
     def test_percentiles(self):
-        hist = LatencyHistogram()
+        hist = Histogram("latency_seconds")
         for v in range(1, 101):
-            hist.record(float(v))
+            hist.observe(float(v))
         assert hist.percentile(50) == pytest.approx(50.0, abs=1.0)
         assert hist.percentile(99) == pytest.approx(99.0, abs=1.0)
         assert hist.mean() == pytest.approx(50.5)
@@ -238,10 +239,10 @@ class TestMetricsUnit:
             hist.percentile(101)
 
     def test_reservoir_bounded(self):
-        hist = LatencyHistogram(max_samples=10)
+        hist = Histogram("latency_seconds", max_samples=10)
         for v in range(100):
-            hist.record(float(v))
-        assert hist.count == 100
+            hist.observe(float(v))
+        assert hist.count() == 100
         # Window percentiles reflect the most recent samples only.
         assert hist.percentile(0) >= 90.0
 
