@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--queue-size", type=int, default=1024,
-        help="bounded admission queue capacity",
+        help="bounded admission queue capacity, in items (sighting "
+        "batches and camera frames)",
     )
     stream.add_argument(
         "--policy", choices=("block", "shed"), default="block",

@@ -321,6 +321,20 @@ def provenance_of(
     return tuple(records)
 
 
+def publish_run(algorithm: str, times: StageTimes) -> None:
+    """Fold one matching run's simulated stage times and its run count
+    into the default registry (local and MapReduce runs alike)."""
+    reg = get_registry()
+    for stage, seconds in times.as_dict().items():
+        reg.counter(
+            "ev_simulated_stage_seconds_total",
+            "Simulated stage seconds accumulated by matching runs",
+        ).inc(seconds, stage=stage, algorithm=algorithm)
+    reg.counter(
+        "ev_match_runs_total", "Matching runs completed"
+    ).inc(algorithm=algorithm)
+
+
 def _record_report(
     report: MatchReport,
     store: Optional[ScenarioStore] = None,
@@ -328,15 +342,7 @@ def _record_report(
 ) -> None:
     """Fold one run's simulated stage times into the default registry
     and, when a run/event audience exists, its provenance records."""
-    reg = get_registry()
-    for stage, seconds in report.times.as_dict().items():
-        reg.counter(
-            "ev_simulated_stage_seconds_total",
-            "Simulated stage seconds accumulated by matching runs",
-        ).inc(seconds, stage=stage, algorithm=report.algorithm)
-    reg.counter(
-        "ev_match_runs_total", "Matching runs completed"
-    ).inc(algorithm=report.algorithm)
+    publish_run(report.algorithm, report.times)
     if provenance_listening():
         record_provenance(
             provenance_of(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.edp import EDPConfig
+from repro.core.matcher import provenance_of, publish_run
 from repro.core.set_splitting import SplitConfig
 from repro.core.vid_filtering import FilterConfig, MatchResult
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
@@ -93,21 +94,20 @@ class ParallelEVMatcher:
             cluster=self.cluster, failure_policy=self.failure_policy
         )
 
-    def _record_provenance(
+    def _record_run(
         self,
-        algorithm: str,
-        results: Dict[EID, MatchResult],
+        report: ParallelMatchReport,
         candidates: Optional[Mapping[EID, int]],
     ) -> None:
-        """Same audit trail as the local matcher, engine-agnostic."""
+        """Same run metrics and audit trail as the local matcher,
+        engine-agnostic."""
+        publish_run(report.algorithm, report.times)
         if not provenance_listening():
             return
-        from repro.core.matcher import provenance_of
-
         record_provenance(
             provenance_of(
-                algorithm,
-                results,
+                report.algorithm,
+                report.results,
                 store=self.store,
                 candidates=candidates,
                 include_evidence=provenance_evidence_listening(),
@@ -133,12 +133,7 @@ class ParallelEVMatcher:
             )
             with get_tracer().span("v.filter", targets=len(split.evidence)):
                 results, filter_stats = vid_filter.match(split.evidence)
-        self._record_provenance(
-            "ss",
-            results,
-            {eid: len(members) for eid, members in split.candidates.items()},
-        )
-        return ParallelMatchReport(
+        report = ParallelMatchReport(
             algorithm="ss",
             targets=tuple(targets),
             results=results,
@@ -152,6 +147,11 @@ class ParallelEVMatcher:
             split_stats=split_stats,
             filter_stats=filter_stats,
         )
+        self._record_run(
+            report,
+            {eid: len(members) for eid, members in split.candidates.items()},
+        )
+        return report
 
     def match_edp(
         self,
@@ -173,8 +173,7 @@ class ParallelEVMatcher:
             )
             with get_tracer().span("v.filter", targets=len(e_result.evidence)):
                 results, filter_stats = vid_filter.match(e_result.evidence)
-        self._record_provenance("edp", results, None)
-        return ParallelMatchReport(
+        report = ParallelMatchReport(
             algorithm="edp",
             targets=tuple(targets),
             results=results,
@@ -187,3 +186,5 @@ class ParallelEVMatcher:
             ),
             filter_stats=filter_stats,
         )
+        self._record_run(report, None)
+        return report

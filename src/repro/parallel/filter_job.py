@@ -77,7 +77,8 @@ class ParallelVIDFilter:
     def match(
         self, evidence: Mapping[EID, Sequence[ScenarioKey]]
     ) -> Tuple[Dict[EID, MatchResult], ParallelFilterStats]:
-        """Run both jobs for every target in ``evidence``."""
+        """Run both jobs for every target in ``evidence``; publishes the
+        serial filter's ``ev_v_*`` and ``ev_topology_*`` counters."""
         stats = ParallelFilterStats()
         vid_filter = VIDFilter(self.store, self.config)
         plans = {eid: vid_filter._evidence(keys) for eid, keys in evidence.items()}
@@ -86,6 +87,7 @@ class ParallelVIDFilter:
         distinct = sorted({key for plan in plans.values() for key in plan[0]})
         self._extraction_job(distinct, stats)
         results = self._comparison_job(vid_filter, plans, ids, stats)
+        vid_filter.publish_metrics()
         return results, stats
 
     # ------------------------------------------------------------------

@@ -34,6 +34,7 @@ MapReduce dataflow stays exactly the paper's.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -110,9 +111,14 @@ class ParallelSetSplitter:
         targets: Sequence[EID],
         universe: Optional[Sequence[EID]] = None,
     ) -> Tuple[SplitResult, ParallelSplitStats]:
-        """Iterate map/reduce/merge until all ``targets`` stand alone."""
+        """Iterate map/reduce/merge until all ``targets`` stand alone.
+
+        Publishes the serial splitter's ``ev_e_*`` counters, labelled
+        ``backend="mapreduce"``.
+        """
         if not targets:
             raise ValueError("targets must not be empty")
+        started = time.perf_counter()
         splitter = SetSplitter(self.store, self.config)
         universe_set = (
             frozenset(universe)
@@ -172,6 +178,9 @@ class ParallelSetSplitter:
                 )
 
         result.candidates = candidates
+        splitter._publish_metrics(
+            result, time.perf_counter() - started, backend="mapreduce"
+        )
         return result, stats
 
     # ------------------------------------------------------------------

@@ -26,18 +26,18 @@ from repro.sensing.scenarios import (
 from repro.sensing.e_sensing import ESensingConfig, ESensingModel
 from repro.sensing.v_sensing import VSensingConfig, VSensingModel
 from repro.sensing.builder import (
-    CellSighting,
     ScenarioBuilder,
     ScenarioBuilderConfig,
+    SightingBatch,
     VFrame,
     WindowSensing,
-    attribute_eids,
+    attribute_columns,
+    window_scenarios,
 )
 from repro.sensing.index import ScenarioIndex
 from repro.sensing.stats import StoreStats, store_stats
 
 __all__ = [
-    "CellSighting",
     "Detection",
     "EScenario",
     "ESensingConfig",
@@ -45,9 +45,11 @@ __all__ = [
     "EVScenario",
     "ScenarioBuilder",
     "ScenarioBuilderConfig",
+    "SightingBatch",
     "VFrame",
     "WindowSensing",
-    "attribute_eids",
+    "attribute_columns",
+    "window_scenarios",
     "ScenarioIndex",
     "StoreStats",
     "store_stats",

@@ -8,9 +8,10 @@ emission:
   applied (the resume offset: the restored pipeline skips exactly this
   many events from the deterministic source);
 * the **watermark state** (``max_tick``, ``events_seen``);
-* the **open-window state** — per window, per cell: EID appearance
-  counts, vague-band counts, and the camera frame's detections
-  (features serialized as exact-roundtrip JSON floats);
+* the **open-window state** — per window: its on-time sightings as
+  columns in arrival order (ticks, cells, EID indices, vague flags),
+  and per cell its camera frame's tick and detections (features
+  serialized as exact-roundtrip JSON floats);
 * ``next_window`` — the emitted-scenario high-water mark: every window
   below it was closed and handed to the sink before the snapshot, so
   the restored run never re-emits it;
@@ -35,6 +36,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.sensing.builder import SightingBatch, VFrame
 from repro.sensing.scenarios import (
     Detection,
     EScenario,
@@ -45,8 +47,9 @@ from repro.sensing.scenarios import (
 from repro.stream.assembler import OpenWindow, WindowAssembler
 from repro.world.entities import EID, VID
 
-#: Bumped whenever the snapshot layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: Bumped whenever the snapshot layout changes incompatibly (2: open
+#: windows hold sighting columns and frame ticks, not per-EID counts).
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointMismatch(ValueError):
@@ -114,36 +117,58 @@ def scenario_from_json(payload: Dict[str, Any]) -> EVScenario:
     )
 
 
+class _EIDsByIndex(dict):
+    """Index → EID table for restored sightings: a fresh :class:`EID`
+    per index, made on first lookup."""
+
+    def __missing__(self, index: int) -> EID:
+        eid = self[index] = EID(index)
+        return eid
+
+
 def _window_to_json(state: OpenWindow) -> Dict[str, Any]:
+    sightings = state.sightings()
     return {
-        "counts": {
-            str(cell): {str(eid.index): n for eid, n in counts.items()}
-            for cell, counts in state.counts.items()
-        },
-        "vague": {
-            str(cell): {str(eid.index): n for eid, n in counts.items()}
-            for cell, counts in state.vague.items()
+        "sightings": {
+            column: (
+                [] if sightings is None else getattr(sightings, column).tolist()
+            )
+            for column in ("ticks", "cells", "eids", "vague")
         },
         "frames": {
-            str(cell): [_detection_to_json(d) for d in detections]
-            for cell, detections in state.frames.items()
+            str(cell): {
+                "tick": frame.tick,
+                "detections": [_detection_to_json(d) for d in frame.detections],
+            }
+            for cell, frame in state.frames.items()
         },
     }
 
 
 def _window_from_json(payload: Dict[str, Any]) -> OpenWindow:
+    columns = payload["sightings"]
+    chunks = []
+    if columns["ticks"]:
+        chunks.append(
+            SightingBatch(
+                ticks=np.asarray(columns["ticks"], dtype=np.int64),
+                cells=np.asarray(columns["cells"], dtype=np.int64),
+                eids=np.asarray(columns["eids"], dtype=np.int64),
+                vague=np.asarray(columns["vague"], dtype=bool),
+                eid_table=_EIDsByIndex(),
+            )
+        )
     return OpenWindow(
-        counts={
-            int(cell): {EID(int(e)): int(n) for e, n in counts.items()}
-            for cell, counts in payload["counts"].items()
-        },
-        vague={
-            int(cell): {EID(int(e)): int(n) for e, n in counts.items()}
-            for cell, counts in payload["vague"].items()
-        },
+        chunks=chunks,
         frames={
-            int(cell): tuple(_detection_from_json(d) for d in detections)
-            for cell, detections in payload["frames"].items()
+            int(cell): VFrame(
+                tick=int(frame["tick"]),
+                cell_id=int(cell),
+                detections=tuple(
+                    _detection_from_json(d) for d in frame["detections"]
+                ),
+            )
+            for cell, frame in payload["frames"].items()
         },
     )
 

@@ -2,14 +2,16 @@
 
 The pipeline's producer (a sensor source) and consumer (the window
 assembler) are decoupled by a bounded FIFO so a slow consumer cannot
-grow memory without bound.  Two overflow policies, mirroring the
-serving layer's admission queue semantics
-(:mod:`repro.service.server`):
+grow memory without bound.  The queue holds opaque items — the stream
+puts sighting batches and camera frames in it — so its capacity and
+its ``offered``/``shed`` tallies count items, not events.  Two
+overflow policies, mirroring the serving layer's admission queue
+semantics (:mod:`repro.service.server`):
 
 * ``"block"`` — the producer waits for space (lossless backpressure;
   the default, and the mode the checkpoint/equivalence guarantees
   assume);
-* ``"shed"`` — the newest event is dropped and counted, like the
+* ``"shed"`` — the newest item is dropped and counted, like the
   service shedding a request when its admission queue is full
   (bounded loss under overload, never unbounded latency).
 
@@ -30,7 +32,7 @@ class BoundedEventQueue:
     """Thread-safe bounded FIFO between one producer and one consumer.
 
     Args:
-        capacity: maximum buffered events.
+        capacity: maximum buffered items.
         policy: ``"block"`` or ``"shed"`` (see module docstring).
     """
 
@@ -50,8 +52,8 @@ class BoundedEventQueue:
         self._offered = 0
         self._shed = 0
 
-    def put(self, event) -> bool:
-        """Offer one event; returns ``False`` when it was shed."""
+    def put(self, item) -> bool:
+        """Offer one item; returns ``False`` when it was shed."""
         with self._lock:
             self._offered += 1
         if self.policy == "block":
@@ -60,7 +62,7 @@ class BoundedEventQueue:
             with self._lock:
                 self._shed += 1
             return False
-        self._queue.put(event)
+        self._queue.put(item)
         return True
 
     def put_sentinel(self) -> None:
@@ -68,7 +70,7 @@ class BoundedEventQueue:
         self._queue.put(None)
 
     def get(self, timeout: Optional[float] = None):
-        """Take the next event (or the ``None`` sentinel)."""
+        """Take the next item (or the ``None`` sentinel)."""
         item = self._queue.get(timeout=timeout)
         if item is not None:
             self._slots.release()
@@ -80,12 +82,12 @@ class BoundedEventQueue:
 
     @property
     def offered(self) -> int:
-        """Events the producer has offered (shed ones included)."""
+        """Items the producer has offered (shed ones included)."""
         with self._lock:
             return self._offered
 
     @property
     def shed(self) -> int:
-        """Events dropped by the ``shed`` policy."""
+        """Items dropped by the ``shed`` policy."""
         with self._lock:
             return self._shed

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 
 class WatermarkTracker:
     """Tracks the event-time high-water mark and derives the watermark.
@@ -45,6 +47,21 @@ class WatermarkTracker:
         if self._max_tick is None or tick > self._max_tick:
             self._max_tick = tick
         return self.watermark
+
+    def observe_many(self, ticks: np.ndarray) -> np.ndarray:
+        """Account a run of events' ticks, in arrival order; returns the
+        high-water mark after each of them (its watermark is that
+        minus ``allowed_lateness``)."""
+        if not len(ticks):
+            return np.empty(0, dtype=np.int64)
+        if ticks.min() < 0:
+            raise ValueError(f"event tick must be non-negative, got {ticks.min()}")
+        marks = np.maximum.accumulate(ticks)
+        if self._max_tick is not None:
+            marks = np.maximum(marks, self._max_tick)
+        self._events_seen += len(ticks)
+        self._max_tick = int(marks[-1])
+        return marks
 
     @property
     def watermark(self) -> Optional[int]:

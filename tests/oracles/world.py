@@ -17,7 +17,8 @@ literal so the equivalence suite can check production against it:
 Everything production must reproduce bit for bit is computed here
 independently: positions, random draw order, cell ids, zones, feature
 arithmetic, detection ids and the camera graph.  Only configuration,
-data types and the attribution rule are shared.
+data types and the per-event stream oracle's attribution rule
+(:mod:`tests.oracles.stream`) are shared.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.datagen.dataset import make_grid, make_mobility_model
 from repro.mobility.gauss_markov import GaussMarkov
 from repro.mobility.hotspot import HotspotWaypoint
 from repro.mobility.random_walk import RandomWalk
-from repro.sensing.builder import CellSighting, VFrame, attribute_eids
+from repro.sensing.builder import VFrame
 from repro.sensing.scenarios import (
     Detection,
     EScenario,
@@ -47,6 +48,7 @@ from repro.world.cells import CellGrid, HexCellGrid, ZoneKind
 from repro.world.entities import EID, VID
 from repro.world.geometry import BoundingBox, Point, Vector
 from repro.world.population import Population
+from tests.oracles.stream import CellSighting, attribute_eids
 
 # -- mobility ----------------------------------------------------------
 

@@ -350,6 +350,35 @@ class TestTopologyCli:
         assert "topology:" in captured
         assert any(line.split()[:1] == ["ss"] for line in captured.splitlines())
 
+    def test_mapreduce_publishes_the_local_match_metrics(self, tmp_path, capsys):
+        from repro.obs import MetricsRegistry, set_registry
+
+        out = str(tmp_path / "world.npz")
+        assert main(
+            ["build", "--out", out, "--people", "40", "--cells", "2",
+             "--duration", "200"]
+        ) == 0
+        names = {}
+        for engine in ("local", "mapreduce"):
+            previous = set_registry(MetricsRegistry())
+            try:
+                capsys.readouterr()
+                assert main(
+                    ["match", "--dataset", out, "--targets", "8", "--topology",
+                     "--metrics", "--engine", engine]
+                ) == 0
+            finally:
+                set_registry(previous)
+            names[engine] = {
+                line.split("{")[0].split()[0]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("ev_")
+            }
+        assert "ev_match_runs_total" in names["local"]
+        assert "ev_e_scenarios_examined_total" in names["local"]
+        assert "ev_v_comparisons_total" in names["local"]
+        assert names["mapreduce"] == names["local"]
+
     def test_match_topology_needs_a_fitted_graph(self, tmp_path, capsys):
         from repro.datagen.config import ExperimentConfig
         from repro.datagen.dataset import build_dataset
