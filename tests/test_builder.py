@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.mobility.random_waypoint import RandomWaypoint
 from repro.mobility.trace import generate_traces
@@ -189,3 +190,58 @@ class TestPracticalBuild:
             d.true_vid for key in store.keys for d in store.v_scenario(key)
         }
         assert len(seen_vids) == 40
+
+
+class TestAttributeColumns:
+    """The columnar attribution rule against the per-EID dict rule of
+    the stream oracle, on random sighting columns."""
+
+    @staticmethod
+    def expected(cells, eids, vague, window_ticks, inclusive, vague_threshold):
+        from tests.oracles.stream import attribute_eids
+
+        counts, vague_counts = {}, {}
+        for cell, eid, in_band in zip(cells, eids, vague):
+            cell_counts = counts.setdefault(cell, {})
+            cell_counts[eid] = cell_counts.get(eid, 0) + 1
+            if in_band:
+                band = vague_counts.setdefault(cell, {})
+                band[eid] = band.get(eid, 0) + 1
+        return {
+            cell: attribute_eids(
+                seen,
+                vague_counts.get(cell, {}),
+                window_ticks,
+                inclusive,
+                vague_threshold,
+            )
+            for cell, seen in counts.items()
+        }
+
+    @given(
+        sightings=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=0, max_value=6),
+                st.booleans(),
+            ),
+            max_size=40,
+        ),
+        window_ticks=st.integers(min_value=1, max_value=6),
+        thresholds=st.sampled_from([(0.75, 0.25), (0.5, 0.5), (1.0, 0.3)]),
+    )
+    def test_matches_the_per_eid_rule(self, sightings, window_ticks, thresholds):
+        from repro.sensing.builder import attribute_columns
+
+        cells = [c for c, _e, _v in sightings]
+        eids = [e for _c, e, _v in sightings]
+        vague = [v for _c, _e, v in sightings]
+        got = attribute_columns(
+            np.array(cells, dtype=np.int64),
+            np.array(eids, dtype=np.int64),
+            np.array(vague, dtype=bool),
+            window_ticks,
+            *thresholds,
+        )
+        want = self.expected(cells, eids, vague, window_ticks, *thresholds)
+        assert {cell: (list(i), list(v)) for cell, (i, v) in got.items()} == want
