@@ -782,8 +782,7 @@ def run_inspect(args: argparse.Namespace, out=None) -> int:
     store = dataset.store
     dims = 0
     for key in store.keys[:1]:
-        matrix = store.v_scenario(key).feature_matrix()
-        dims = matrix.shape[1] if matrix.ndim == 2 else 0
+        dims = store.v_scenario(key).features.shape[1]
     feature_bytes = stats.total_detections * dims * 8
     print("\nscenario store:", file=out)
     print(

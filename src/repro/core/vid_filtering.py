@@ -447,13 +447,13 @@ class VIDFilter:
         scores: List[float] = []
         rows: List[np.ndarray] = []
         for i, (scenario, score_vec) in enumerate(zip(scenarios, vectors)):
-            features = scenario.feature_matrix()
+            features = scenario.features
             if weights is not None:
                 score_vec = score_vec * weights[i]
             if centroids is not None:
                 score_vec = self._suppress_claimed(features, score_vec, centroids)
             winner = int(score_vec.argmax())
-            chosen.append(scenario.detections[winner])
+            chosen.append(scenario.detection(winner))
             scores.append(float(score_vec[winner]))
             rows.append(features[winner])
         return MatchResult(
@@ -543,7 +543,7 @@ class VIDFilter:
 
     def _features_of(self, scenario_id: int) -> np.ndarray:
         """The feature matrix of a scenario, by per-filter id."""
-        return self._scenarios[scenario_id].feature_matrix()
+        return self._scenarios[scenario_id].features
 
     def _topology_weights(self, keys: Sequence[ScenarioKey]) -> Optional[np.ndarray]:
         """Per-scenario transit-consistency multipliers, or ``None``.

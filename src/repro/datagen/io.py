@@ -49,7 +49,6 @@ from repro.datagen.config import ExperimentConfig
 from repro.datagen.dataset import EVDataset
 from repro.mobility.random_waypoint import RandomWaypointConfig
 from repro.sensing.scenarios import (
-    Detection,
     EScenario,
     EVScenario,
     ScenarioKey,
@@ -57,7 +56,7 @@ from repro.sensing.scenarios import (
     VScenario,
 )
 from repro.world.cells import CellGrid, HexCellGrid
-from repro.world.entities import EID, VID
+from repro.world.entities import EID
 from repro.world.geometry import BoundingBox
 from repro.world.population import Population
 
@@ -84,27 +83,24 @@ def save_dataset(dataset: EVDataset, path: Union[str, Path]) -> Path:
     incl_offsets = [0]
     vague_flat: List[int] = []
     vague_offsets = [0]
-    det_offsets = [0]
-    det_ids: List[int] = []
-    det_vids: List[int] = []
-    det_features: List[np.ndarray] = []
+    v_scenarios = []
     for key in store.keys:
         scenario = store.get(key)
         incl_flat.extend(sorted(e.index for e in scenario.e.inclusive))
         incl_offsets.append(len(incl_flat))
         vague_flat.extend(sorted(e.index for e in scenario.e.vague))
         vague_offsets.append(len(vague_flat))
-        for detection in scenario.v.detections:
-            det_ids.append(detection.detection_id)
-            det_vids.append(detection.true_vid.index)
-            det_features.append(detection.feature)
-        det_offsets.append(len(det_ids))
+        v_scenarios.append(scenario.v)
 
-    features = (
-        np.stack(det_features)
-        if det_features
-        else np.empty((0, dataset.config.feature_dimension))
-    )
+    det_offsets = np.cumsum([0] + [len(v) for v in v_scenarios], dtype=np.int64)
+    filled = [v for v in v_scenarios if len(v)]
+    if filled:
+        det_ids = np.concatenate([v.detection_ids for v in filled])
+        det_vids = np.concatenate([v.vids for v in filled])
+        features = np.concatenate([v.features for v in filled])
+    else:
+        det_ids = det_vids = np.empty(0, dtype=np.int64)
+        features = np.empty((0, dataset.config.feature_dimension))
     config_json = json.dumps(dataclasses.asdict(dataset.config))
     # The fitted camera graph rides along as extra (optional) arrays:
     # old files simply lack the topo_* keys and load with
@@ -128,9 +124,9 @@ def save_dataset(dataset: EVDataset, path: Union[str, Path]) -> Path:
                 incl_offsets=np.array(incl_offsets, dtype=np.int64),
                 vague_flat=np.array(vague_flat, dtype=np.int64),
                 vague_offsets=np.array(vague_offsets, dtype=np.int64),
-                det_offsets=np.array(det_offsets, dtype=np.int64),
-                det_ids=np.array(det_ids, dtype=np.int64),
-                det_vids=np.array(det_vids, dtype=np.int64),
+                det_offsets=det_offsets,
+                det_ids=det_ids,
+                det_vids=det_vids,
                 det_features=features,
                 **topo_arrays,
             )
@@ -242,20 +238,13 @@ def _read_scenarios(archive) -> List[EVScenario]:
                 f"for {len(det_ids)} det_ids"
             )
 
-    # Convert each column to Python ints once, and build one EID / VID
-    # per distinct index, shared by every scenario that holds it (both
-    # types hash and compare by index).  Each feature stays a row view
-    # of the loaded matrix.
+    # Convert each E column to Python ints once, and build one EID per
+    # distinct index, shared by every scenario that holds it (EIDs hash
+    # and compare by index).  The V columns stay columns: each
+    # scenario holds views of the loaded arrays.
     eid_of = {i: EID(i) for i in np.union1d(incl_flat, vague_flat).tolist()}
-    vid_of = {i: VID(i) for i in np.unique(det_vids).tolist()}
     inclusive = [eid_of[i] for i in incl_flat.tolist()]
     vague = [eid_of[i] for i in vague_flat.tolist()]
-    detections = [
-        Detection(detection_id, feature, vid_of[vid])
-        for detection_id, feature, vid in zip(
-            det_ids.tolist(), det_features, det_vids.tolist()
-        )
-    ]
 
     incl_bounds = incl_offsets.tolist()
     vague_bounds = vague_offsets.tolist()
@@ -263,6 +252,7 @@ def _read_scenarios(archive) -> List[EVScenario]:
     scenarios: List[EVScenario] = []
     for i, (cell_id, tick) in enumerate(keys.tolist()):
         key = ScenarioKey(cell_id=cell_id, tick=tick)
+        rows = slice(det_bounds[i], det_bounds[i + 1])
         scenarios.append(
             EVScenario(
                 e=EScenario(
@@ -272,11 +262,7 @@ def _read_scenarios(archive) -> List[EVScenario]:
                     ),
                     vague=frozenset(vague[vague_bounds[i] : vague_bounds[i + 1]]),
                 ),
-                v=VScenario(
-                    key=key,
-                    detections=tuple(detections[det_bounds[i] : det_bounds[i + 1]]),
-                    features=det_features[det_bounds[i] : det_bounds[i + 1]],
-                ),
+                v=VScenario(key, det_ids[rows], det_vids[rows], det_features[rows]),
             )
         )
     return scenarios

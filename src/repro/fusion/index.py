@@ -108,10 +108,9 @@ class FusedIndex:
         centroids = np.stack([self._profiles[e].centroid for e in eids])
         for key in self.store.keys:
             scenario = self.store.v_scenario(key)
-            if not scenario.detections:
+            if not len(scenario):
                 continue
-            features = scenario.feature_matrix()
-            dots = features @ centroids.T
+            dots = scenario.features @ centroids.T
             sims = 1.0 - np.sqrt(np.clip(2.0 - 2.0 * dots, 0.0, None)) / 2.0
             best = sims.argmax(axis=1)
             best_sim = sims.max(axis=1)
@@ -162,8 +161,8 @@ class FusedIndex:
             electronic = sorted(
                 e for e in self.store.e_scenario(key).inclusive if e in self._profiles
             )
-            for detection in self.store.v_scenario(key).detections:
-                owner = self._detection_owner.get(detection.detection_id)
+            for detection_id in self.store.v_scenario(key).detection_ids.tolist():
+                owner = self._detection_owner.get(detection_id)
                 if owner is not None:
                     visual.append(owner)
         return electronic, sorted(set(visual))

@@ -26,12 +26,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.fusion.trajectories import build_v_tracklets
-from repro.sensing.scenarios import (
-    Detection,
-    EVScenario,
-    ScenarioStore,
-    VScenario,
-)
+from repro.sensing.scenarios import EVScenario, ScenarioStore, VScenario
 
 
 def smooth_store(
@@ -74,18 +69,21 @@ def smooth_store(
     scenarios: List[EVScenario] = []
     for key in store.keys:
         scenario = store.get(key)
-        detections = tuple(
-            Detection(
-                detection_id=d.detection_id,
-                feature=smoothed_feature.get(d.detection_id, d.feature),
-                true_vid=d.true_vid,
-            )
-            for d in scenario.v.detections
-        )
+        v = scenario.v
+        features = v.features
+        smoothed = [
+            (row, smoothed_feature[detection_id])
+            for row, detection_id in enumerate(v.detection_ids.tolist())
+            if detection_id in smoothed_feature
+        ]
+        if smoothed:
+            features = features.copy()
+            for row, feature in smoothed:
+                features[row] = feature
         scenarios.append(
             EVScenario(
                 e=scenario.e,
-                v=VScenario(key=key, detections=detections),
+                v=VScenario(key, v.detection_ids, v.vids, features),
             )
         )
     return ScenarioStore(scenarios)

@@ -154,7 +154,7 @@ def build_v_tracklets(
 
     for tick in store.ticks:
         for key in store.keys_at_tick(tick):
-            scenario = store.v_scenario(key)
+            detections = store.v_scenario(key).detections
             cell_id = key.cell_id
             open_ids = [
                 tid
@@ -162,10 +162,10 @@ def build_v_tracklets(
                 if tick - tracklets[tid].last_tick <= max_gap + 1
             ]
             assigned = _link_window(
-                tracklets, open_ids, scenario.detections, tick, link_threshold
+                tracklets, open_ids, detections, tick, link_threshold
             )
             # Unlinked detections start new tracklets.
-            for detection in scenario.detections:
+            for detection in detections:
                 if detection.detection_id in assigned:
                     continue
                 tracklet = VTracklet(

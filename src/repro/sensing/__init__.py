@@ -7,8 +7,8 @@ the two observation streams the paper's algorithms consume:
   practical setting's drift noise and missing-EID effects
   (:mod:`repro.sensing.e_sensing`);
 * the **V side** — cameras capturing per-cell person detections with
-  appearance features and missed detections
-  (:mod:`repro.sensing.v_sensing`);
+  appearance features and missed detections, held as id, VID and
+  feature columns (:mod:`repro.sensing.v_sensing`);
 
 and assembles them into :class:`~repro.sensing.scenarios.EVScenario`
 snapshots (Definition 1 in the paper) via

@@ -62,6 +62,7 @@ from repro.sensing.scenarios import (
     ScenarioKey,
     ScenarioStore,
     VScenario,
+    detection_columns,
 )
 from repro.sensing.v_sensing import VSensingModel
 from repro.world.cells import ZONE_CODE, CellGrid, HexCellGrid, ZoneKind
@@ -71,7 +72,7 @@ from repro.world.population import Population
 CellDecomposition = Union[CellGrid, HexCellGrid]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VFrame:
     """One cell's camera frame for a window: the V-side unit of raw
     sensor output (and the V-side stream event of :mod:`repro.stream`).
@@ -81,19 +82,45 @@ class VFrame:
     even when every detection was missed, because the batch builder
     records a scenario for exactly those cells.
 
+    The detections are held as the columns a
+    :class:`~repro.sensing.scenarios.VScenario` stores, which takes
+    them over as they are.
+
     Attributes:
         tick: the window's middle tick (event time).
         cell_id: the filming cell.
-        detections: the extracted appearance detections (may be empty).
-        features: their ``(n, d)`` feature block (rows are the
-            detections' features), or ``None`` when the frame was built
-            without one.
+        detection_ids: the extracted detections' ids (int64; may be
+            empty).
+        vids: their ground-truth VID indices (int64).
+        features: their ``(n, d)`` feature block.
+
+    Two frames are equal when their tick, cell and detection ids are.
     """
 
     tick: int
     cell_id: int
-    detections: Tuple[Detection, ...]
-    features: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    detection_ids: np.ndarray = field(repr=False)
+    vids: np.ndarray = field(repr=False)
+    features: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(
+        cls, tick: int, cell_id: int, detections: Sequence[Detection] = ()
+    ) -> "VFrame":
+        """The frame holding ``detections``, in order, as columns."""
+        return cls(tick, cell_id, *detection_columns(detections))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VFrame):
+            return NotImplemented
+        return (
+            self.tick == other.tick
+            and self.cell_id == other.cell_id
+            and np.array_equal(self.detection_ids, other.detection_ids)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.tick, self.cell_id))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +275,12 @@ def window_scenarios(
                     inclusive=frozenset([eid_table[e] for e in inclusive]),
                     vague=frozenset([eid_table[e] for e in vague_ids]),
                 ),
-                v=VScenario(
-                    key=key,
-                    detections=frame.detections if frame is not None else (),
-                    features=frame.features if frame is not None else None,
+                v=(
+                    VScenario.of(key)
+                    if frame is None
+                    else VScenario(
+                        key, frame.detection_ids, frame.vids, frame.features
+                    )
                 ),
             )
         )
@@ -422,13 +451,8 @@ class ScenarioBuilder:
             [present_vids[start:end] for start, end in zip(starts, ends)], rng
         )
         frames = tuple(
-            VFrame(
-                tick=first_tick + middle,
-                cell_id=cell_id,
-                detections=found,
-                features=features,
-            )
-            for cell_id, (found, features) in zip(frame_cells.tolist(), blocks)
+            VFrame(first_tick + middle, cell_id, ids, vids, features)
+            for cell_id, (ids, vids, features) in zip(frame_cells.tolist(), blocks)
         )
         return WindowSensing(
             window=window,

@@ -6,24 +6,36 @@ E-Scenario (EIDs only) and a V-Scenario (VIDs only).  For the practical
 setting the snapshot is taken over a short time window and each EID
 carries an *inclusive* or *vague* attribute (Sec. IV-C.2).
 
-On the V side the unit of data is a :class:`Detection`: one human figure
-found in the scenario's video, carrying the extracted appearance feature
-vector.  Crucially the matcher never sees which VID a detection belongs
-to — the ``true_vid`` field is ground truth reserved for the accuracy
-metric — because linking detections across scenarios by appearance *is*
-the problem VID filtering solves.
+On the V side the unit of data is a detection: one human figure found
+in the scenario's video, carrying the extracted appearance feature
+vector.  A :class:`VScenario` holds its detections as columns (ids,
+ground-truth VID indices and the feature block); a :class:`Detection`
+object is only a view built when a caller asks for one.  Crucially the
+matcher never sees which VID a detection belongs to — the VID column is
+ground truth reserved for the accuracy metric — because linking
+detections across scenarios by appearance *is* the problem VID
+filtering solves.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.world.entities import EID, VID
+
+#: The columns of a detection-less V-Scenario (shared; never written).
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_FEATURES = np.empty((0, 0))
+
+#: One shared :class:`VID` per index for the detection views, so equal
+#: VIDs are one object (dict and set lookups short-cut on identity).
+_vid = lru_cache(maxsize=None)(VID)
 
 
 @dataclass(frozen=True, order=True)
@@ -80,7 +92,8 @@ class EScenario:
 
 @dataclass(frozen=True)
 class Detection:
-    """One human figure extracted from a V-Scenario's video.
+    """One human figure extracted from a V-Scenario's video: a view of
+    one row of a :class:`VScenario`'s columns, built on demand.
 
     Attributes:
         detection_id: unique id across the whole dataset, used to track
@@ -103,9 +116,25 @@ class Detection:
         return self.detection_id == other.detection_id
 
 
-@dataclass(frozen=True)
+def detection_columns(
+    detections: Sequence[Detection],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``detections`` as the three columns a :class:`VScenario` holds:
+    ids, VID indices and the stacked feature block (empty, with
+    ``size == 0``, for no detections)."""
+    if not detections:
+        return _NO_IDS, _NO_IDS, _NO_FEATURES
+    return (
+        np.array([d.detection_id for d in detections], dtype=np.int64),
+        np.array([d.true_vid.index for d in detections], dtype=np.int64),
+        np.stack([d.feature for d in detections]),
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class VScenario:
-    """The visual half of an EV-Scenario: the detections in one cell.
+    """The visual half of an EV-Scenario: the detections in one cell,
+    held as three aligned columns.
 
     The scenario stores already-extracted features so dataset generation
     is deterministic and cheap to replay; the *cost* of the extraction
@@ -113,43 +142,90 @@ class VScenario:
     scenario is first processed, reproducing where the paper's V-stage
     time goes.
 
-    ``features`` is the ``(n, d)`` matrix whose rows are the detections'
-    features.  The world build, the stream assembler and the dataset
-    loader hand over the row block they already hold (each
-    ``Detection.feature`` is a view of one of its rows), so the matrix
-    costs no copy; any other constructor leaves it ``None`` and
-    :meth:`feature_matrix` stacks it once, on first use.
+    The matcher reads a V-Scenario only as feature rows (Eq. 1), so no
+    per-detection object is stored: a :class:`Detection` is built on
+    demand, by :meth:`detection` for one row (kept for the rows the V
+    stage chooses) or :attr:`detections` for all of them.  The world
+    build, the stream assembler and the dataset loader hand over the
+    row blocks they already hold, so the columns cost no copy; callers
+    must not write to them.
+
+    Attributes:
+        key: which cell/instant this snapshot covers.
+        detection_ids: each detection's dataset-wide id (int64).
+        vids: each detection's ground-truth VID index (int64); only the
+            accuracy metric may read it.
+        features: the ``(n, d)`` block whose rows are the detections'
+            features.  A detection-less scenario's block is empty
+            (``size == 0``), so callers can branch on ``size``.
+
+    Two V-Scenarios are equal when their keys and detection ids are.
     """
 
     key: ScenarioKey
-    detections: Tuple[Detection, ...]
-    features: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    detection_ids: np.ndarray = field(repr=False)
+    vids: np.ndarray = field(repr=False)
+    features: np.ndarray = field(repr=False)
+    _chosen: Dict[int, Detection] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        n = len(self.detection_ids)
+        if len(self.vids) != n or self.features.shape[0] != n:
+            raise ValueError(
+                f"misaligned detection columns in {self.key}: {n} ids, "
+                f"{len(self.vids)} VIDs, {self.features.shape[0]} feature rows"
+            )
+
+    @classmethod
+    def of(
+        cls, key: ScenarioKey, detections: Sequence[Detection] = ()
+    ) -> "VScenario":
+        """The V-Scenario holding ``detections``, in order, as columns."""
+        return cls(key, *detection_columns(detections))
 
     @property
     def num_detections(self) -> int:
-        return len(self.detections)
+        return len(self.detection_ids)
 
-    def feature_matrix(self) -> np.ndarray:
-        """All detection features stacked into an ``(n, d)`` array
-        (shared, not copied: callers must not write to it).
+    def detection(self, i: int) -> Detection:
+        """Detection ``i`` as an object (its feature is a row view),
+        built on first use and kept: the V stage asks for each
+        scenario's winner on every match, and a warm match then
+        allocates none."""
+        found = self._chosen.get(i)
+        if found is None:
+            found = self._chosen[i] = Detection(
+                int(self.detection_ids[i]), self.features[i], _vid(int(self.vids[i]))
+            )
+        return found
 
-        A detection-less scenario's matrix is empty (``size == 0``), so
-        callers can branch on ``size`` without special-casing.
-        """
-        features = self.features
-        if features is None:
-            if self.detections:
-                features = np.stack([d.feature for d in self.detections])
-            else:
-                features = np.empty((0, 0))
-            object.__setattr__(self, "features", features)
-        return features
+    @property
+    def detections(self) -> Tuple[Detection, ...]:
+        """Every detection as an object, built on each call."""
+        return tuple(
+            Detection(detection_id, feature, _vid(vid))
+            for detection_id, feature, vid in zip(
+                self.detection_ids.tolist(), self.features, self.vids.tolist()
+            )
+        )
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.detection_ids)
 
     def __iter__(self) -> Iterator[Detection]:
         return iter(self.detections)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VScenario):
+            return NotImplemented
+        return self.key == other.key and np.array_equal(
+            self.detection_ids, other.detection_ids
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
 
 @dataclass(frozen=True)
@@ -288,4 +364,4 @@ class ScenarioStore:
 
     def total_detections(self) -> int:
         """Total V-side detections — the dataset's visual volume."""
-        return sum(len(s.v) for s in self._by_key.values())
+        return sum(len(s.v.detection_ids) for s in self._by_key.values())

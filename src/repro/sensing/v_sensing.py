@@ -11,6 +11,10 @@ Models the visual side of Sec. IV-C's practical settings:
   :class:`~repro.world.features.AppearanceModel`, standing in for
   CV feature extraction from CUHK02-style images.
 
+Detections come out as columns (ids, VID indices, feature block) per
+camera frame, the form :class:`~repro.sensing.scenarios.VScenario`
+stores; no per-detection object is made.
+
 Unlike E sightings, visual detections never drift across cells: a
 camera only films its own field of view, so attribution is exact —
 which is why the paper's vague-zone machinery lives on the E side only.
@@ -23,8 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sensing.scenarios import Detection
-from repro.world.entities import VID
 from repro.world.features import AppearanceModel
 
 
@@ -55,13 +57,12 @@ class VSensingModel:
         self.appearance = appearance
         self.config = config if config is not None else VSensingConfig()
         self._next_id = 0
-        self._vids = [VID(index) for index in range(appearance.num_vids)]
 
     def sense(
         self,
         frames: Sequence[Sequence[int]],
         rng: np.random.Generator,
-    ) -> List[Tuple[Tuple[Detection, ...], np.ndarray]]:
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Detect the people present in one instant's camera frames.
 
         Args:
@@ -70,20 +71,25 @@ class VSensingModel:
             rng: randomness source for misses and feature noise.
 
         Returns:
-            Per frame, one :class:`Detection` per successfully-detected
-            person, in the given order, each with a fresh globally
-            unique ``detection_id`` and a noisy feature vector; and the
-            frame's ``(n, d)`` feature block, whose rows those features
-            are (views, not copies).
+            Per frame, the successfully-detected people as three
+            aligned columns, in the given order: fresh globally unique
+            detection ids (int64), their VID indices (int64), and the
+            ``(n, d)`` block of their noisy features.  The columns are
+            views of one array each per call, and no per-detection
+            object is built.
 
         Draws are scalar and in frame-then-VID order: per person, the
         miss draw (when ``miss_rate > 0``), then for a detected person
-        the appearance model's outlier draw and its feature noise.  The
-        feature arithmetic then runs once over all the instant's
-        detections (:meth:`AppearanceModel.observe_rows`).
+        the outlier draw (when the feature space's ``outlier_rate >
+        0``) and its feature noise.  The feature arithmetic then runs
+        once over all the instant's detections
+        (:meth:`AppearanceModel.observe_rows`).
         """
         miss_rate = self.config.miss_rate
         appearance = self.appearance
+        outlier_rate = appearance.space.outlier_rate
+        sigma, outlier_sigma = appearance.sigma, appearance.outlier_sigma
+        random, standard_normal = rng.random, rng.standard_normal
         noise = np.empty(
             (sum(len(present) for present in frames), appearance.space.dimension)
         )
@@ -92,27 +98,25 @@ class VSensingModel:
         ends: List[int] = []
         for present in frames:
             for vid in present:
-                if miss_rate > 0.0 and rng.random() < miss_rate:
+                if miss_rate > 0.0 and random() < miss_rate:
                     continue
-                sigmas.append(appearance.noise_sigma(rng))
-                rng.standard_normal(out=noise[len(detected)])
+                sigmas.append(
+                    outlier_sigma
+                    if outlier_rate > 0.0 and random() < outlier_rate
+                    else sigma
+                )
+                standard_normal(out=noise[len(detected)])
                 detected.append(vid)
             ends.append(len(detected))
         count = len(detected)
-        features = appearance.observe_rows(
-            noise[:count], np.array(sigmas), np.array(detected, dtype=np.int64)
-        )
-        first_id = self._next_id
+        vids = np.array(detected, dtype=np.int64)
+        features = appearance.observe_rows(noise[:count], np.array(sigmas), vids)
+        ids = np.arange(self._next_id, self._next_id + count, dtype=np.int64)
         self._next_id += count
-        vids = self._vids
-        detections = [
-            Detection(first_id + k, feature, vids[vid])
-            for k, (feature, vid) in enumerate(zip(features, detected))
-        ]
-        out: List[Tuple[Tuple[Detection, ...], np.ndarray]] = []
+        out: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         start = 0
         for end in ends:
-            out.append((tuple(detections[start:end]), features[start:end]))
+            out.append((ids[start:end], vids[start:end], features[start:end]))
             start = end
         return out
 

@@ -10,8 +10,9 @@ shards its region of interest maps to.
 contiguous spatial bands (cells sorted by center, or by id when no
 grid is available) and gives each band its own :class:`DatasetShard`
 holding the scenario keys and the per-EID inverted index for its
-cells only.  A thin routing table (EID → shard ids) lets per-EID
-lookups probe exactly the shards the EID was ever seen in — the
+cells only.  Per-EID lookups read the shards' own indexes, one dict
+probe per shard, so ingest keeps no second per-EID table.  Only the
+shards the EID was ever seen in count as probed — the
 ``shards_touched`` number surfaced in investigate responses and
 asserted on by the tests.
 
@@ -62,8 +63,9 @@ class DatasetShard:
                 f"scenario {key} does not belong to shard {self.shard_id}"
             )
         self._keys.append(key)
+        by_eid = self._by_eid
         for eid in eids:
-            self._by_eid.setdefault(eid, []).append(key)
+            by_eid.setdefault(eid, []).append(key)
 
     def scenarios_of(self, eid: EID) -> Sequence[ScenarioKey]:
         return tuple(self._by_eid.get(eid, ()))
@@ -104,7 +106,6 @@ class ShardedDataset:
             for shard in self._shards
             for cell_id in shard.cell_ids
         }
-        self._eid_routes: Dict[EID, Set[int]] = {}
         #: Lookup telemetry: total per-EID probes and shard visits.
         self.lookups = 0
         self.shard_probes = 0
@@ -143,10 +144,7 @@ class ShardedDataset:
                     shard=shard_id,
                     reason="unbanded_cell",
                 )
-        eids = tuple(eids)
         self._shards[shard_id].add(key, eids)
-        for eid in eids:
-            self._eid_routes.setdefault(eid, set()).add(shard_id)
 
     def add_scenario(self, scenario: EVScenario) -> int:
         """Index one newly-ingested scenario; returns its shard id."""
@@ -169,22 +167,24 @@ class ShardedDataset:
 
     def shards_of_eid(self, eid: EID) -> FrozenSet[int]:
         """Which shards hold scenarios mentioning ``eid``."""
-        return frozenset(self._eid_routes.get(eid, ()))
+        return frozenset(
+            shard.shard_id for shard in self._shards if eid in shard._by_eid
+        )
 
     def __contains__(self, eid: EID) -> bool:
-        return eid in self._eid_routes
+        return any(eid in shard._by_eid for shard in self._shards)
 
     # -- lookups ----------------------------------------------------------
     def scenarios_of(self, eid: EID) -> Tuple[ScenarioKey, ...]:
-        """All scenarios containing ``eid``, probing only routed shards."""
-        shard_ids = self._eid_routes.get(eid)
+        """All scenarios containing ``eid``; only the shards that hold
+        it count as probed."""
         self.lookups += 1
-        if not shard_ids:
-            return ()
-        self.shard_probes += len(shard_ids)
         keys: List[ScenarioKey] = []
-        for shard_id in shard_ids:
-            keys.extend(self._shards[shard_id].scenarios_of(eid))
+        for shard in self._shards:
+            found = shard._by_eid.get(eid)
+            if found:
+                self.shard_probes += 1
+                keys.extend(found)
         return tuple(sorted(keys))
 
     def presence_windows(self, eid: EID) -> List[Tuple[int, int, int]]:

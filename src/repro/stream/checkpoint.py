@@ -10,8 +10,9 @@ emission:
 * the **watermark state** (``max_tick``, ``events_seen``);
 * the **open-window state** — per window: its on-time sightings as
   columns in arrival order (ticks, cells, EID indices, vague flags),
-  and per cell its camera frame's tick and detections (features
-  serialized as exact-roundtrip JSON floats);
+  and per cell its camera frame's tick and detections as
+  ``[id, VID index, feature]`` rows written straight from the frame's
+  columns (features serialized as exact-roundtrip JSON floats);
 * ``next_window`` — the emitted-scenario high-water mark: every window
   below it was closed and handed to the sink before the snapshot, so
   the restored run never re-emits it;
@@ -32,20 +33,20 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.sensing.builder import SightingBatch, VFrame
 from repro.sensing.scenarios import (
-    Detection,
     EScenario,
     EVScenario,
     ScenarioKey,
     VScenario,
+    detection_columns,
 )
 from repro.stream.assembler import OpenWindow, WindowAssembler
-from repro.world.entities import EID, VID
+from repro.world.entities import EID
 
 #: Bumped whenever the snapshot layout changes incompatibly (2: open
 #: windows hold sighting columns and frame ticks, not per-EID counts).
@@ -70,32 +71,42 @@ class StreamCheckpoint:
     open_windows: Dict[int, OpenWindow]
 
 
-def _detection_to_json(detection: Detection) -> list:
+def _detections_to_json(
+    ids: np.ndarray, vids: np.ndarray, features: np.ndarray
+) -> list:
+    """Detection columns as ``[id, VID index, feature]`` rows."""
     return [
-        detection.detection_id,
-        detection.true_vid.index,
-        [float(x) for x in detection.feature],
+        [detection_id, vid, feature]
+        for detection_id, vid, feature in zip(
+            ids.tolist(), vids.tolist(), features.tolist()
+        )
     ]
 
 
-def _detection_from_json(payload: list) -> Detection:
-    detection_id, vid_index, feature = payload
-    return Detection(
-        detection_id=int(detection_id),
-        feature=np.asarray(feature, dtype=np.float64),
-        true_vid=VID(int(vid_index)),
+def _detections_from_json(
+    payload: list,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`_detections_to_json`: the three columns."""
+    if not payload:
+        return detection_columns(())
+    ids, vids, features = zip(*payload)
+    return (
+        np.array(ids, dtype=np.int64),
+        np.array(vids, dtype=np.int64),
+        np.array(features, dtype=np.float64),
     )
 
 
 def scenario_to_json(scenario: EVScenario) -> Dict[str, Any]:
     """One emitted scenario as a JSON document (exact roundtrip,
     shared by the durable sink journal)."""
+    v = scenario.v
     return {
         "cell": scenario.key.cell_id,
         "tick": scenario.key.tick,
         "inclusive": sorted(e.index for e in scenario.e.inclusive),
         "vague": sorted(e.index for e in scenario.e.vague),
-        "detections": [_detection_to_json(d) for d in scenario.v.detections],
+        "detections": _detections_to_json(v.detection_ids, v.vids, v.features),
     }
 
 
@@ -108,12 +119,7 @@ def scenario_from_json(payload: Dict[str, Any]) -> EVScenario:
             inclusive=frozenset(EID(int(i)) for i in payload["inclusive"]),
             vague=frozenset(EID(int(i)) for i in payload["vague"]),
         ),
-        v=VScenario(
-            key=key,
-            detections=tuple(
-                _detection_from_json(d) for d in payload["detections"]
-            ),
-        ),
+        v=VScenario(key, *_detections_from_json(payload["detections"])),
     )
 
 
@@ -138,7 +144,9 @@ def _window_to_json(state: OpenWindow) -> Dict[str, Any]:
         "frames": {
             str(cell): {
                 "tick": frame.tick,
-                "detections": [_detection_to_json(d) for d in frame.detections],
+                "detections": _detections_to_json(
+                    frame.detection_ids, frame.vids, frame.features
+                ),
             }
             for cell, frame in state.frames.items()
         },
@@ -162,11 +170,9 @@ def _window_from_json(payload: Dict[str, Any]) -> OpenWindow:
         chunks=chunks,
         frames={
             int(cell): VFrame(
-                tick=int(frame["tick"]),
-                cell_id=int(cell),
-                detections=tuple(
-                    _detection_from_json(d) for d in frame["detections"]
-                ),
+                int(frame["tick"]),
+                int(cell),
+                *_detections_from_json(frame["detections"]),
             )
             for cell, frame in payload["frames"].items()
         },

@@ -27,11 +27,20 @@ def scenario_digest(scenario: EVScenario) -> str:
     inclusive = sorted(e.index for e in scenario.e.inclusive)
     vague = sorted(e.index for e in scenario.e.vague)
     hasher.update(f"i{inclusive}|v{vague}|".encode())
-    for detection in scenario.v.detections:
+    v = scenario.v
+    if len(v):
+        # Each detection's record is its id and VID, then its feature
+        # row's bytes: slices of the block's one C-order byte string.
+        raw = v.features.tobytes()
+        width = len(raw) // len(v)
         hasher.update(
-            f"d{detection.detection_id}:{detection.true_vid.index}|".encode()
+            b"".join(
+                f"d{detection_id}:{vid}|".encode() + raw[k * width : (k + 1) * width]
+                for k, (detection_id, vid) in enumerate(
+                    zip(v.detection_ids.tolist(), v.vids.tolist())
+                )
+            )
         )
-        hasher.update(detection.feature.tobytes())
     return hasher.hexdigest()
 
 

@@ -123,8 +123,10 @@ class AppearanceModel:
         latents /= np.linalg.norm(latents, axis=1, keepdims=True)
         self._latents = latents
         self.num_vids = num_vids
-        self._sigma = self.space.observation_noise / self.space.dimension**0.5
-        self._outlier_sigma = self.space.outlier_noise / self.space.dimension**0.5
+        #: Per-dimension noise sigma of a clean and of a corrupted
+        #: (outlier) observation.
+        self.sigma = self.space.observation_noise / self.space.dimension**0.5
+        self.outlier_sigma = self.space.outlier_noise / self.space.dimension**0.5
 
     def latent(self, vid: VID) -> np.ndarray:
         """The true (noise-free) appearance vector of ``vid``."""
@@ -149,8 +151,8 @@ class AppearanceModel:
         the observation is a corrupted outlier (when ``outlier_rate >
         0``)."""
         if self.space.outlier_rate > 0.0 and rng.random() < self.space.outlier_rate:
-            return self._outlier_sigma
-        return self._sigma
+            return self.outlier_sigma
+        return self.sigma
 
     def observe_rows(
         self, noise: np.ndarray, sigmas: np.ndarray, vid_indices: np.ndarray

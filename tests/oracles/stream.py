@@ -13,7 +13,9 @@ so the property suite can check production against it:
   the end of an unkilled stream.
 
 :func:`explode` and :func:`batches_of` convert between production's
-stream items (sighting batches and frames) and single events.
+stream items (sighting batches and frames) and single events, and
+:func:`checkpoint_document` encodes a checkpoint's open frames one
+detection object at a time.
 
 Only configuration, :class:`~repro.sensing.builder.VFrame` and the
 scenario types are shared with production; the attribution rule is
@@ -45,7 +47,7 @@ from repro.sensing.scenarios import (
     ScenarioKey,
     VScenario,
 )
-from repro.world.entities import EID
+from repro.world.entities import EID, VID
 
 K = TypeVar("K", bound=Hashable)
 
@@ -169,10 +171,7 @@ class OpenWindow:
 
     counts: Dict[int, Dict[EID, int]] = field(default_factory=dict)
     vague: Dict[int, Dict[EID, int]] = field(default_factory=dict)
-    frames: Dict[int, Tuple[Detection, ...]] = field(default_factory=dict)
-    features: Dict[int, Optional[np.ndarray]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    frames: Dict[int, VFrame] = field(default_factory=dict)
 
     def absorb_sighting(self, event: CellSighting) -> None:
         cell_counts = self.counts.setdefault(event.cell_id, {})
@@ -182,8 +181,7 @@ class OpenWindow:
             vague_counts[event.eid] = vague_counts.get(event.eid, 0) + 1
 
     def absorb_frame(self, event: VFrame) -> None:
-        self.frames[event.cell_id] = event.detections
-        self.features[event.cell_id] = event.features
+        self.frames[event.cell_id] = event
 
     def occupied_cells(self) -> List[int]:
         return sorted(set(self.counts) | set(self.frames))
@@ -272,10 +270,15 @@ class WindowAssembler:
                             inclusive=frozenset(inclusive),
                             vague=frozenset(vague),
                         ),
-                        v=VScenario(
-                            key=key,
-                            detections=state.frames.get(cell_id, ()),
-                            features=state.features.get(cell_id),
+                        v=(
+                            VScenario(
+                                key,
+                                state.frames[cell_id].detection_ids,
+                                state.frames[cell_id].vids,
+                                state.frames[cell_id].features,
+                            )
+                            if cell_id in state.frames
+                            else VScenario.of(key)
                         ),
                     )
                 )
@@ -342,3 +345,55 @@ def run_events(
         watermark=assembler.watermark.watermark,
         killed=killed,
     )
+
+
+def checkpoint_document(checkpoint) -> Dict:
+    """The version-2 checkpoint document of a production
+    :class:`~repro.stream.checkpoint.StreamCheckpoint`, its frames
+    encoded one :class:`Detection` object at a time as
+    ``[id, VID index, [float, ...]]``."""
+
+    def detection_json(detection: Detection) -> list:
+        return [
+            detection.detection_id,
+            detection.true_vid.index,
+            [float(x) for x in detection.feature],
+        ]
+
+    def window_json(state) -> Dict:
+        sightings = state.sightings()
+        return {
+            "sightings": {
+                column: (
+                    [] if sightings is None else getattr(sightings, column).tolist()
+                )
+                for column in ("ticks", "cells", "eids", "vague")
+            },
+            "frames": {
+                str(cell): {
+                    "tick": frame.tick,
+                    "detections": [
+                        detection_json(Detection(int(i), feature, VID(int(v))))
+                        for i, v, feature in zip(
+                            frame.detection_ids, frame.vids, frame.features
+                        )
+                    ],
+                }
+                for cell, frame in state.frames.items()
+            },
+        }
+
+    return {
+        "version": 2,
+        "config": checkpoint.config,
+        "events_processed": checkpoint.events_processed,
+        "max_tick": checkpoint.max_tick,
+        "events_seen": checkpoint.events_seen,
+        "next_window": checkpoint.next_window,
+        "late_dropped": checkpoint.late_dropped,
+        "scenarios_emitted": checkpoint.scenarios_emitted,
+        "open_windows": {
+            str(window): window_json(state)
+            for window, state in checkpoint.open_windows.items()
+        },
+    }

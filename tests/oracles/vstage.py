@@ -44,12 +44,12 @@ class PairwiseVIDFilter(VIDFilter):
         scenarios = [self._scenarios[i] for i in ids]
         vectors = []
         for scenario_a in scenarios:
-            features_a = scenario_a.feature_matrix()
+            features_a = scenario_a.features
             score_vec = np.ones(features_a.shape[0])
             for scenario_b in scenarios:
                 if scenario_b is scenario_a:
                     continue
-                features_b = scenario_b.feature_matrix()
+                features_b = scenario_b.features
                 score_vec = score_vec * eq1_membership(features_a, features_b)
                 self.clock.charge_comparisons(
                     features_a.shape[0] * features_b.shape[0]

@@ -455,7 +455,7 @@ class OracleSensor:
                 )
                 self.next_detection += 1
             frames.append(
-                VFrame(tick=middle_tick, cell_id=cell_id, detections=tuple(detections))
+                VFrame.of(middle_tick, cell_id, detections)
             )
         return sightings, frames
 
@@ -484,7 +484,9 @@ class OracleSensor:
             scenarios.append(
                 EVScenario(
                     e=EScenario(key=key, inclusive=frozenset(inclusive), vague=frozenset(vague)),
-                    v=VScenario(key=key, detections=frame.detections),
+                    v=VScenario(
+                        key, frame.detection_ids, frame.vids, frame.features
+                    ),
                 )
             )
         return scenarios

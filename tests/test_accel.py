@@ -35,7 +35,7 @@ def scenario(cell, tick, inclusive, vague=()):
     key = ScenarioKey(cell_id=cell, tick=tick)
     return EVScenario(
         e=EScenario(key=key, inclusive=eids(*inclusive), vague=eids(*vague)),
-        v=VScenario(key=key, detections=()),
+        v=VScenario.of(key),
     )
 
 

@@ -34,7 +34,7 @@ def make_scenario(cell, tick, inclusive, vague=()):
             inclusive=frozenset(EID(i) for i in inclusive),
             vague=frozenset(EID(i) for i in vague),
         ),
-        v=VScenario(key=key, detections=()),
+        v=VScenario.of(key),
     )
 
 
@@ -287,7 +287,7 @@ class TestVStageSharedTableEquivalence:
         scenarios.append(
             EVScenario(
                 e=EScenario(key=empty_key, inclusive=frozenset()),
-                v=VScenario(key=empty_key, detections=()),
+                v=VScenario.of(empty_key),
             )
         )
         return ScenarioStore(scenarios), empty_key

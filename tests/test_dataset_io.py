@@ -48,13 +48,13 @@ def dataset():
     extra = [
         EVScenario(
             e=EScenario(key=no_detections, inclusive=donor.e.inclusive),
-            v=VScenario(key=no_detections, detections=()),
+            v=VScenario.of(no_detections),
         ),
         EVScenario(
             e=EScenario(key=no_eids, inclusive=frozenset()),
-            v=VScenario(
-                key=no_eids,
-                detections=tuple(
+            v=VScenario.of(
+                no_eids,
+                tuple(
                     Detection(first_id + j, d.feature, d.true_vid)
                     for j, d in enumerate(donor.v.detections)
                 ),
@@ -135,7 +135,7 @@ class TestRoundTrip:
             for key in world.store.keys:
                 v = world.store.v_scenario(key)
                 assert v.features is not None
-                assert v.feature_matrix() is v.features
+                assert v.features is v.features
                 for row, detection in zip(v.features, v.detections):
                     assert np.shares_memory(row, detection.feature)
 

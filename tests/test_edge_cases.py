@@ -29,9 +29,9 @@ def single_scenario_store():
         [
             EVScenario(
                 e=EScenario(key=key, inclusive=frozenset({EID(0), EID(1)})),
-                v=VScenario(
-                    key=key,
-                    detections=(
+                v=VScenario.of(
+                    key,
+                    (
                         Detection(0, f, VID(0)),
                         Detection(1, np.array([0.0, 1.0]), VID(1)),
                     ),
@@ -62,7 +62,7 @@ class TestDegenerateStores:
             [
                 EVScenario(
                     e=EScenario(key=key, inclusive=frozenset({EID(0)})),
-                    v=VScenario(key=key, detections=()),
+                    v=VScenario.of(key),
                 )
             ]
         )
@@ -79,7 +79,7 @@ class TestDegenerateStores:
             [
                 EVScenario(
                     e=EScenario(key=key, inclusive=frozenset()),
-                    v=VScenario(key=key, detections=()),
+                    v=VScenario.of(key),
                 )
             ]
         )
@@ -94,7 +94,7 @@ class TestFilterEdges:
             [
                 EVScenario(
                     e=EScenario(key=k, inclusive=frozenset({EID(0)})),
-                    v=VScenario(key=k, detections=()),
+                    v=VScenario.of(k),
                 )
                 for k in (key0, key1)
             ]

@@ -25,7 +25,7 @@ def make_store(e_sets, vague_sets=None):
         scenarios.append(
             EVScenario(
                 e=EScenario(key=key, inclusive=eids(*inclusive), vague=eids(*vague)),
-                v=VScenario(key=key, detections=()),
+                v=VScenario.of(key),
             )
         )
     return ScenarioStore(scenarios)

@@ -38,7 +38,7 @@ def store_from_features(cells):
         scenarios.append(
             EVScenario(
                 e=EScenario(key=key, inclusive=frozenset(eids)),
-                v=VScenario(key=key, detections=tuple(detections)),
+                v=VScenario.of(key, tuple(detections)),
             )
         )
     return ScenarioStore(scenarios)

@@ -52,7 +52,7 @@ def tiny_store():
                     inclusive=frozenset(EID(i) for i, _f in present),
                     vague=frozenset(EID(i) for i, _f in vague),
                 ),
-                v=VScenario(key=key, detections=tuple(detections)),
+                v=VScenario.of(key, tuple(detections)),
             )
         )
     return ScenarioStore(scenarios)
@@ -105,9 +105,7 @@ class TestVTracklets:
             scenarios.append(
                 EVScenario(
                     e=EScenario(key=key, inclusive=frozenset({EID(1)})),
-                    v=VScenario(
-                        key=key, detections=(Detection(tick, feature, VID(1)),)
-                    ),
+                    v=VScenario.of(key, (Detection(tick, feature, VID(1)),)),
                 )
             )
         store = ScenarioStore(scenarios)
@@ -137,7 +135,7 @@ class TestVTracklets:
             scenarios.append(
                 EVScenario(
                     e=EScenario(key=key, inclusive=frozenset({EID(1)})),
-                    v=VScenario(key=key, detections=detections),
+                    v=VScenario.of(key, detections),
                 )
             )
         store = ScenarioStore(scenarios)
@@ -239,8 +237,8 @@ class TestSmoothing:
         smoothed = smooth_store(ideal_dataset.store, blend=0.0)
         key = ideal_dataset.store.keys[0]
         np.testing.assert_allclose(
-            smoothed.get(key).v.feature_matrix(),
-            ideal_dataset.store.get(key).v.feature_matrix(),
+            smoothed.get(key).v.features,
+            ideal_dataset.store.get(key).v.features,
         )
 
     def test_features_stay_unit_norm(self, ideal_dataset):
@@ -248,7 +246,7 @@ class TestSmoothing:
 
         smoothed = smooth_store(ideal_dataset.store)
         key = ideal_dataset.store.keys[0]
-        norms = np.linalg.norm(smoothed.get(key).v.feature_matrix(), axis=1)
+        norms = np.linalg.norm(smoothed.get(key).v.features, axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=1e-9)
 
     def test_smoothing_does_not_hurt_matching(self, ideal_dataset):

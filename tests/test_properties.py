@@ -58,7 +58,7 @@ def consistent_stores(draw):
                         key=key,
                         inclusive=frozenset(EID(i) for i in members),
                     ),
-                    v=VScenario(key=key, detections=detections),
+                    v=VScenario.of(key, detections),
                 )
             )
     return ScenarioStore(scenarios)

@@ -71,26 +71,22 @@ class TestVSensing:
 
     def test_detects_everyone_without_misses(self, appearance):
         model = VSensingModel(appearance)
-        (first, block), (second, _) = model.sense(
+        (first, vids, block), (second, more_vids, _) = model.sense(
             [[1, 3], [2]], np.random.default_rng(0)
         )
-        assert [d.true_vid for d in first] == [VID(1), VID(3)]
-        assert [d.true_vid for d in second] == [VID(2)]
-        assert [d.detection_id for d in first + second] == [0, 1, 2]
-        # Each frame's block holds its detections' features as rows,
-        # shared rather than copied.
-        assert block.shape == (2, first[0].feature.shape[0])
-        for row, detection in zip(block, first):
-            assert np.shares_memory(row, detection.feature)
-            assert np.array_equal(row, detection.feature)
+        assert vids.tolist() == [1, 3]
+        assert more_vids.tolist() == [2]
+        assert first.tolist() + second.tolist() == [0, 1, 2]
+        # Each frame's block holds its detections' features as rows.
+        assert block.shape == (2, appearance.space.dimension)
 
     def test_detection_ids_globally_unique(self, appearance):
         model = VSensingModel(appearance)
         rng = np.random.default_rng(1)
         ids = []
         for _ in range(5):
-            for frame, _block in model.sense([[0, 1], [], [5]], rng):
-                ids.extend(d.detection_id for d in frame)
+            for frame, _vids, _block in model.sense([[0, 1], [], [5]], rng):
+                ids.extend(frame.tolist())
         assert len(ids) == len(set(ids))
         assert model.detections_issued == len(ids)
 
@@ -100,7 +96,7 @@ class TestVSensing:
         detected = sum(
             len(frame)
             for _ in range(100)
-            for frame, _block in model.sense(
+            for frame, _vids, _block in model.sense(
                 [list(range(10)), list(range(10, 20))], rng
             )
         )
@@ -108,19 +104,21 @@ class TestVSensing:
 
     def test_features_unit_norm(self, appearance):
         model = VSensingModel(appearance)
-        ((frame, _block),) = model.sense([list(range(5))], np.random.default_rng(3))
-        for d in frame:
-            assert np.linalg.norm(d.feature) == pytest.approx(1.0)
+        ((_ids, _vids, block),) = model.sense(
+            [list(range(5))], np.random.default_rng(3)
+        )
+        for feature in block:
+            assert np.linalg.norm(feature) == pytest.approx(1.0)
 
     def test_features_equal_one_at_a_time_observations(self, appearance):
         """Sensing a frame draws each person's outlier flag and noise in
         VID order, exactly as observing them one by one does."""
         model = VSensingModel(appearance)
-        ((frame, _block),) = model.sense([[2, 4, 7]], np.random.default_rng(4))
+        ((_ids, vids, block),) = model.sense([[2, 4, 7]], np.random.default_rng(4))
         rng = np.random.default_rng(4)
-        for d in frame:
-            expected = appearance.observe(d.true_vid, rng)
-            assert d.feature.tobytes() == expected.tobytes()
+        for vid, feature in zip(vids.tolist(), block):
+            expected = appearance.observe(VID(vid), rng)
+            assert feature.tobytes() == expected.tobytes()
 
 
 class TestScenarioTypes:
@@ -151,26 +149,26 @@ class TestScenarioTypes:
 
     def test_vscenario_feature_matrix(self):
         f = np.ones(4) / 2.0
-        v = VScenario(
-            key=ScenarioKey(0, 0),
-            detections=(
+        v = VScenario.of(
+            ScenarioKey(0, 0),
+            (
                 Detection(0, f, VID(0)),
                 Detection(1, f, VID(1)),
             ),
         )
-        assert v.feature_matrix().shape == (2, 4)
+        assert v.features.shape == (2, 4)
         assert v.num_detections == 2
-        # Stacked once, on first use; the matrix is not part of equality.
-        assert v.feature_matrix() is v.feature_matrix()
-        assert v == VScenario(key=v.key, detections=v.detections)
+        # The block is held, not rebuilt; it is not part of equality.
+        assert v.features is v.features
+        assert v == VScenario.of(v.key, v.detections)
 
     def test_empty_vscenario_feature_matrix(self):
-        v = VScenario(key=ScenarioKey(0, 0), detections=())
-        assert v.feature_matrix().size == 0
+        v = VScenario.of(ScenarioKey(0, 0))
+        assert v.features.size == 0
 
     def test_evscenario_key_mismatch(self):
         e = EScenario(key=ScenarioKey(0, 0), inclusive=frozenset())
-        v = VScenario(key=ScenarioKey(1, 0), detections=())
+        v = VScenario.of(ScenarioKey(1, 0))
         with pytest.raises(ValueError, match="mismatched"):
             EVScenario(e=e, v=v)
 
@@ -184,7 +182,7 @@ class TestScenarioStore:
                 scenarios.append(
                     EVScenario(
                         e=EScenario(key=key, inclusive=frozenset({EID(cell)})),
-                        v=VScenario(key=key, detections=()),
+                        v=VScenario.of(key),
                     )
                 )
         return ScenarioStore(scenarios)
@@ -201,7 +199,7 @@ class TestScenarioStore:
         key = ScenarioKey(0, 0)
         dup = EVScenario(
             e=EScenario(key=key, inclusive=frozenset()),
-            v=VScenario(key=key, detections=()),
+            v=VScenario.of(key),
         )
         with pytest.raises(ValueError, match="duplicate"):
             ScenarioStore([dup, dup])
@@ -232,7 +230,7 @@ class TestScenarioStore:
         store.add(
             EVScenario(
                 e=EScenario(key=key, inclusive=frozenset({EID(5)})),
-                v=VScenario(key=key, detections=()),
+                v=VScenario.of(key),
             )
         )
         assert len(store) == 7
@@ -246,7 +244,7 @@ class TestScenarioStore:
         key = ScenarioKey(0, 0)
         dup = EVScenario(
             e=EScenario(key=key, inclusive=frozenset()),
-            v=VScenario(key=key, detections=()),
+            v=VScenario.of(key),
         )
         with pytest.raises(ValueError, match="duplicate"):
             store.add(dup)

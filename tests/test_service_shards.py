@@ -141,7 +141,7 @@ class TestIngestRouting:
         eid = ideal_dataset.eids[0]
         scenario = EVScenario(
             e=EScenario(key=key, inclusive=frozenset([eid])),
-            v=VScenario(key=key, detections=()),
+            v=VScenario.of(key),
         )
         shard_id = sharded.add_scenario(scenario)
         assert shard_id == new_cell % sharded.num_shards

@@ -40,7 +40,7 @@ def make_store(e_sets, vague_sets=None):
                     inclusive=eids(*inclusive),
                     vague=eids(*vague),
                 ),
-                v=VScenario(key=key, detections=()),
+                v=VScenario.of(key),
             )
         )
     return ScenarioStore(scenarios)
@@ -235,7 +235,7 @@ class TestSetSplitter:
             scenarios.append(
                 EVScenario(
                     e=EScenario(key=key, inclusive=eids(*inclusive)),
-                    v=VScenario(key=key, detections=()),
+                    v=VScenario.of(key),
                 )
             )
         store = ScenarioStore(scenarios)

@@ -202,7 +202,7 @@ class TestWindowAssembler:
         assembler.offer(_sighting(0, cell=0, eid=1))
         assembler.offer(_sighting(0, cell=0, eid=2))
         assembler.offer(_sighting(1, cell=0, eid=2))
-        assembler.offer(VFrame(tick=1, cell_id=0, detections=()))
+        assembler.offer(VFrame.of(1, 0))
         (closed,) = assembler.flush()
         (scenario,) = closed.scenarios
         assert scenario.e.inclusive == frozenset({EID(2)})
@@ -290,10 +290,10 @@ class TestCheckpoint:
         assembler.offer(_sighting(0, cell=0, eid=1))
         assembler.offer(_sighting(1, cell=0, eid=1, vague=True))
         assembler.offer(
-            VFrame(
-                tick=1,
-                cell_id=0,
-                detections=(
+            VFrame.of(
+                1,
+                0,
+                (
                     Detection(
                         detection_id=9,
                         feature=np.array([0.25, -1.5, 3.0]),
@@ -330,10 +330,8 @@ class TestCheckpoint:
             snapshot(assembler, events_processed=4, scenarios_emitted=0, config=config),
         )
         loaded = load_checkpoint(path)
-        (detection,) = loaded.open_windows[0].frames[0].detections
-        np.testing.assert_array_equal(
-            detection.feature, np.array([0.25, -1.5, 3.0])
-        )
+        (feature,) = loaded.open_windows[0].frames[0].features
+        np.testing.assert_array_equal(feature, np.array([0.25, -1.5, 3.0]))
 
     def test_config_mismatch_refused(self, tmp_path):
         assembler = self._assembler_with_state()

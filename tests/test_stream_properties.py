@@ -136,7 +136,7 @@ def event_streams(draw):
                     )
                 )
         if tick % window_ticks == window_ticks // 2:
-            events.append(VFrame(tick=tick, cell_id=0, detections=()))
+            events.append(VFrame.of(tick, 0))
     lateness = draw(st.integers(min_value=1, max_value=3))
     # A bounded shuffle: sort by tick + U[0, lateness) mirrors the
     # replay source's jitter model.

@@ -399,7 +399,7 @@ def make_scenario(cell, tick, inclusive):
             inclusive=frozenset(EID(i) for i in inclusive),
             vague=frozenset(),
         ),
-        v=VScenario(key=key, detections=()),
+        v=VScenario.of(key),
     )
 
 

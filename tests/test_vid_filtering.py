@@ -52,7 +52,7 @@ def make_store_with_detections(cells, appearance=None, noise_rng=None):
         scenarios.append(
             EVScenario(
                 e=EScenario(key=key, inclusive=frozenset({EID(v) for v in vids})),
-                v=VScenario(key=key, detections=tuple(detections)),
+                v=VScenario.of(key, tuple(detections)),
             )
         )
     return ScenarioStore(scenarios)

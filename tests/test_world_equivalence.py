@@ -30,8 +30,10 @@ def event_record(event):
         event.tick,
         event.cell_id,
         tuple(
-            (d.detection_id, d.true_vid.index, d.feature.tobytes())
-            for d in event.detections
+            (detection_id, vid, feature.tobytes())
+            for detection_id, vid, feature in zip(
+                event.detection_ids.tolist(), event.vids.tolist(), event.features
+            )
         ),
     )
 
