@@ -6,6 +6,9 @@ scales it across *processes* and puts it on the network:
 * :mod:`.worker` — a crash-isolated child process running one full
   :class:`~repro.service.server.MatchService` replica behind a
   length-prefixed JSON socket, journaling ingests for restart.
+* :mod:`.protocol` — the framings: JSON frames to the workers, their
+  replies as unparsed answer bytes plus status and span records, and
+  the gateway's NDJSON lines.
 * :mod:`.supervisor` — spawns the fleet, watches heartbeats, tells
   crashed from hung, and restarts with capped exponential backoff.
 * :mod:`.hashring` — consistent hashing with virtual nodes; the
@@ -24,12 +27,17 @@ from repro.cluster.hashring import DEFAULT_VNODES, HashRing, stable_hash
 from repro.cluster.protocol import (
     ConnectionClosed,
     ProtocolError,
+    Reply,
     decode_line,
     encode_frame,
     encode_line,
+    encode_reply,
     read_frame,
+    read_reply,
     recv_frame,
+    recv_reply,
     send_frame,
+    send_reply,
 )
 from repro.cluster.codec import (
     CodecError,
@@ -62,12 +70,17 @@ __all__ = [
     "stable_hash",
     "ConnectionClosed",
     "ProtocolError",
+    "Reply",
     "decode_line",
     "encode_frame",
     "encode_line",
+    "encode_reply",
     "read_frame",
+    "read_reply",
     "recv_frame",
+    "recv_reply",
     "send_frame",
+    "send_reply",
     "CodecError",
     "error_response",
     "request_from_wire",

@@ -22,11 +22,12 @@ watch-list emissions rather than the emission objects (their V-stage
 results do not round-trip, and no wire client consumes them).
 
 Telemetry keys are deliberately *not* part of the typed schema: the
-``"trace"`` request envelope and the ``"trace_id"``/``"spans"``
-response fields (see :mod:`repro.obs.tracing` and
-:mod:`repro.cluster.telemetry`) are read and written by the routing
-layer, and :func:`request_from_wire` / :func:`response_from_wire`
-simply ignore them — the dataclasses stay observability-free.
+``"trace"`` request envelope and the ``"trace_id"`` response field
+(see :mod:`repro.obs.tracing`) are read and written by the routing
+layer, worker span records travel beside the answer
+(:mod:`repro.cluster.protocol`), and :func:`request_from_wire` /
+:func:`response_from_wire` simply ignore them — the dataclasses stay
+observability-free.
 """
 
 from __future__ import annotations

@@ -10,8 +10,11 @@ Verbs:
 * ``match`` / ``investigate`` / ``ingest`` — data plane; routed to
   worker processes by the :class:`~repro.cluster.router.ClusterRouter`
   over pooled asyncio connections on the gateway's own event loop.
-  Every outcome feeds the gateway's
-  :class:`~repro.service.health.HealthTracker` rolling SLO window.
+  The gateway relays each worker's answer bytes unparsed, splicing
+  the routing fields and ``trace_id`` into the line it writes
+  (:meth:`~repro.cluster.protocol.Reply.line`).  Every outcome feeds
+  the gateway's :class:`~repro.service.health.HealthTracker` rolling
+  SLO window.
 * ``health`` — the SLO verdict plus cluster availability
   (``workers_available`` / ``workers_total`` / ``degraded``).
 * ``stats`` — topology + routing + gateway counters snapshot, plus
@@ -48,8 +51,9 @@ Verbs:
 When the process tracer is real (``set_tracer(Tracer())``), every
 data-plane request gets a ``trace_id`` minted at the gateway (or
 adopted from the client's own trace envelope), carried in every
-protocol hop, and answered with the id in the response — the merged
-trace is then one ``trace`` call away.
+protocol hop, and answered with the id in the response.  The gateway
+and worker span records are stored raw; the ``trace`` verb builds the
+merged trace from them when asked.
 
 **Graceful shutdown** (:meth:`ClusterGateway.drain`): stop accepting,
 answer new requests with ``shed``, wait for in-flight requests to
@@ -60,12 +64,13 @@ abandoned mid-flight.
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from typing import Any, Dict, Optional, Set
 
 from repro.cluster import codec
-from repro.cluster.protocol import ProtocolError, decode_line, encode_line
+from repro.cluster.protocol import ProtocolError, Reply, decode_line, encode_line
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import Supervisor
 from repro.cluster.telemetry import ClusterTelemetry
@@ -81,7 +86,7 @@ from repro.obs.tracing import (
     inject_trace,
     new_trace_id,
 )
-from repro.service.api import STATUS_ERROR, STATUS_OK, STATUS_SHED
+from repro.service.api import STATUS_OK, STATUS_SHED
 from repro.service.health import HealthTracker, SLOConfig
 
 #: Verbs the router forwards to workers.
@@ -131,6 +136,14 @@ class ClusterGateway:
         self._inflight = 0
         self._conn_tasks: Set[asyncio.Task] = set()
         self._registry = get_registry()
+        self._requests = self._registry.counter(
+            "ev_cluster_gateway_requests_total",
+            "Requests answered by the gateway, by verb and status",
+        )
+        self._latency = self._registry.histogram(
+            "ev_cluster_gateway_latency_seconds",
+            "Gateway-observed request latency, by verb",
+        )
         # The observability plane: federates worker metrics, adopts
         # shipped events, and collects distributed traces.  The router
         # keeps its own collector if one was injected; otherwise it
@@ -434,8 +447,8 @@ class ClusterGateway:
                 if verb == "events":
                     await self._stream_events(message, writer)
                     return
-                response = await self._answer(verb, message)
-                writer.write(encode_line(response))
+                reply = await self._answer(verb, message)
+                writer.write(reply.line())
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
@@ -446,59 +459,49 @@ class ClusterGateway:
             except Exception:
                 pass
 
-    async def _answer(
-        self, verb: str, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    async def _answer(self, verb: str, message: Dict[str, Any]) -> Reply:
         started = time.perf_counter()
         if verb in DATA_VERBS and self.draining:
-            response = codec.error_response(
+            reply = Reply.of(codec.error_response(
                 verb, "gateway draining", STATUS_SHED
-            )
+            ))
         else:
             self._inflight += 1
             try:
                 if verb in DATA_VERBS:
-                    response = await self._dispatch_data(verb, message)
+                    reply = await self._dispatch_data(verb, message)
                 elif verb in FANOUT_VERBS:
-                    response = await (
+                    reply = Reply.of(await (
                         self._profile_response()
                         if verb == "profile"
                         else self._slowlog_response(message)
-                    )
+                    ))
                 else:
-                    response = self._local_dispatch(verb, message)
+                    reply = Reply.of(self._local_dispatch(verb, message))
             except Exception as exc:
-                response = codec.error_response(
+                reply = Reply.of(codec.error_response(
                     verb, f"{type(exc).__name__}: {exc}"
-                )
+                ))
             finally:
                 self._inflight -= 1
         latency = time.perf_counter() - started
-        status = str(response.get("status", STATUS_ERROR))
         if verb in DATA_VERBS:
-            self.health_tracker.record(status, latency)
-        self._registry.counter(
-            "ev_cluster_gateway_requests_total",
-            "Requests answered by the gateway, by verb and status",
-        ).inc(verb=verb, status=status)
-        self._registry.histogram(
-            "ev_cluster_gateway_latency_seconds",
-            "Gateway-observed request latency, by verb",
-        ).observe(latency, verb=verb)
-        return response
+            self.health_tracker.record(reply.status, latency)
+        self._requests.inc(verb=verb, status=reply.status)
+        self._latency.observe(latency, verb=verb)
+        return reply
 
-    async def _dispatch_data(
-        self, verb: str, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    async def _dispatch_data(self, verb: str, message: Dict[str, Any]) -> Reply:
         """Route one data-plane request on this loop, wrapped in a
         ``gateway.request`` root span when tracing is on.
 
         The gateway mints the ``trace_id`` (or adopts the client's, if
         the incoming message already carried a trace envelope) and
         injects ``TraceContext(trace_id, root span)`` into the message
-        — the workers parent under it, and after the response lands the
-        whole gateway-side subtree is popped off the tracer and folded
-        into the trace collector next to the worker records.
+        — the workers parent under it, and the router adds the id to
+        the reply.  After the reply lands the gateway-side spans are
+        popped off the tracer and stored, unconverted, in the trace
+        collector next to the worker records.
         """
         tracer = get_tracer()
         if not isinstance(tracer, Tracer):
@@ -512,14 +515,16 @@ class ClusterGateway:
             with tracer.remote_context(root_ctx):
                 with tracer.span("gateway.request", verb=verb) as root:
                     inject_trace(message, TraceContext(trace_id, root.span_id))
-                    response = await self.router.dispatch(message)
+                    return await self.router.dispatch(message)
         finally:
-            records = tracer.span_records(tracer.take_trace(trace_id))
+            spans = tracer.take_trace(trace_id)
             collector = self.router.trace_collector
-            if records and collector is not None:
-                collector.add_records(trace_id, records, label="gateway")
-        response["trace_id"] = trace_id
-        return response
+            if spans and collector is not None:
+                collector.add_records(
+                    trace_id,
+                    functools.partial(tracer.span_records, spans),
+                    label="gateway",
+                )
 
     # -- the SSE-style event stream --------------------------------------
     async def _stream_events(self, message: Dict[str, Any], writer) -> None:

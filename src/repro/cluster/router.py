@@ -29,6 +29,15 @@ Ingest is not routed but **broadcast**: every available worker applies
 in-memory replay log so a worker that was down catches up the moment
 the supervisor reports it ready again (`on_worker_ready`), making the
 fleet's stores convergent across crash/restart cycles.
+
+Every route answers with one :class:`~repro.cluster.protocol.Reply`.
+A ``first`` read relays the worker's answer bytes unparsed; a quorum
+read parses each replica's answer for the vote and relays the
+majority's bytes; ingest parses the acks and answers with its tally.
+The router only adds routing fields (``worker``, ``failovers`` or
+``quorum``/``responders``, and the request's ``trace_id``) for the
+gateway to splice in, and hands each worker's raw span records to the
+trace collector.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cluster.codec import error_response, routing_key
 from repro.cluster.hashring import DEFAULT_VNODES, HashRing
+from repro.cluster.protocol import Reply
 from repro.cluster.supervisor import Supervisor, WorkerError
 from repro.cluster.telemetry import TraceCollector
 from repro.obs import get_event_log, get_registry, get_tracer
@@ -50,14 +60,8 @@ from repro.service.api import STATUS_OK
 #: Supported read policies.
 READ_POLICIES = ("first", "quorum")
 
-#: Serving metadata excluded from quorum payload comparison.  The
-#: telemetry fields are identical across replicas of one traced
-#: request (the spans themselves are popped before the digest), but
-#: excluding them keeps quorum semantics independent of tracing.
-_VOLATILE_FIELDS = (
-    "latency_s", "cached", "deduplicated", "batched_with",
-    "trace_id", "spans",
-)
+#: Serving metadata excluded from quorum payload comparison.
+_VOLATILE_FIELDS = ("latency_s", "cached", "deduplicated", "batched_with")
 
 
 def _payload_digest(response: Dict[str, Any]) -> str:
@@ -80,11 +84,10 @@ class ClusterRouter:
             answerable while one worker is down.
         read_policy: ``"first"`` or ``"quorum"``.
         vnodes: ring points per worker.
-        trace_collector: where worker span records returned with
-            traced responses are folded (every replica's on quorum
-            reads, every attempt's on failover).  ``None`` still strips
-            the records off responses; the gateway installs its
-            collector at startup.
+        trace_collector: where the raw span records of traced worker
+            replies are stored (every replica's on quorum reads, every
+            answering attempt's on failover).  ``None`` drops them; the
+            gateway installs its collector at startup.
     """
 
     def __init__(
@@ -109,16 +112,14 @@ class ClusterRouter:
         self._ingest_log: List[Dict[str, Any]] = []
         self._ingest_lock = threading.Lock()
         self._registry = get_registry()
+        self._requests = self._registry.counter(
+            "ev_cluster_requests_total",
+            "Requests routed to workers, by verb and outcome",
+        )
         self.trace_collector = trace_collector
         supervisor.on_worker_ready = self._replay_missed_ingests
 
     # -- metrics helpers -------------------------------------------------
-    def _count(self, verb: str, status: str) -> None:
-        self._registry.counter(
-            "ev_cluster_requests_total",
-            "Requests routed to workers, by verb and outcome",
-        ).inc(verb=verb, status=status)
-
     def _failover(self, verb: str, worker_id: str, error: str) -> None:
         self._registry.counter(
             "ev_cluster_failovers_total",
@@ -143,88 +144,78 @@ class ClusterRouter:
         available = set(self.supervisor.available())
         return sorted(candidates, key=lambda wid: wid not in available)
 
-    def _harvest_spans(
-        self, response: Dict[str, Any], worker_id: str
-    ) -> None:
-        """Pop a worker response's span records into the collector.
-
-        Always strips ``"spans"`` (clients get the trace via the
-        gateway's ``trace`` verb, not inline), and must run before any
-        quorum digest so replica span records — which legitimately
-        differ per replica — cannot read as payload disagreement.
-        """
-        records = response.pop("spans", None)
-        trace_id = response.get("trace_id")
-        if records and trace_id and self.trace_collector is not None:
-            self.trace_collector.add_records(
-                str(trace_id), records, label=f"worker {worker_id}"
-            )
-
-    async def dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Route one wire request on the running event loop; returns
-        the wire response.  The message's trace envelope is re-activated
-        here, so ``cluster.request`` and everything under it join the
-        request's trace even when the caller holds no open span."""
+    async def dispatch(self, message: Dict[str, Any]) -> Reply:
+        """Route one wire request on the running event loop.  The
+        message's trace envelope is re-activated here, so
+        ``cluster.request`` and everything under it join the request's
+        trace even when the caller holds no open span, and its trace id
+        is added to the reply."""
         verb = str(message.get("verb", "?"))
         tracer = get_tracer()
-        with tracer.remote_context(extract_trace(message)):
+        trace = extract_trace(message)
+        with tracer.remote_context(trace):
             with tracer.span("cluster.request", verb=verb):
                 if verb == "ingest":
-                    response = await self._dispatch_ingest(message)
+                    reply = await self._dispatch_ingest(message)
                 elif self.read_policy == "quorum":
-                    response = await self._dispatch_quorum(message, verb)
+                    reply = await self._dispatch_quorum(message, verb)
                 else:
-                    response = await self._dispatch_first(message, verb)
-        self._count(verb, str(response.get("status", "error")))
-        return response
+                    reply = await self._dispatch_first(message, verb)
+        if trace is not None:
+            reply.fields["trace_id"] = trace.trace_id
+        self._requests.inc(verb=verb, status=reply.status)
+        return reply
 
     async def _ask(
         self, worker_id: str, message: Dict[str, Any]
-    ) -> Union[Dict[str, Any], WorkerError]:
-        """One exchange with one worker: its response (span records
-        harvested), or the :class:`WorkerError` it failed with, counted
-        as a fail-over."""
+    ) -> Union[Reply, WorkerError]:
+        """One exchange with one worker: its reply, with any span
+        records stored raw in the collector, or the
+        :class:`WorkerError` it failed with, counted as a fail-over."""
         try:
-            response = await self.supervisor.worker(worker_id).exchange(message)
+            reply = await self.supervisor.worker(worker_id).exchange(message)
         except WorkerError as exc:
             self._failover(str(message.get("verb", "?")), worker_id, str(exc))
             return exc
-        self._harvest_spans(response, worker_id)
-        return response
+        trace = extract_trace(message) if reply.spans else None
+        if trace is not None and self.trace_collector is not None:
+            self.trace_collector.add_records(
+                trace.trace_id, reply.spans, label=f"worker {worker_id}"
+            )
+        return reply
 
     async def _dispatch_first(
         self, message: Dict[str, Any], verb: str
-    ) -> Dict[str, Any]:
+    ) -> Reply:
         last_error = "no replica available"
         for attempt, worker_id in enumerate(self.replicas_for(message)):
-            response = await self._ask(worker_id, message)
-            if isinstance(response, WorkerError):
-                last_error = str(response)
+            reply = await self._ask(worker_id, message)
+            if isinstance(reply, WorkerError):
+                last_error = str(reply)
                 continue
-            response["worker"] = worker_id
-            response["failovers"] = attempt
-            return response
-        return error_response(verb, last_error)
+            reply.fields.update(worker=worker_id, failovers=attempt)
+            return reply
+        return Reply.of(error_response(verb, last_error))
 
     async def _dispatch_quorum(
         self, message: Dict[str, Any], verb: str
-    ) -> Dict[str, Any]:
+    ) -> Reply:
         """Majority-of-responders read (see module docstring)."""
         replicas = self.replicas_for(message)
         outcomes = await asyncio.gather(
             *(self._ask(worker_id, message) for worker_id in replicas)
         )
         responses = [
-            (worker_id, response)
-            for worker_id, response in zip(replicas, outcomes)
-            if not isinstance(response, WorkerError)
+            (worker_id, reply)
+            for worker_id, reply in zip(replicas, outcomes)
+            if not isinstance(reply, WorkerError)
         ]
         if not responses:
-            return error_response(verb, "no replica available")
-        votes: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
-        for worker_id, response in responses:
-            votes.setdefault(_payload_digest(response), []).append(
-                (worker_id, response)
+            return Reply.of(error_response(verb, "no replica available"))
+        votes: Dict[str, List[Tuple[str, Reply]]] = {}
+        for worker_id, reply in responses:
+            votes.setdefault(_payload_digest(reply.decode()), []).append(
+                (worker_id, reply)
             )
         majority = max(votes.values(), key=len)
         if len(votes) > 1:
@@ -232,14 +223,14 @@ class ClusterRouter:
                 "ev_cluster_quorum_disagreements_total",
                 "Quorum reads where replicas returned differing payloads",
             ).inc(verb=verb)
-        worker_id, response = majority[0]
-        response["worker"] = worker_id
-        response["quorum"] = len(majority)
-        response["responders"] = len(responses)
-        return response
+        worker_id, reply = majority[0]
+        reply.fields.update(
+            worker=worker_id, quorum=len(majority), responders=len(responses)
+        )
+        return reply
 
     # -- ingest (broadcast + replay) -------------------------------------
-    async def _dispatch_ingest(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    async def _dispatch_ingest(self, message: Dict[str, Any]) -> Reply:
         scenarios = message.get("scenarios", [])
         with self._ingest_lock:
             self._ingest_log.extend(scenarios)
@@ -250,25 +241,25 @@ class ClusterRouter:
         outcomes = await asyncio.gather(
             *(self._ask(worker_id, message) for worker_id in workers)
         )
-        for worker_id, response in zip(workers, outcomes):
-            if isinstance(response, WorkerError):
-                errors.append(f"{worker_id}: {response}")
-            elif response.get("status") == STATUS_OK:
+        for worker_id, reply in zip(workers, outcomes):
+            if isinstance(reply, WorkerError):
+                errors.append(f"{worker_id}: {reply}")
+            elif reply.status == STATUS_OK:
                 acked += 1
-                ingested = max(ingested, int(response.get("ingested", 0)))
+                ingested = max(ingested, int(reply.get("ingested", 0)))
             else:
-                errors.append(f"{worker_id}: {response.get('error')}")
+                errors.append(f"{worker_id}: {reply.get('error')}")
         if not acked:
-            return error_response(
+            return Reply.of(error_response(
                 "ingest", "; ".join(errors) or "no worker available"
-            )
-        return {
+            ))
+        return Reply.of({
             "verb": "ingest",
             "status": STATUS_OK,
             "ingested": ingested,
             "workers_acked": acked,
             "errors": errors,
-        }
+        })
 
     @property
     def ingest_log_size(self) -> int:
@@ -297,7 +288,6 @@ class ClusterRouter:
             except WorkerError as exc:
                 self._failover("ingest.replay", worker_id, str(exc))
                 return
-        self._harvest_spans(response, worker_id)
         self._registry.counter(
             "ev_cluster_ingest_replayed_total",
             "Scenarios re-offered to restarted workers",

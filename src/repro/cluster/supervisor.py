@@ -38,7 +38,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.cluster.protocol import encode_frame, read_frame, recv_frame, send_frame
+from repro.cluster.protocol import (
+    Reply,
+    encode_frame,
+    read_reply,
+    recv_reply,
+    send_frame,
+)
 from repro.cluster.worker import (
     MSG_HEARTBEAT,
     MSG_READY,
@@ -250,7 +256,7 @@ class WorkerHandle:
             log.emit(ev.CLUSTER_WORKER_STOPPED, worker=self.worker_id)
 
     # -- data channel ----------------------------------------------------
-    def request(self, message: Dict) -> Dict:
+    def request(self, message: Dict) -> Reply:
         """One blocking exchange on a fresh connection, for callers off
         the event loop (the monitor thread's ingest replay)."""
         self._check_ready()
@@ -261,17 +267,18 @@ class WorkerHandle:
             ) as sock:
                 sock.settimeout(self.config.request_timeout_s)
                 send_frame(sock, message)
-                return recv_frame(sock)
+                return recv_reply(sock)
         except Exception as exc:
             raise WorkerError(
                 f"request to worker {self.worker_id} failed: {exc}"
             ) from exc
 
-    async def exchange(self, message: Dict) -> Dict:
+    async def exchange(self, message: Dict) -> Reply:
         """One framed exchange from the running event loop, bounded by
-        ``request_timeout_s``.  A pooled connection serves only its own
-        loop and process incarnation; one that fails in any way
-        (timeout, reset, malformed frame) is closed, never reused."""
+        ``request_timeout_s``; the reply's answer stays unparsed bytes.
+        A pooled connection serves only its own loop and process
+        incarnation; one that fails in any way (timeout, reset,
+        malformed reply) is closed, never reused."""
         self._check_ready()
         key = (asyncio.get_running_loop(), self.port, self.pid)
         pool = self._links.get(key)
@@ -287,8 +294,8 @@ class WorkerHandle:
                 )
             # No drain: the transport flushes while the reply is awaited.
             writer.write(encode_frame(message))
-            response = await asyncio.wait_for(
-                read_frame(reader), self.config.request_timeout_s
+            reply = await asyncio.wait_for(
+                read_reply(reader), self.config.request_timeout_s
             )
         except BaseException as exc:
             if writer is not None:
@@ -300,7 +307,7 @@ class WorkerHandle:
                 f"{str(exc) or type(exc).__name__}"
             ) from exc
         self._links.setdefault(key, []).append((reader, writer))
-        return response
+        return reply
 
     def _check_ready(self) -> None:
         if self.state != READY:

@@ -18,13 +18,14 @@ receiving end of the three telemetry flows:
   generation's value.
 
 * :class:`TraceCollector` — a bounded (LRU by trace id) store of
-  completed span records.  Workers return their spans with each traced
-  response, the router folds them in as they arrive (including every
-  replica's spans on quorum reads and each attempt's on failover), the
-  gateway adds its own, and :meth:`TraceCollector.chrome_trace` emits
-  one merged Chrome trace-event JSON with per-process ``process_name``
-  metadata — gateway and worker spans on one wall-clock axis under a
-  single ``trace_id``.
+  completed span records.  Workers return their spans beside each
+  traced answer, the router stores them raw as they arrive (including
+  every replica's spans on quorum reads and each attempt's on
+  failover), the gateway adds its own, and
+  :meth:`TraceCollector.chrome_trace` decodes them into one merged
+  Chrome trace-event JSON with per-process ``process_name`` metadata —
+  gateway and worker spans on one wall-clock axis under a single
+  ``trace_id``.
 
 * :class:`ClusterTelemetry` — the facade the gateway owns.  It hooks
   :attr:`Supervisor.on_telemetry`, routes each worker beat into the
@@ -38,10 +39,11 @@ receiving end of the three telemetry flows:
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.events import get_event_log
 from repro.obs.registry import (
@@ -72,6 +74,13 @@ DEFAULT_TRACE_MAX_AGE_S = 300.0
 
 #: Counter counting both LRU and age evictions, labelled by reason.
 TRACES_EVICTED_METRIC = "ev_cluster_traces_evicted_total"
+
+#: One process's span records for a trace, as they arrived: the record
+#: dicts, their raw JSON bytes, or a callable that builds the dicts.
+SpanRecords = Union[
+    List[Dict[str, Any]], bytes, Callable[[], List[Dict[str, Any]]]
+]
+_Arrival = Tuple[SpanRecords, Optional[str]]  # (records, process label)
 
 
 def _series_map(state: Dict[str, Any]) -> Dict[Tuple[str, LabelKey], Dict[str, Any]]:
@@ -286,9 +295,12 @@ class TraceCollector:
 
     Span *records* (the wall-clock wire form from
     :meth:`~repro.obs.tracing.Tracer.span_records`) arrive from workers
-    via the router and from the gateway's own tracer; each trace's
-    records become Chrome complete events as they land, so exporting a
-    merged trace is a read, not a join.
+    via the router, as the raw JSON bytes of their replies, and from
+    the gateway's own tracer, as a deferred
+    :meth:`~repro.obs.tracing.Tracer.span_records` call.  They are
+    stored as they arrive and become Chrome complete events only when
+    :meth:`chrome_trace` asks: most traces are evicted unread, so a
+    request costs no decoding and no conversion.
 
     Two eviction paths keep the store bounded: LRU when the trace
     *count* exceeds ``max_traces``, and an age sweep dropping traces
@@ -313,13 +325,13 @@ class TraceCollector:
         self.max_age_s = max_age_s
         self._clock = clock
         self._lock = threading.Lock()
-        self._traces: "OrderedDict[str, List[Dict[str, Any]]]" = OrderedDict()
+        #: trace id -> its arrivals, unconverted, oldest first.
+        self._traces: "OrderedDict[str, List[_Arrival]]" = OrderedDict()
         #: trace id -> last clock reading at which records arrived.
         #: ``_traces``'s LRU order and these timestamps agree (both are
         #: refreshed by the same touch), so the age sweep only ever has
         #: to look at the front of the OrderedDict.
         self._touched: Dict[str, float] = {}
-        self._process_labels: Dict[int, str] = {}
         #: Per-reason eviction tallies (``lru`` / ``age``).
         self.evicted: Dict[str, int] = {"lru": 0, "age": 0}
         self._evicted_counter: Optional[Tuple[Any, Any]] = None
@@ -327,48 +339,16 @@ class TraceCollector:
     def add_records(
         self,
         trace_id: str,
-        records: List[Dict[str, Any]],
+        records: SpanRecords,
         label: Optional[str] = None,
     ) -> None:
-        """Fold one process's span records into a trace.  ``label``
-        names the originating process in the merged view."""
+        """Store one process's span records for a trace, unconverted.
+        ``label`` names the originating process in the merged view."""
         if not trace_id or not records:
-            return
-        events: List[Dict[str, Any]] = []
-        for record in records:
-            try:
-                name = str(record["name"])
-                pid = int(record["pid"])
-                event = {
-                    "name": name,
-                    "cat": name.split(".", 1)[0],
-                    "ph": "X",
-                    "ts": float(record["ts_us"]),
-                    "dur": float(record["dur_us"]),
-                    "pid": pid,
-                    "tid": int(record.get("tid", 0)),
-                    "args": {
-                        **dict(record.get("args") or {}),
-                        "trace_id": trace_id,
-                        "span_id": record.get("span_id"),
-                        "parent_span_id": record.get("parent_span_id"),
-                    },
-                }
-            except (KeyError, TypeError, ValueError):
-                continue
-            events.append(event)
-        if not events:
             return
         now = self._clock()
         with self._lock:
-            if label:
-                for event in events:
-                    self._process_labels[event["pid"]] = label
-            bucket = self._traces.get(trace_id)
-            if bucket is None:
-                bucket = []
-                self._traces[trace_id] = bucket
-            bucket.extend(events)
+            self._traces.setdefault(trace_id, []).append((records, label))
             self._traces.move_to_end(trace_id)
             self._touched[trace_id] = now
             lru = 0
@@ -438,8 +418,16 @@ class TraceCollector:
                 trace_id = next(reversed(self._traces), None)
             if trace_id is None or trace_id not in self._traces:
                 return None
-            events = [dict(e) for e in self._traces[trace_id]]
-            labels = dict(self._process_labels)
+            parts = list(self._traces[trace_id])
+        events: List[Dict[str, Any]] = []
+        labels: Dict[int, str] = {}
+        for records, label in parts:
+            for event in _chrome_events(trace_id, records):
+                events.append(event)
+                if label:
+                    labels[event["pid"]] = label
+        if not events:
+            return None
         origin = min(e["ts"] for e in events)
         for event in events:
             event["ts"] -= origin
@@ -459,6 +447,44 @@ class TraceCollector:
             "displayTimeUnit": "ms",
             "otherData": {"trace_id": trace_id},
         }
+
+
+def _chrome_events(
+    trace_id: str, records: SpanRecords
+) -> List[Dict[str, Any]]:
+    """One stored arrival's span records as Chrome complete events;
+    records that do not decode are skipped."""
+    if callable(records):
+        records = records()
+    elif isinstance(records, bytes):
+        try:
+            records = json.loads(records)
+        except ValueError:
+            return []
+    if not isinstance(records, list):
+        return []
+    events: List[Dict[str, Any]] = []
+    for record in records:
+        try:
+            name = str(record["name"])
+            events.append({
+                "name": name,
+                "cat": name.split(".", 1)[0],
+                "ph": "X",
+                "ts": float(record["ts_us"]),
+                "dur": float(record["dur_us"]),
+                "pid": int(record["pid"]),
+                "tid": int(record.get("tid", 0)),
+                "args": {
+                    **dict(record.get("args") or {}),
+                    "trace_id": trace_id,
+                    "span_id": record.get("span_id"),
+                    "parent_span_id": record.get("parent_span_id"),
+                },
+            })
+        except (KeyError, TypeError, ValueError):
+            continue
+    return events
 
 
 class ClusterTelemetry:

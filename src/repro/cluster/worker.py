@@ -33,10 +33,11 @@ Tracing: when a data-verb message carries a trace envelope
 (:func:`~repro.obs.tracing.extract_trace`), the worker opens its
 ``worker.request`` root span under the remote parent, the service and
 pipeline spans nest beneath it, and the completed span records travel
-back in the response's ``"spans"`` field so the gateway can merge one
-cluster-wide Chrome trace.  Untraced requests still get a local trace
-id so their spans can be discarded after the response — the tracer's
-retained set stays bounded by in-flight work.
+back in the reply trailer, beside the answer, so the gateway can merge
+one cluster-wide Chrome trace without parsing the answer.  Untraced
+requests still get a local trace id so their spans can be discarded
+after the response — the tracer's retained set stays bounded by
+in-flight work.
 
 Fault injection: the ``crash`` verb calls ``os._exit``, giving tests
 and the availability benchmark a deterministic way to kill a worker
@@ -52,14 +53,14 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import codec
 from repro.cluster.protocol import (
     ConnectionClosed,
     ProtocolError,
     recv_frame,
-    send_frame,
+    send_reply,
 )
 from repro.obs.events import (
     EventLog,
@@ -90,6 +91,9 @@ MSG_HEARTBEAT = "heartbeat"
 MSG_STOPPED = "stopped"
 #: Parent → child.
 MSG_SHUTDOWN = "shutdown"
+
+#: Verbs served under a ``worker.request`` span.
+DATA_VERBS = ("ingest", "match", "investigate")
 
 
 @dataclass(frozen=True)
@@ -420,8 +424,6 @@ class _WorkerServer:
                 "worker": self.spec.worker_id,
                 "slowlog": payload,
             }
-        if verb in ("ingest", "match", "investigate"):
-            return self._handle_data(message, verb)
         raise codec.CodecError(f"unknown verb {verb!r}")
 
     def _dispatch_data(self, message: Dict[str, Any], verb: str) -> Dict[str, Any]:
@@ -433,18 +435,21 @@ class _WorkerServer:
         )
         return codec.response_to_wire(response)
 
-    def _handle_data(self, message: Dict[str, Any], verb: str) -> Dict[str, Any]:
-        """A data verb under a ``worker.request`` root span.
+    def _handle_data(
+        self, message: Dict[str, Any], verb: str
+    ) -> Tuple[Dict[str, Any], Optional[List[Dict[str, Any]]]]:
+        """A data verb under a ``worker.request`` root span; returns the
+        response and, for a traced request, its span records.
 
         When the message carries a trace envelope the span tree adopts
         the remote trace id + parent and the finished records ride back
-        in the response.  Untraced requests get a throwaway local trace
-        id so their spans can still be popped off the tracer — a
+        beside the response.  Untraced requests get a throwaway local
+        trace id so their spans can still be popped off the tracer — a
         long-running worker's span retention stays bounded either way.
         """
         tracer = get_tracer()
         if not isinstance(tracer, Tracer):
-            return self._dispatch_data(message, verb)
+            return self._dispatch_data(message, verb), None
         remote = extract_trace(message)
         local = remote if remote is not None else TraceContext(new_trace_id())
         try:
@@ -458,10 +463,9 @@ class _WorkerServer:
             # otherwise an erroring request (whose trace is never
             # collected) leaks its spans into the tracer forever.
             spans = tracer.take_trace(local.trace_id)
-        if remote is not None:
-            response["trace_id"] = remote.trace_id
-            response["spans"] = tracer.span_records(spans)
-        return response
+        if remote is None:
+            return response, None
+        return response, tracer.span_records(spans)
 
     def _connection_loop(self, sock: socket.socket) -> None:
         try:
@@ -470,8 +474,13 @@ class _WorkerServer:
                     message = recv_frame(sock)
                 except (ConnectionClosed, OSError):
                     return
+                verb = message.get("verb")
+                spans = None
                 try:
-                    response = self._handle_message(message)
+                    if verb in DATA_VERBS:
+                        response, spans = self._handle_data(message, verb)
+                    else:
+                        response = self._handle_message(message)
                 except (codec.CodecError, ProtocolError) as exc:
                     response = codec.error_response(
                         str(message.get("verb", "?")), str(exc)
@@ -482,7 +491,7 @@ class _WorkerServer:
                         f"{type(exc).__name__}: {exc}",
                     )
                 try:
-                    send_frame(sock, response)
+                    send_reply(sock, response, spans)
                 except OSError:
                     return
         finally:

@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 from repro.cluster.protocol import (
     decode_line,
     encode_line,
+    encode_reply,
+    read_reply,
     recv_frame,
     send_frame,
 )
@@ -301,7 +303,7 @@ class TestTraceCollector:
 
 
 class _FakeHandle:
-    """Scripted worker: a list of responses / WorkerError to raise."""
+    """Scripted worker: a list of wire replies / WorkerError to raise."""
 
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
@@ -312,7 +314,10 @@ class _FakeHandle:
         outcome = self.outcomes.pop(0) if self.outcomes else WorkerError("dry")
         if isinstance(outcome, Exception):
             raise outcome
-        return dict(outcome)
+        reader = asyncio.StreamReader()
+        reader.feed_data(outcome)
+        reader.feed_eof()
+        return await read_reply(reader)
 
 
 class _FakeSupervisor:
@@ -329,15 +334,12 @@ class _FakeSupervisor:
 
 
 def _worker_response(trace_id, span_id):
-    return {
-        "verb": "match",
-        "status": "ok",
-        "matches": {},
-        "trace_id": trace_id,
-        "spans": [
-            TestTraceCollector.record(span_id, trace_id, pid=100 + span_id)
-        ],
-    }
+    """A traced worker's wire reply: the answer, with its span records
+    in the trailer."""
+    return encode_reply(
+        {"verb": "match", "status": "ok", "matches": {}},
+        [TestTraceCollector.record(span_id, trace_id, pid=100 + span_id)],
+    )
 
 
 class TestRouterTracePreservation:
