@@ -796,18 +796,6 @@ def run_inspect(args: argparse.Namespace, out=None) -> int:
         file=out,
     )
 
-    # The packed co-occurrence index the co-traveler queries read.
-    from repro.core.accel import matrix_for
-
-    matrix = matrix_for(store)
-    matrix.sync()
-    print(
-        f"  packed scenario matrix: {len(matrix)} rows x "
-        f"{matrix.num_words} words = {matrix.nbytes / 1024:.1f} KiB "
-        f"[ev_accel_matrix_bytes]",
-        file=out,
-    )
-
     # The camera graph fitted alongside this world (what --topology
     # matching and the convoy queries consult).
     model = dataset.topology
@@ -1028,6 +1016,7 @@ def run_serve(args: argparse.Namespace, out=None) -> int:
     return 0
 
 
+@contextlib.contextmanager
 def _cluster_stack(args: argparse.Namespace, out, dataset=None):
     """Stand up the shared cluster stack: fleet + router + gateway.
 
@@ -1037,10 +1026,13 @@ def _cluster_stack(args: argparse.Namespace, out, dataset=None):
     ``--dataset`` world is never parsed here unless the caller needs it
     and passes it in.
 
-    Returns ``(supervisor, router, gateway)``; the caller owns teardown
-    (``gateway.drain()`` then ``supervisor.stop()``).
+    Yields ``(supervisor, router, gateway)`` and tears the stack down
+    on exit: the gateway drains, the fleet stops, and a journal
+    directory made here (no ``--journal-dir``) is removed with the
+    world file saved in it.
     """
     import os
+    import shutil
     import tempfile
 
     from repro.cluster import (
@@ -1052,50 +1044,59 @@ def _cluster_stack(args: argparse.Namespace, out, dataset=None):
     from repro.service import ServiceConfig
 
     journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="repro-cluster-")
-    os.makedirs(journal_dir, exist_ok=True)
-    if getattr(args, "dataset", None):
-        dataset_path = args.dataset
-        print(f"workers load the world from {dataset_path}", file=out)
-    else:
-        if dataset is None:
-            dataset = _world_from_args(args, out)
-        # Save once; every worker loads the identical world instead of
-        # re-simulating it.
-        dataset_path = str(
-            save_dataset(dataset, os.path.join(journal_dir, "world.npz"))
+    supervisor = gateway = None
+    try:
+        os.makedirs(journal_dir, exist_ok=True)
+        if getattr(args, "dataset", None):
+            dataset_path = args.dataset
+            print(f"workers load the world from {dataset_path}", file=out)
+        else:
+            if dataset is None:
+                dataset = _world_from_args(args, out)
+            # Save once; every worker loads the identical world instead
+            # of re-simulating it.
+            dataset_path = str(
+                save_dataset(dataset, os.path.join(journal_dir, "world.npz"))
+            )
+        service_config = ServiceConfig(
+            workers=args.threads, queue_size=args.queue_size
         )
-    service_config = ServiceConfig(
-        workers=args.threads, queue_size=args.queue_size
-    )
-    specs = [
-        WorkerSpec(
-            worker_id=f"w{i}",
-            dataset_path=dataset_path,
-            journal_path=os.path.join(journal_dir, f"w{i}.journal.jsonl"),
-            service=service_config,
-            host=args.host,
-            telemetry_interval_s=getattr(args, "telemetry_interval", 1.0),
-            max_events_per_beat=getattr(args, "events_per_beat", 256),
-            profile_hz=getattr(args, "profile_hz", 0.0),
-            use_topology=getattr(args, "topology", False),
+        specs = [
+            WorkerSpec(
+                worker_id=f"w{i}",
+                dataset_path=dataset_path,
+                journal_path=os.path.join(journal_dir, f"w{i}.journal.jsonl"),
+                service=service_config,
+                host=args.host,
+                telemetry_interval_s=getattr(args, "telemetry_interval", 1.0),
+                max_events_per_beat=getattr(args, "events_per_beat", 256),
+                profile_hz=getattr(args, "profile_hz", 0.0),
+                use_topology=getattr(args, "topology", False),
+            )
+            for i in range(args.processes)
+        ]
+        print(
+            f"spawning {args.processes} worker processes "
+            f"({args.threads} threads each, journals in {journal_dir})...",
+            file=out,
         )
-        for i in range(args.processes)
-    ]
-    print(
-        f"spawning {args.processes} worker processes "
-        f"({args.threads} threads each, journals in {journal_dir})...",
-        file=out,
-    )
-    supervisor = Supervisor(specs).start()
-    router = ClusterRouter(
-        supervisor,
-        replication=args.replication,
-        read_policy=args.read_policy,
-    )
-    gateway = ClusterGateway(
-        router, supervisor, host=args.host, port=getattr(args, "port", 0)
-    ).start()
-    return supervisor, router, gateway
+        supervisor = Supervisor(specs).start()
+        router = ClusterRouter(
+            supervisor,
+            replication=args.replication,
+            read_policy=args.read_policy,
+        )
+        gateway = ClusterGateway(
+            router, supervisor, host=args.host, port=getattr(args, "port", 0)
+        ).start()
+        yield supervisor, router, gateway
+    finally:
+        if gateway is not None:
+            gateway.drain(timeout=5.0)
+        if supervisor is not None:
+            supervisor.stop()
+        if not args.journal_dir:
+            shutil.rmtree(journal_dir, ignore_errors=True)
 
 
 def run_cluster_serve(args: argparse.Namespace, out=None) -> int:
@@ -1112,37 +1113,34 @@ def run_cluster_serve(args: argparse.Namespace, out=None) -> int:
     log = EventLog(sink=args.events) if args.events else EventLog()
     previous_log = set_event_log(log)
     previous_tracer = set_tracer(Tracer())
-    supervisor = gateway = None
     try:
-        supervisor, router, gateway = _cluster_stack(args, out)
-        print(
-            f"cluster up: gateway on {gateway.host}:{gateway.port}, "
-            f"replication {router.replication}, "
-            f"read policy {router.read_policy}",
-            file=out,
-        )
-        print(
-            "NDJSON verbs: match investigate ingest health stats metrics "
-            "trace profile slowlog ping events(SSE stream); Ctrl-C drains",
-            file=out,
-        )
-        stop = threading.Event()
-        with _drain_on_signals(stop.set, out):
-            deadline = (
-                time.monotonic() + args.serve_seconds
-                if args.serve_seconds > 0
-                else None
+        with _cluster_stack(args, out) as (supervisor, router, gateway):
+            print(
+                f"cluster up: gateway on {gateway.host}:{gateway.port}, "
+                f"replication {router.replication}, "
+                f"read policy {router.read_policy}",
+                file=out,
             )
-            while not stop.is_set():
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                stop.wait(0.2)
-        print("draining gateway...", file=out)
-        summary = gateway.drain()
-        gateway = None
-        supervisor.stop()
+            print(
+                "NDJSON verbs: match investigate ingest health stats "
+                "metrics trace profile slowlog ping events(SSE stream); "
+                "Ctrl-C drains",
+                file=out,
+            )
+            stop = threading.Event()
+            with _drain_on_signals(stop.set, out):
+                deadline = (
+                    time.monotonic() + args.serve_seconds
+                    if args.serve_seconds > 0
+                    else None
+                )
+                while not stop.is_set():
+                    if deadline is not None and time.monotonic() >= deadline:
+                        break
+                    stop.wait(0.2)
+            print("draining gateway...", file=out)
+            summary = gateway.drain()
         restarts = sum(h.restarts for h in supervisor.workers.values())
-        supervisor = None
         print(
             f"drained clean: {summary['drained']}; "
             f"requests served: {gateway_requests(log)}; "
@@ -1151,10 +1149,6 @@ def run_cluster_serve(args: argparse.Namespace, out=None) -> int:
         )
         return 0
     finally:
-        if gateway is not None:
-            gateway.drain(timeout=5.0)
-        if supervisor is not None:
-            supervisor.stop()
         log.close()
         set_event_log(previous_log)
         set_tracer(previous_tracer)
@@ -1187,7 +1181,7 @@ def run_cluster_loadtest(args: argparse.Namespace, out=None) -> int:
     )
     log = EventLog(sink=args.events) if args.events else EventLog()
     previous_log = set_event_log(log)
-    supervisor = gateway = None
+    stack = contextlib.ExitStack()
     try:
         # Target sampling needs the world itself, not just its path.
         dataset = _world_from_args(args, out)
@@ -1195,7 +1189,9 @@ def run_cluster_loadtest(args: argparse.Namespace, out=None) -> int:
             host, _, port = args.connect.rpartition(":")
             address = (host or "127.0.0.1", int(port))
         else:
-            supervisor, _router, gateway = _cluster_stack(args, out, dataset)
+            _supervisor, _router, gateway = stack.enter_context(
+                _cluster_stack(args, out, dataset)
+            )
             address = (gateway.host, gateway.port)
         targets = list(
             dataset.sample_targets(min(24, len(dataset.eids)), seed=1)
@@ -1228,10 +1224,7 @@ def run_cluster_loadtest(args: argparse.Namespace, out=None) -> int:
             )
         return 0 if report.errors == 0 else 1
     finally:
-        if gateway is not None:
-            gateway.drain(timeout=5.0)
-        if supervisor is not None:
-            supervisor.stop()
+        stack.close()
         log.close()
         set_event_log(previous_log)
 
@@ -1254,10 +1247,12 @@ def run_cluster_trace(args: argparse.Namespace, out=None) -> int:
     log = EventLog(sink=args.events) if args.events else EventLog()
     previous_log = set_event_log(log)
     previous_tracer = set_tracer(Tracer())
-    supervisor = gateway = None
+    stack = contextlib.ExitStack()
     try:
         dataset = _world_from_args(args, out)
-        supervisor, _router, gateway = _cluster_stack(args, out, dataset)
+        _supervisor, _router, gateway = stack.enter_context(
+            _cluster_stack(args, out, dataset)
+        )
         with GatewayClient(gateway.host, gateway.port) as client:
             for i in range(max(1, args.requests)):
                 targets = dataset.sample_targets(
@@ -1289,10 +1284,7 @@ def run_cluster_trace(args: argparse.Namespace, out=None) -> int:
         )
         return 0
     finally:
-        if gateway is not None:
-            gateway.drain(timeout=5.0)
-        if supervisor is not None:
-            supervisor.stop()
+        stack.close()
         log.close()
         set_event_log(previous_log)
         set_tracer(previous_tracer)
@@ -1320,10 +1312,12 @@ def run_cluster_profile(args: argparse.Namespace, out=None) -> int:
         args.profile_hz = DEFAULT_PROFILE_HZ
     log = EventLog(sink=args.events) if args.events else EventLog()
     previous_log = set_event_log(log)
-    supervisor = gateway = None
+    stack = contextlib.ExitStack()
     try:
         dataset = _world_from_args(args, out)
-        supervisor, _router, gateway = _cluster_stack(args, out, dataset)
+        _supervisor, _router, gateway = stack.enter_context(
+            _cluster_stack(args, out, dataset)
+        )
         print(
             f"profiling the fleet at {args.profile_hz:g} Hz "
             f"({max(1, args.requests)} match requests)...",
@@ -1375,10 +1369,7 @@ def run_cluster_profile(args: argparse.Namespace, out=None) -> int:
         )
         return 0
     finally:
-        if gateway is not None:
-            gateway.drain(timeout=5.0)
-        if supervisor is not None:
-            supervisor.stop()
+        stack.close()
         log.close()
         set_event_log(previous_log)
 

@@ -427,13 +427,18 @@ class _WorkerServer:
         raise codec.CodecError(f"unknown verb {verb!r}")
 
     def _dispatch_data(self, message: Dict[str, Any], verb: str) -> Dict[str, Any]:
-        if verb == "ingest":
-            return self._handle_ingest(message)
-        request = codec.request_from_wire(message)
-        response = self.service.submit(request).result(
-            timeout=self.spec.request_result_timeout_s
-        )
-        return codec.response_to_wire(response)
+        """A data verb's response; a failure becomes its error response
+        here, so it is answered inside the request's span."""
+        try:
+            if verb == "ingest":
+                return self._handle_ingest(message)
+            request = codec.request_from_wire(message)
+            response = self.service.submit(request).result(
+                timeout=self.spec.request_result_timeout_s
+            )
+            return codec.response_to_wire(response)
+        except Exception as exc:
+            return _error_response(message, exc)
 
     def _handle_data(
         self, message: Dict[str, Any], verb: str
@@ -452,17 +457,14 @@ class _WorkerServer:
             return self._dispatch_data(message, verb), None
         remote = extract_trace(message)
         local = remote if remote is not None else TraceContext(new_trace_id())
-        try:
-            with tracer.remote_context(local):
-                with tracer.span(
-                    "worker.request", verb=verb, worker=self.spec.worker_id
-                ):
-                    response = self._dispatch_data(message, verb)
-        finally:
-            # Pop the trace's spans even when the dispatch raised —
-            # otherwise an erroring request (whose trace is never
-            # collected) leaks its spans into the tracer forever.
-            spans = tracer.take_trace(local.trace_id)
+        with tracer.remote_context(local):
+            with tracer.span(
+                "worker.request", verb=verb, worker=self.spec.worker_id
+            ):
+                # Never raises: a failed request is answered here, so
+                # its error reply carries the worker's spans too.
+                response = self._dispatch_data(message, verb)
+        spans = tracer.take_trace(local.trace_id)
         if remote is None:
             return response, None
         return response, tracer.span_records(spans)
@@ -481,15 +483,8 @@ class _WorkerServer:
                         response, spans = self._handle_data(message, verb)
                     else:
                         response = self._handle_message(message)
-                except (codec.CodecError, ProtocolError) as exc:
-                    response = codec.error_response(
-                        str(message.get("verb", "?")), str(exc)
-                    )
-                except Exception as exc:  # service-side failure: report it
-                    response = codec.error_response(
-                        str(message.get("verb", "?")),
-                        f"{type(exc).__name__}: {exc}",
-                    )
+                except Exception as exc:
+                    response = _error_response(message, exc)
                 try:
                     send_reply(sock, response, spans)
                 except OSError:
@@ -575,6 +570,16 @@ class _WorkerServer:
                 self.control.close()
             except OSError:
                 pass
+
+
+def _error_response(message: Dict[str, Any], exc: Exception) -> Dict[str, Any]:
+    """The reply to a request that raised: a codec or protocol fault
+    by its own text, any other (service-side) failure with its type."""
+    if isinstance(exc, (codec.CodecError, ProtocolError)):
+        text = str(exc)
+    else:
+        text = f"{type(exc).__name__}: {exc}"
+    return codec.error_response(str(message.get("verb", "?")), text)
 
 
 def worker_main(spec: WorkerSpec, control) -> None:

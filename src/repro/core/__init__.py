@@ -17,13 +17,11 @@ Layout:
 * :mod:`repro.core.matcher` — the high-level API supporting single,
   multiple and universal matching sizes.
 * :mod:`repro.core.analysis` — Theorems 4.2 / 4.4 as checkable bounds.
-* :mod:`repro.core.accel` — the packed inclusive-EID index behind the
-  co-traveler and convoy queries.
+* :mod:`repro.core.accel` — the E-stage backend name run labels carry.
 * :mod:`repro.core.blas` — the one-thread OpenBLAS bound the V
   stage's pair fill runs under.
 """
 
-from repro.core.accel import EIDInterner, ScenarioMatrix, matrix_for
 from repro.core.partition import EIDPartition, SeparationTracker
 from repro.core.set_splitting import (
     SelectionStrategy,
@@ -52,10 +50,7 @@ __all__ = [
     "EDPConfig",
     "EDPMatcher",
     "EDPResult",
-    "EIDInterner",
     "EIDPartition",
-    "ScenarioMatrix",
-    "matrix_for",
     "EVMatcher",
     "Emission",
     "IncrementalMatcher",

@@ -8,14 +8,14 @@ than one camera cell, each hop feasible under the fitted
 sit in the same building all day co-occur heavily but never convoy;
 two people driving the same route convoy within a few ticks.
 
-The query is two-phase, and both phases lean on existing kernels:
+The query is two-phase:
 
-1. **Candidate screen** — one packed column sum over the target's
-   inclusive scenario rows
-   (:meth:`~repro.core.accel.ScenarioMatrix.co_occurrence_counts`,
-   the PR-2 co-traveler kernel) yields every EID's shared-scenario
-   count at once; only candidates with at least ``min_shared`` shared
-   scenarios proceed.
+1. **Candidate screen** — the one co-occurrence count over the
+   target's confident sightings
+   (:func:`~repro.sensing.scenarios.co_travelers`, which also serves
+   the investigate verb and :class:`~repro.fusion.index.FusedIndex`)
+   yields every EID's shared-scenario count at once; only candidates
+   with at least ``min_shared`` shared scenarios proceed.
 2. **Graph-constrained window join** — the shared sightings are walked
    in tick order and split into segments wherever consecutive
    sightings are spatiotemporally infeasible (unreachable under the
@@ -30,8 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.accel import matrix_for
-from repro.sensing.scenarios import ScenarioKey, ScenarioStore
+from repro.sensing.scenarios import (
+    ScenarioKey,
+    ScenarioStore,
+    co_travelers,
+    inclusive_keys,
+)
 from repro.world.entities import EID
 
 
@@ -97,8 +101,6 @@ class ConvoyQuery:
         self.min_shared = min_shared
         self.min_cells = min_cells
         self.max_gap_ticks = max_gap_ticks
-        self._matrix = matrix_for(store)
-        self._matrix.sync()
 
     # -- public API ------------------------------------------------------
     def find(self, eid: EID) -> List[Convoy]:
@@ -128,35 +130,24 @@ class ConvoyQuery:
     # -- phases ----------------------------------------------------------
     def _inclusive_keys(self, eid: EID) -> List[ScenarioKey]:
         """The target's confident sightings, tick-ordered."""
-        keys = [
-            key
-            for key in self.store.keys
-            if eid in self.store.e_scenario(key).inclusive
-        ]
+        keys = inclusive_keys(self.store, eid, self.store.keys)
         keys.sort(key=lambda k: (k.tick, k.cell_id))
         return keys
 
     def _candidates(self, eid: EID, own_keys: List[ScenarioKey]) -> List[EID]:
-        """Phase 1: the packed column-sum candidate screen."""
-        counts = self._matrix.co_occurrence_counts(own_keys)
-        interner = self._matrix.interner
-        eid_id = interner.id_of(eid)
+        """Phase 1: the co-occurrence count's candidate screen."""
         return sorted(
-            interner.eid_of(i)
-            for i, n in enumerate(counts)
-            if n >= self.min_shared and i != eid_id
+            other
+            for other, _n in co_travelers(
+                self.store, eid, own_keys, self.min_shared
+            )
         )
 
     def _shared_keys(
         self, own_keys: List[ScenarioKey], companion: EID
     ) -> List[ScenarioKey]:
-        companion_id = self._matrix.interner.id_of(companion)
-        word, bit = companion_id >> 6, companion_id & 63
-        return [
-            key
-            for key in own_keys
-            if (int(self._matrix.inclusive_row(key)[word]) >> bit) & 1
-        ]
+        """The target's sightings ``companion`` shares, tick-ordered."""
+        return inclusive_keys(self.store, companion, own_keys)
 
     def _segments(self, shared: List[ScenarioKey]) -> List[List[ScenarioKey]]:
         """Phase 2: split shared sightings at infeasible joins."""

@@ -28,7 +28,12 @@ import numpy as np
 
 from repro.core.matcher import MatchReport
 from repro.fusion.trajectories import ETrajectory, build_e_trajectories
-from repro.sensing.scenarios import Detection, ScenarioKey, ScenarioStore
+from repro.sensing.scenarios import (
+    Detection,
+    ScenarioKey,
+    ScenarioStore,
+    co_travelers,
+)
 from repro.world.entities import EID
 
 
@@ -171,25 +176,14 @@ class FusedIndex:
         """EIDs that electronically co-occur with ``eid`` often.
 
         Returns ``(other, shared scenario count)`` pairs with at least
-        ``min_shared`` confident co-occurrences, most-shared first.
+        ``min_shared`` confident co-occurrences, most-shared first: the
+        one count (:func:`~repro.sensing.scenarios.co_travelers`) over
+        the person's electronic trajectory.
         """
-        if min_shared <= 0:
-            raise ValueError(f"min_shared must be positive, got {min_shared}")
         trajectory = self.profile(eid).e_trajectory
-        if trajectory is None:
-            return []
-        own = {(t, c) for t, c, vague in trajectory.sightings if not vague}
-        counts: Dict[EID, int] = {}
-        for tick, cell_id in own:
-            key = ScenarioKey(cell_id=cell_id, tick=tick)
-            if key not in self.store:
-                continue
-            for other in self.store.e_scenario(key).inclusive:
-                if other != eid:
-                    counts[other] = counts.get(other, 0) + 1
-        pairs = [(e, n) for e, n in counts.items() if n >= min_shared]
-        pairs.sort(key=lambda en: (-en[1], en[0]))
-        return pairs
+        sightings = trajectory.sightings if trajectory is not None else ()
+        keys = [ScenarioKey(cell_id=c, tick=t) for t, c, _vague in sightings]
+        return co_travelers(self.store, eid, keys, min_shared)
 
     def attribution_accuracy(self, truth: Mapping[EID, "VID"]) -> float:  # noqa: F821
         """Ground-truth fraction of correctly attributed detections.

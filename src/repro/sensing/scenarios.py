@@ -22,8 +22,19 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -32,6 +43,15 @@ from repro.world.entities import EID, VID
 #: The columns of a detection-less V-Scenario (shared; never written).
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_FEATURES = np.empty((0, 0))
+
+#: An EID's index, read at C level (the co-occurrence count's key).
+_INDEX = attrgetter("index")
+
+#: One shared :class:`EID` per index for the co-occurrence count's
+#: answers, which result caches hold: a fresh object per answered pair
+#: would cost about 100 bytes each.  Bounded, because indices arrive
+#: from outside.
+_eid = lru_cache(maxsize=1 << 16)(EID)
 
 #: One shared :class:`VID` per index for the detection views, so equal
 #: VIDs are one object (dict and set lookups short-cut on identity).
@@ -258,9 +278,6 @@ class ScenarioStore:
     def __init__(self, scenarios: Sequence[EVScenario]) -> None:
         self._by_key: Dict[ScenarioKey, EVScenario] = {}
         self._ticks: Dict[int, List[ScenarioKey]] = {}
-        #: Keys in arrival order — the incremental-sync log consumed by
-        #: :class:`repro.core.accel.ScenarioMatrix` (append-only).
-        self._arrival: List[ScenarioKey] = []
         self._eids: Set[EID] = set()
         self._sorted: List[ScenarioKey] = []
         self._keys_cache: Optional[Tuple[ScenarioKey, ...]] = None
@@ -271,7 +288,6 @@ class ScenarioStore:
                 raise ValueError(f"duplicate scenario key {scenario.key}")
             self._by_key[scenario.key] = scenario
             self._ticks.setdefault(scenario.key.tick, []).append(scenario.key)
-            self._arrival.append(scenario.key)
             self._eids.update(scenario.e.eids)
         for keys in self._ticks.values():
             keys.sort()
@@ -295,7 +311,6 @@ class ScenarioStore:
             self._ticks_cache = None
         else:
             insort(tick_keys, scenario.key)
-        self._arrival.append(scenario.key)
         insort(self._sorted, scenario.key)
         self._keys_cache = None
         if not self._eids.issuperset(scenario.e.eids):
@@ -326,13 +341,6 @@ class ScenarioStore:
         if self._universe_cache is None:
             self._universe_cache = frozenset(self._eids)
         return self._universe_cache
-
-    def keys_since(self, start: int) -> Sequence[ScenarioKey]:
-        """Keys ingested at arrival positions ``>= start``, in arrival
-        order — the append-only log incremental index structures (the
-        packed :class:`~repro.core.accel.ScenarioMatrix`, shard routing)
-        consume to stay in sync without rescans."""
-        return tuple(self._arrival[start:])
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -365,3 +373,50 @@ class ScenarioStore:
     def total_detections(self) -> int:
         """Total V-side detections — the dataset's visual volume."""
         return sum(len(s.v.detection_ids) for s in self._by_key.values())
+
+
+def inclusive_keys(
+    store: ScenarioStore, eid: EID, keys: Iterable[ScenarioKey]
+) -> List[ScenarioKey]:
+    """The ``keys`` whose E-Scenario holds ``eid`` as inclusive, in the
+    order given: ``eid``'s confident sightings among them."""
+    return [key for key in keys if eid in store.e_scenario(key).inclusive]
+
+
+def co_travelers(
+    store: ScenarioStore,
+    eid: EID,
+    keys: Iterable[ScenarioKey],
+    min_shared: int,
+) -> List[Tuple[EID, int]]:
+    """Who shares at least ``min_shared`` of ``eid``'s confident
+    sightings among ``keys``, as ``(EID, count)`` pairs, most-shared
+    first (ties by EID).
+
+    Keeps the keys where ``eid`` is inclusive and counts every EID over
+    those scenarios' inclusive sets; vague sightings count on neither
+    side.  The count is one ``np.unique`` over the sighted EIDs'
+    indices, so its memory follows the number of sightings, never the
+    size of an index: indices arrive from outside (the cluster and
+    checkpoint codecs) and span the 40-bit MAC range.
+    """
+    if min_shared <= 0:
+        raise ValueError(f"min_shared must be positive, got {min_shared}")
+    sets = [
+        inclusive
+        for inclusive in (store.e_scenario(key).inclusive for key in keys)
+        if eid in inclusive
+    ]
+    indices = np.fromiter(
+        map(_INDEX, chain.from_iterable(sets)),
+        dtype=np.int64,
+        count=sum(map(len, sets)),
+    )
+    ids, counts = np.unique(indices, return_counts=True)
+    keep = (counts >= min_shared) & (ids != eid.index)
+    ids, counts = ids[keep], counts[keep]
+    order = np.argsort(-counts, kind="stable")  # ids ascend: ties by EID
+    return [
+        (_eid(index), n)
+        for index, n in zip(ids[order].tolist(), counts[order].tolist())
+    ]

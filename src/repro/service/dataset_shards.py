@@ -20,10 +20,9 @@ Ingest routes each new scenario to its owning shard; cells never seen
 at build time are assigned round-robin by ``cell_id % N`` so a growing
 deployment keeps balancing.
 
-The dataset also holds the store's shared
-:class:`~repro.core.accel.ScenarioMatrix` so the investigate path's
-co-traveler kernel reuses one packed index instead of re-deriving
-per-query state; ingest keeps it synced.
+Co-traveler counts read the store's own inclusive sets over the EID's
+routed scenarios (:func:`~repro.sensing.scenarios.co_travelers`), so
+ingest maintains the shards' key lists and nothing else.
 """
 
 from __future__ import annotations
@@ -31,10 +30,14 @@ from __future__ import annotations
 import threading
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.accel import matrix_for
 from repro.obs import get_event_log
 from repro.obs import events as ev
-from repro.sensing.scenarios import EVScenario, ScenarioKey, ScenarioStore
+from repro.sensing.scenarios import (
+    EVScenario,
+    ScenarioKey,
+    ScenarioStore,
+    co_travelers,
+)
 from repro.world.cells import CellGrid, HexCellGrid
 from repro.world.entities import EID
 
@@ -111,10 +114,6 @@ class ShardedDataset:
         self.shard_probes = 0
         for key in store.keys:
             self._route(key, store.e_scenario(key).eids)
-        #: The store's shared packed-bitset index (one per store
-        #: process-wide); served queries and the co-traveler kernel
-        #: run on it, and :meth:`add_scenario` keeps it synced.
-        self.matrix = matrix_for(store)
 
     @staticmethod
     def _known_cells(
@@ -150,7 +149,6 @@ class ShardedDataset:
         """Index one newly-ingested scenario; returns its shard id."""
         with self._lock:
             self._route(scenario.key, scenario.e.eids)
-            self.matrix.sync()
             return self._cell_to_shard[scenario.key.cell_id]
 
     # -- topology ---------------------------------------------------------
@@ -209,34 +207,10 @@ class ShardedDataset:
     def co_travelers(
         self, eid: EID, min_shared: int = 3
     ) -> List[Tuple[EID, int]]:
-        """EIDs confidently co-occurring with ``eid``, most-shared first.
-
-        Runs on the shared packed matrix: select the scenarios whose
-        *inclusive* bits contain ``eid``, then one column sum over
-        their inclusive rows yields every co-occurrence count at once
-        (:meth:`~repro.core.accel.ScenarioMatrix.co_occurrence_counts`).
-        """
-        if min_shared <= 0:
-            raise ValueError(f"min_shared must be positive, got {min_shared}")
-        matrix = self.matrix
-        matrix.sync()
-        eid_id = matrix.interner.id_of(eid)
-        if eid_id is None:
-            return []
-        word, bit = eid_id >> 6, eid_id & 63
-        keys = [
-            key
-            for key in self.scenarios_of(eid)
-            if (int(matrix.inclusive_row(key)[word]) >> bit) & 1
-        ]
-        counts = matrix.co_occurrence_counts(keys)
-        pairs = [
-            (matrix.interner.eid_of(i), int(n))
-            for i, n in enumerate(counts)
-            if n >= min_shared and i != eid_id
-        ]
-        pairs.sort(key=lambda en: (-en[1], en[0]))
-        return pairs
+        """EIDs confidently co-occurring with ``eid``, most-shared first:
+        the one count (:func:`~repro.sensing.scenarios.co_travelers`)
+        over the scenarios the shards route ``eid`` to."""
+        return co_travelers(self.store, eid, self.scenarios_of(eid), min_shared)
 
     def balance(self) -> Dict[int, int]:
         """Scenario count per shard (load-balance diagnostic)."""

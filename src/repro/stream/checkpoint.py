@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.sensing.scenarios import (
     detection_columns,
 )
 from repro.stream.assembler import OpenWindow, WindowAssembler
-from repro.world.entities import EID
+from repro.world.entities import EID, MAC_SPACE
 
 #: Bumped whenever the snapshot layout changes incompatibly (2: open
 #: windows hold sighting columns and frame ticks, not per-EID counts).
@@ -116,11 +116,21 @@ def scenario_from_json(payload: Dict[str, Any]) -> EVScenario:
     return EVScenario(
         e=EScenario(
             key=key,
-            inclusive=frozenset(EID(int(i)) for i in payload["inclusive"]),
-            vague=frozenset(EID(int(i)) for i in payload["vague"]),
+            inclusive=_eids_from_json(payload["inclusive"]),
+            vague=_eids_from_json(payload["vague"]),
         ),
         v=VScenario(key, *_detections_from_json(payload["detections"])),
     )
+
+
+def _eids_from_json(indices: Sequence[Any]) -> FrozenSet[EID]:
+    """The EIDs of a decoded scenario.  Indices come from outside (the
+    cluster ingest codec, a journal), and one outside the MAC space is
+    malformed: the co-occurrence count holds indices as int64."""
+    values = [int(i) for i in indices]
+    if values and not (0 <= min(values) and max(values) < MAC_SPACE):
+        raise ValueError(f"EID index outside the MAC space in {values}")
+    return frozenset(map(EID, values))
 
 
 class _EIDsByIndex(dict):

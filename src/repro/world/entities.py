@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+#: EID indices fill the 40 bits of a MAC address after its fixed ``02``
+#: first octet.
+MAC_SPACE = 2**40
+
 
 @dataclass(frozen=True, order=True)
 class EID:
@@ -34,7 +38,7 @@ class EID:
     @property
     def mac(self) -> str:
         """The identity rendered as a locally-administered MAC address."""
-        if not 0 <= self.index < 2**40:
+        if not 0 <= self.index < MAC_SPACE:
             raise ValueError(f"EID index {self.index} out of MAC range")
         raw = self.index
         octets = [(raw >> shift) & 0xFF for shift in (32, 24, 16, 8, 0)]

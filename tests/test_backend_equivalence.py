@@ -4,15 +4,14 @@ The E stage: a split on a store grown scenario by scenario through the
 live ``ScenarioStore.add`` path equals the split on the same scenarios
 built whole, and an examination budget stops the split exactly where
 the unbudgeted run would be after that many scenarios.  Alongside them:
-the published co-occurrence-index gauge, the backend name run labels
-carry, and the V stage's shared membership table against its pairwise
-Eq. 1 oracle."""
+the backend name run labels carry, and the V stage's shared membership
+table against its pairwise Eq. 1 oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.accel import matrix_for, resolve_backend
+from repro.core.accel import resolve_backend
 from repro.core.set_splitting import SelectionStrategy, SetSplitter, SplitConfig
 from repro.sensing.scenarios import (
     EScenario,
@@ -162,25 +161,6 @@ class TestBackendResolution:
                 resolve_backend(name)
         with pytest.raises(TypeError):
             SplitConfig(backend="python")
-
-
-class TestAccelGauges:
-    def test_matrix_bytes_gauge_published(self):
-        from repro.obs import get_registry
-
-        store = build_store(
-            [({0, 1, 2}, {3}, 0, 0), ({1, 4}, set(), 1, 2)]
-        )
-        matrix = matrix_for(store)
-        matrix.sync()
-        text = get_registry().render_prometheus()
-        values = [
-            float(line.rsplit(" ", 1)[1])
-            for line in text.splitlines()
-            if line.startswith("ev_accel_matrix_bytes ")
-        ]
-        assert values, "ev_accel_matrix_bytes gauge not published"
-        assert values[-1] == matrix.nbytes
 
 
 def _vstage_filters(store, config):

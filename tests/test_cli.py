@@ -405,3 +405,33 @@ class TestTopologyCli:
         captured = capsys.readouterr().out
         assert "camera graph (topology):" in captured
         assert "fitted edges" in captured
+
+
+class TestClusterJournalDir:
+    """A cluster run removes the journal directory it made itself, and
+    keeps one it was given."""
+
+    FLAGS = [
+        "cluster", "serve", "--people", "40", "--cells", "2",
+        "--duration", "200", "--processes", "1", "--replication", "1",
+        "--threads", "1", "--serve-seconds", "0.1",
+    ]
+
+    @pytest.fixture(autouse=True)
+    def private_tmp(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+
+    def test_made_journal_dir_removed(self, tmp_path, capsys):
+        assert main(self.FLAGS) == 0
+        out = capsys.readouterr().out
+        assert f"journals in {tmp_path}" in out
+        assert list(tmp_path.glob("repro-cluster-*")) == []
+
+    def test_given_journal_dir_kept(self, tmp_path, capsys):
+        given = tmp_path / "journals"
+        assert main(self.FLAGS + ["--journal-dir", str(given)]) == 0
+        assert (given / "world.npz").is_file()
+        assert list(tmp_path.glob("repro-cluster-*")) == []

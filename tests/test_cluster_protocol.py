@@ -241,6 +241,18 @@ class TestRequestCodec:
             assert restored.key == original.key
             assert len(restored.v) == len(original.v)
 
+    def test_ingest_eid_index_bounded_by_mac_space(self):
+        def ingest(index):
+            doc = {"cell": 0, "tick": 0, "inclusive": [index], "vague": [],
+                   "detections": []}
+            return request_from_wire({"verb": "ingest", "scenarios": [doc]})
+
+        (scenario,) = ingest(2**40 - 1).scenarios
+        assert scenario.e.inclusive == frozenset([EID(2**40 - 1)])
+        for index in (2**40, 2**64, -1):
+            with pytest.raises(CodecError, match="MAC space"):
+                ingest(index)
+
     def test_unknown_verb_rejected(self):
         with pytest.raises(CodecError):
             request_from_wire({"verb": "frobnicate"})

@@ -329,7 +329,7 @@ class TestTraceRetention:
             chrome = collector.chrome_trace(trace_id)
             assert chrome == eager.chrome_trace(trace_id)
             pids.append(len({e["pid"] for e in chrome["traceEvents"]}))
-        # The gateway's spans plus both replicas' (a worker that fails a
-        # request returns no spans: the error trace is the gateway's).
-        assert pids == [3, 3, 1]
+        # The gateway's spans plus both replicas', the error's too: a
+        # worker answers a failed request inside its span.
+        assert pids == [3, 3, 3]
         assert collector.chrome_trace() == eager.chrome_trace()
