@@ -32,7 +32,6 @@ from repro.cluster.protocol import (
     encode_frame,
     encode_line,
     encode_reply,
-    read_frame,
     read_reply,
     recv_frame,
     recv_reply,
@@ -75,7 +74,6 @@ __all__ = [
     "encode_frame",
     "encode_line",
     "encode_reply",
-    "read_frame",
     "read_reply",
     "recv_frame",
     "recv_reply",

@@ -21,6 +21,12 @@ the verb's payload.  ``ingest`` responses carry the *count* of
 watch-list emissions rather than the emission objects (their V-stage
 results do not round-trip, and no wire client consumes them).
 
+Answers leave the worker as bytes, and :func:`answer_bytes` is the one
+encoding of a typed response.  A result-cache hit skips it:
+:func:`hit_bytes` keeps the JSON of the answer's cacheable fields (its
+*body*) with the cache entry and splices only the per-request fields
+in fresh, giving the same bytes.
+
 Telemetry keys are deliberately *not* part of the typed schema: the
 ``"trace"`` request envelope and the ``"trace_id"`` response field
 (see :mod:`repro.obs.tracing`) are read and written by the routing
@@ -32,8 +38,9 @@ observability-free.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
+from repro.cluster.protocol import dumps
 from repro.service.api import (
     STATUS_ERROR,
     HealthResponse,
@@ -48,6 +55,9 @@ from repro.service.api import (
 )
 from repro.stream.checkpoint import scenario_from_json, scenario_to_json
 from repro.world.entities import EID
+
+if TYPE_CHECKING:
+    from repro.service.server import CacheHit
 
 #: Verbs a worker answers (the gateway adds control-plane verbs on top).
 WORKER_VERBS = ("match", "investigate", "ingest", "stats", "metrics", "health")
@@ -108,6 +118,15 @@ def request_from_wire(message: Dict[str, Any]) -> Any:
 
 
 # -- responses ------------------------------------------------------------
+#: The fields that vary per request, by cacheable response type: the
+#: last keys :func:`response_to_wire` writes, and the attribute names
+#: they come from.  A cached answer's body is everything before them.
+_PER_REQUEST_FIELDS: Dict[type, Tuple[str, ...]] = {
+    MatchResponse: ("cached", "deduplicated", "batched_with", "latency_s", "error"),
+    InvestigateResponse: ("cached", "latency_s", "error"),
+}
+
+
 def response_to_wire(response: Any) -> Dict[str, Any]:
     """Encode one typed service response as a wire message."""
     if isinstance(response, MatchResponse):
@@ -246,6 +265,36 @@ def response_from_wire(message: Dict[str, Any]) -> Any:
     except (KeyError, TypeError, ValueError) as exc:
         raise CodecError(f"malformed {verb!r} response: {exc}") from exc
     raise CodecError(f"unknown verb {verb!r}")
+
+
+def answer_bytes(response: Any) -> bytes:
+    """One typed response as the answer bytes a worker sends."""
+    return dumps(response_to_wire(response))
+
+
+def hit_bytes(hit: CacheHit) -> bytes:
+    """A result-cache hit's answer bytes, equal to
+    ``answer_bytes(hit.response())`` without building that response.
+
+    The first hit on an entry encodes the template's cacheable fields
+    and stores them, without the closing brace, as the entry's body;
+    every hit then appends the per-request fields — the template's,
+    marked cached, with the hit's latency — as a second JSON object
+    without its opening brace.
+    """
+    entry = hit.entry
+    template = entry.value
+    names = _PER_REQUEST_FIELDS[type(template)]
+    body = entry.body
+    if body is None:
+        wire = response_to_wire(template)
+        for name in names:
+            del wire[name]
+        body = entry.body = dumps(wire)[:-1]
+    tail = {name: getattr(template, name) for name in names}
+    tail["cached"] = True
+    tail["latency_s"] = hit.latency_s
+    return body + b"," + dumps(tail)[1:]
 
 
 def error_response(verb: str, error: str, status: str = STATUS_ERROR) -> Dict[str, Any]:

@@ -9,13 +9,15 @@ Two byte-level protocols, both JSON payloads:
   expositions, error messages with newlines — without escaping games,
   and makes truncation detectable: a short read raises
   :class:`ConnectionClosed` instead of yielding half a document.
-  :func:`recv_frame` reads frames from blocking sockets and
-  :func:`read_frame` from asyncio streams, with the same checks.
+  :func:`recv_frame` reads frames from blocking sockets.
 
   Each worker reply is one such frame holding the answer object,
   followed by a trailer: a 1-byte status length, a 4-byte span-records
   length, the status text and the span records (a raw JSON list; empty
-  when the request was untraced).  :func:`recv_reply` and
+  when the request was untraced).  The worker hands
+  :func:`encode_reply` its answer already encoded — a result-cache hit
+  is answered from bytes kept with the cache entry
+  (:func:`repro.cluster.codec.hit_bytes`).  :func:`recv_reply` and
   :func:`read_reply` return it as a :class:`Reply` without parsing the
   answer: the gateway relays those bytes to the client, splicing in
   its routing fields, and keeps the span records raw until a merged
@@ -76,17 +78,22 @@ class ConnectionClosed(ConnectionError):
     """The peer closed the connection (mid-frame or between frames)."""
 
 
-def _dumps(message: Any) -> bytes:
+def dumps(message: Any) -> bytes:
+    """Compact UTF-8 JSON: the one encoding of every frame, reply and
+    line on the cluster's wire."""
     return json.dumps(message, separators=(",", ":")).encode("utf-8")
 
 
-def _payload(message: Any) -> bytes:
-    payload = _dumps(message)
+def _checked(payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES"
         )
     return payload
+
+
+def _payload(message: Any) -> bytes:
+    return _checked(dumps(message))
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
@@ -162,16 +169,6 @@ def recv_frame(sock: socket.socket) -> Dict[str, Any]:
     return decode_payload(_recv_exact(sock, length))
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Dict[str, Any]:
-    """Read one length-prefixed JSON frame from an asyncio stream.
-
-    The event-loop twin of :func:`recv_frame`, with the same checks
-    and the same errors.
-    """
-    length = _frame_length(await _read_exact(reader, _HEADER.size))
-    return decode_payload(await _read_exact(reader, length))
-
-
 # -- worker replies ---------------------------------------------------------
 class Reply(Mapping):
     """One worker answer on its way through the gateway.
@@ -201,7 +198,7 @@ class Reply(Mapping):
     @classmethod
     def of(cls, message: Dict[str, Any]) -> "Reply":
         """A locally built message (an error, an ingest tally) as a reply."""
-        return cls(_dumps(message), str(message.get("status", "error")))
+        return cls(dumps(message), str(message.get("status", "error")))
 
     def decode(self) -> Dict[str, Any]:
         """The answer object, without ``fields``; parsed once."""
@@ -230,30 +227,34 @@ class Reply(Mapping):
             return self.answer + b"\n"
         head = self.answer[:-1]
         comma = b"" if head.rstrip() == b"{" else b","
-        return head + comma + _dumps(self.fields)[1:] + b"\n"
+        return head + comma + dumps(self.fields)[1:] + b"\n"
 
 
 def encode_reply(
-    message: Dict[str, Any], spans: Optional[List[Dict[str, Any]]] = None
+    answer: bytes,
+    status: str,
+    spans: Optional[List[Dict[str, Any]]] = None,
 ) -> bytes:
-    """One worker reply: the answer frame, then the trailer with its
-    status and span records."""
-    answer = _payload(message)
-    status = str(message.get("status", "error")).encode("utf-8")
+    """One worker reply: the answer frame (``answer`` is the answer
+    object's JSON, already encoded), then the trailer with its status
+    and span records."""
+    _checked(answer)
+    status_bytes = status.encode("utf-8")
     records = _payload(spans) if spans else b""
     return b"".join((
         _HEADER.pack(len(answer)), answer,
-        _TRAILER.pack(len(status), len(records)), status, records,
+        _TRAILER.pack(len(status_bytes), len(records)), status_bytes, records,
     ))
 
 
 def send_reply(
     sock: socket.socket,
-    message: Dict[str, Any],
+    answer: bytes,
+    status: str,
     spans: Optional[List[Dict[str, Any]]] = None,
 ) -> None:
     """Write one worker reply to a connected socket."""
-    sock.sendall(encode_reply(message, spans))
+    sock.sendall(encode_reply(answer, status, spans))
 
 
 def _check_answer(answer: bytes) -> bytes:
@@ -314,7 +315,7 @@ async def read_reply(reader: asyncio.StreamReader) -> Reply:
 # -- NDJSON (the gateway's public surface) --------------------------------
 def encode_line(message: Dict[str, Any]) -> bytes:
     """One message as a single JSON line (newline terminated)."""
-    return _dumps(message) + b"\n"
+    return dumps(message) + b"\n"
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:

@@ -39,6 +39,11 @@ requests still get a local trace id so their spans can be discarded
 after the response — the tracer's retained set stays bounded by
 in-flight work.
 
+Answers leave the worker as bytes (:func:`~repro.cluster.codec.answer_bytes`).
+A result-cache hit is answered from the body kept with its cache entry
+(:func:`~repro.cluster.codec.hit_bytes`): the entry's first hit encodes
+it, and later hits only splice in ``cached`` and ``latency_s``.
+
 Fault injection: the ``crash`` verb calls ``os._exit``, giving tests
 and the availability benchmark a deterministic way to kill a worker
 *mid-protocol* rather than between requests.
@@ -59,6 +64,7 @@ from repro.cluster import codec
 from repro.cluster.protocol import (
     ConnectionClosed,
     ProtocolError,
+    dumps,
     recv_frame,
     send_reply,
 )
@@ -83,7 +89,7 @@ from repro.obs.tracing import (
     set_tracer,
 )
 from repro.service.api import STATUS_OK, IngestTickResponse
-from repro.service.server import MatchService, ServiceConfig
+from repro.service.server import CacheHit, MatchService, ServiceConfig
 
 #: Child → parent control-pipe message types.
 MSG_READY = "ready"
@@ -426,25 +432,30 @@ class _WorkerServer:
             }
         raise codec.CodecError(f"unknown verb {verb!r}")
 
-    def _dispatch_data(self, message: Dict[str, Any], verb: str) -> Dict[str, Any]:
-        """A data verb's response; a failure becomes its error response
-        here, so it is answered inside the request's span."""
+    def _dispatch_data(
+        self, message: Dict[str, Any], verb: str
+    ) -> Tuple[bytes, str]:
+        """A data verb's answer bytes and status; a failure becomes its
+        error answer here, so it is answered inside the request's span.
+        A result-cache hit is answered from its entry's body."""
         try:
             if verb == "ingest":
-                return self._handle_ingest(message)
+                return _encoded(self._handle_ingest(message))
             request = codec.request_from_wire(message)
-            response = self.service.submit(request).result(
-                timeout=self.spec.request_result_timeout_s
-            )
-            return codec.response_to_wire(response)
+            answer = self.service.submit_or_hit(request)
+            if isinstance(answer, CacheHit):
+                return codec.hit_bytes(answer), answer.entry.value.status
+            response = answer.result(timeout=self.spec.request_result_timeout_s)
+            return codec.answer_bytes(response), response.status
         except Exception as exc:
-            return _error_response(message, exc)
+            return _encoded(_error_response(message, exc))
 
     def _handle_data(
         self, message: Dict[str, Any], verb: str
-    ) -> Tuple[Dict[str, Any], Optional[List[Dict[str, Any]]]]:
+    ) -> Tuple[bytes, str, Optional[List[Dict[str, Any]]]]:
         """A data verb under a ``worker.request`` root span; returns the
-        response and, for a traced request, its span records.
+        answer bytes, the status and, for a traced request, its span
+        records.
 
         When the message carries a trace envelope the span tree adopts
         the remote trace id + parent and the finished records ride back
@@ -454,7 +465,7 @@ class _WorkerServer:
         """
         tracer = get_tracer()
         if not isinstance(tracer, Tracer):
-            return self._dispatch_data(message, verb), None
+            return (*self._dispatch_data(message, verb), None)
         remote = extract_trace(message)
         local = remote if remote is not None else TraceContext(new_trace_id())
         with tracer.remote_context(local):
@@ -463,11 +474,11 @@ class _WorkerServer:
             ):
                 # Never raises: a failed request is answered here, so
                 # its error reply carries the worker's spans too.
-                response = self._dispatch_data(message, verb)
+                answer, status = self._dispatch_data(message, verb)
         spans = tracer.take_trace(local.trace_id)
         if remote is None:
-            return response, None
-        return response, tracer.span_records(spans)
+            return answer, status, None
+        return answer, status, tracer.span_records(spans)
 
     def _connection_loop(self, sock: socket.socket) -> None:
         try:
@@ -480,13 +491,13 @@ class _WorkerServer:
                 spans = None
                 try:
                     if verb in DATA_VERBS:
-                        response, spans = self._handle_data(message, verb)
+                        answer, status, spans = self._handle_data(message, verb)
                     else:
-                        response = self._handle_message(message)
+                        answer, status = _encoded(self._handle_message(message))
                 except Exception as exc:
-                    response = _error_response(message, exc)
+                    answer, status = _encoded(_error_response(message, exc))
                 try:
-                    send_reply(sock, response, spans)
+                    send_reply(sock, answer, status, spans)
                 except OSError:
                     return
         finally:
@@ -570,6 +581,12 @@ class _WorkerServer:
                 self.control.close()
             except OSError:
                 pass
+
+
+def _encoded(message: Dict[str, Any]) -> Tuple[bytes, str]:
+    """A locally built answer (an error, an ingest tally, a control
+    verb's reply) as its bytes and status."""
+    return dumps(message), str(message.get("status", "error"))
 
 
 def _error_response(message: Dict[str, Any], exc: Exception) -> Dict[str, Any]:

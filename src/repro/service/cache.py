@@ -16,6 +16,13 @@ match.  Entries are therefore tagged at ``put`` time with the EID set
 they depend on, and :meth:`ResultCache.invalidate_eids` drops exactly
 the affected ones (conservative, never serves stale data).
 
+An entry may also hold its value's **encoded body**
+(:attr:`CacheEntry.body`): the cluster worker encodes a cached answer
+once, on its first hit, and answers later hits from those bytes.  The
+body lives in the entry, so LRU eviction, TTL expiry and invalidation
+drop it together with the value — stale bytes cannot outlive the answer
+they encode.
+
 ``capacity == 0`` is a supported configuration meaning "cache
 disabled" — the cold path the throughput benchmark compares against.
 """
@@ -49,10 +56,17 @@ class CacheStats:
 
 
 @dataclass
-class _Entry:
+class CacheEntry:
+    """One cached value, the EIDs it depends on, and its encoded body.
+
+    ``body`` starts empty; whoever first encodes the value may store
+    the bytes here for later hits (the cache never reads them).
+    """
+
     value: Any
     eids: FrozenSet[EID]
     inserted_at: float = 0.0
+    body: Optional[bytes] = None
 
 
 class ResultCache:
@@ -78,7 +92,7 @@ class ResultCache:
         self.ttl_s = ttl_s
         self._clock = clock
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, CacheEntry]" = OrderedDict()
         self.stats = CacheStats()
 
     @property
@@ -89,8 +103,9 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: Hashable) -> Optional[Any]:
-        """The cached value, refreshing its recency; ``None`` on miss."""
+    def get(self, key: Hashable) -> Optional[CacheEntry]:
+        """The entry (value and body), refreshing its recency; ``None``
+        on miss."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -103,7 +118,7 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return entry.value
+            return entry
 
     def put(
         self, key: Hashable, value: Any, eids: Iterable[EID] = ()
@@ -114,7 +129,7 @@ class ResultCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = _Entry(
+            self._entries[key] = CacheEntry(
                 value=value, eids=frozenset(eids), inserted_at=self._clock()
             )
             evicted = []

@@ -18,6 +18,11 @@ Request path::
     metrics ◄── MatchBatcher.execute ──► EVMatcher over target union
                                          (under the read lock)
 
+:meth:`MatchService.submit_or_hit` takes the same path, except that a
+hit comes back as its :class:`CacheHit` (the cache entry and the
+request's latency) rather than a resolved future; the cluster worker
+answers it from the bytes kept with the entry.
+
 ``ingest_tick`` is the only writer: under the write lock it appends
 scenarios to the store and shards, streams them through the
 :class:`~repro.core.incremental.IncrementalMatcher` watch-list, and
@@ -63,7 +68,7 @@ from repro.service.api import (
     StatsResponse,
 )
 from repro.service.batcher import MatchBatcher, Waiter
-from repro.service.cache import ResultCache
+from repro.service.cache import CacheEntry, ResultCache
 from repro.service.dataset_shards import ShardedDataset
 from repro.service.health import HealthTracker, SLOConfig
 from repro.service.metrics import ServiceMetrics
@@ -71,6 +76,33 @@ from repro.world.cells import CellGrid, HexCellGrid
 from repro.world.entities import EID
 
 Request = Union[MatchRequest, InvestigateRequest]
+
+
+@dataclass(frozen=True)
+class CacheHit:
+    """A query answered from the result cache.
+
+    ``entry.value`` is the answer's template — the response as first
+    computed, with ``cached`` false and no latency — and ``latency_s``
+    is this request's.  ``entry.body`` is free for the caller to fill
+    with the template's encoding (see :class:`~.cache.CacheEntry`).
+    """
+
+    entry: CacheEntry
+    latency_s: float
+
+    def response(self) -> Union[MatchResponse, InvestigateResponse]:
+        """The typed response this hit answers with: a copy of the
+        template marked cached, with this request's latency."""
+        template = self.entry.value
+        if isinstance(template, MatchResponse):
+            return replace(
+                template,
+                matches=dict(template.matches),
+                cached=True,
+                latency_s=self.latency_s,
+            )
+        return replace(template, cached=True, latency_s=self.latency_s)
 
 
 @dataclass(frozen=True)
@@ -356,13 +388,33 @@ class MatchService:
         ``"shed"`` response, so closed-loop clients can count drops.
         A draining service sheds everything (see :meth:`begin_drain`).
         """
+        answer = self.submit_or_hit(request)
+        if isinstance(answer, CacheHit):
+            future: "Future" = Future()
+            future.set_result(answer.response())
+            return future
+        return answer
+
+    def submit_or_hit(self, request: Request) -> Union["Future", "CacheHit"]:
+        """Like :meth:`submit`, but a result-cache hit comes back as its
+        :class:`CacheHit` instead of a resolved future, so the caller
+        can answer it from the entry's body without building a
+        response (the cluster worker does)."""
         if self._draining:
             return self._shed_draining(request)
         if isinstance(request, MatchRequest):
-            return self._submit_match(request)
-        if isinstance(request, InvestigateRequest):
-            return self._submit_investigate(request)
-        raise TypeError(f"cannot submit {type(request).__name__}")
+            endpoint, submit = "match", self._submit_match
+        elif isinstance(request, InvestigateRequest):
+            endpoint, submit = "investigate", self._submit_investigate
+        else:
+            raise TypeError(f"cannot submit {type(request).__name__}")
+        started = time.perf_counter()
+        entry = self.cache.get(request.cache_key())
+        if entry is None:
+            return submit(request, started)
+        latency = time.perf_counter() - started
+        self._observe(endpoint, STATUS_OK, latency, cached=True)
+        return CacheHit(entry, latency)
 
     def _shed_draining(self, request: Request) -> "Future":
         future: "Future" = Future()
@@ -378,22 +430,8 @@ class MatchService:
             raise TypeError(f"cannot submit {type(request).__name__}")
         return future
 
-    def _submit_match(self, request: MatchRequest) -> "Future":
-        started = time.perf_counter()
+    def _submit_match(self, request: MatchRequest, started: float) -> "Future":
         future: "Future" = Future()
-        cached = self.cache.get(request.cache_key())
-        if cached is not None:
-            latency = time.perf_counter() - started
-            future.set_result(
-                MatchResponse(
-                    status=STATUS_OK,
-                    matches=dict(cached),
-                    cached=True,
-                    latency_s=latency,
-                )
-            )
-            self._observe("match", STATUS_OK, latency, cached=True)
-            return future
         waiter = Waiter(
             future=future,
             started=started,
@@ -412,15 +450,10 @@ class MatchService:
                 )
         return future
 
-    def _submit_investigate(self, request: InvestigateRequest) -> "Future":
-        started = time.perf_counter()
+    def _submit_investigate(
+        self, request: InvestigateRequest, started: float
+    ) -> "Future":
         future: "Future" = Future()
-        cached = self.cache.get(request.cache_key())
-        if cached is not None:
-            latency = time.perf_counter() - started
-            future.set_result(replace(cached, cached=True, latency_s=latency))
-            self._observe("investigate", STATUS_OK, latency, cached=True)
-            return future
         waiter = Waiter(
             future=future,
             started=started,
@@ -655,7 +688,13 @@ class MatchService:
                 and key not in cached_keys
                 and self.cache.enabled
             ):
-                self.cache.put(key, dict(response.matches), eids=request.targets)
+                self.cache.put(
+                    key,
+                    MatchResponse(
+                        status=STATUS_OK, matches=dict(response.matches)
+                    ),
+                    eids=request.targets,
+                )
                 cached_keys.add(key)
             self._finish_match(
                 request, waiter, response,

@@ -2,7 +2,8 @@
 
 No processes here — sockets are exercised with an in-process
 ``socketpair`` so the byte-level behaviour (short reads, oversized
-frames, garbage payloads) is tested deterministically.
+frames, garbage payloads) is tested deterministically, and the
+worker's reply bytes come from its request handler, called directly.
 """
 
 import asyncio
@@ -10,8 +11,11 @@ import json
 import socket
 import struct
 import threading
+from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.codec import (
     CodecError,
@@ -27,9 +31,11 @@ from repro.cluster.protocol import (
     ConnectionClosed,
     ProtocolError,
     decode_line,
+    dumps,
     encode_frame,
     encode_line,
-    read_frame,
+    encode_reply,
+    read_reply,
     recv_frame,
     send_frame,
 )
@@ -39,10 +45,18 @@ from repro.cluster.supervisor import (
     WorkerError,
     WorkerHandle,
 )
-from repro.cluster.worker import WorkerSpec
+from repro.cluster.worker import WorkerSpec, _WorkerServer
+from repro.obs.tracing import (
+    TraceContext,
+    Tracer,
+    inject_trace,
+    new_trace_id,
+    set_tracer,
+)
 from repro.service.api import (
     STATUS_ERROR,
     STATUS_OK,
+    STATUS_SHED,
     HealthResponse,
     IngestTickRequest,
     IngestTickResponse,
@@ -53,6 +67,8 @@ from repro.service.api import (
     SLOCheck,
     TargetMatch,
 )
+from repro.service.cache import CacheEntry
+from repro.service.server import CacheHit, MatchService, ServiceConfig
 from repro.world.entities import EID
 
 
@@ -113,14 +129,15 @@ class TestFraming:
             recv_frame(right)
 
 
-#: Frames that must be rejected, as raw header + payload bytes.
+#: Worker replies that must be rejected, as raw header + answer bytes.
 _OVERSIZED = struct.pack(">I", MAX_FRAME_BYTES + 1)
 _NON_OBJECT = struct.pack(">I", 9) + b"[1, 2, 3]"
 _NON_JSON = struct.pack(">I", 10) + b"\xff\xfenot json"
 
 
 class TestAsyncFraming:
-    """The event-loop reader keeps every check :func:`recv_frame` makes."""
+    """The event-loop reply reader keeps the frame checks: the length
+    cap, truncation, and an answer that is not a JSON object."""
 
     @staticmethod
     def read(data: bytes):
@@ -128,18 +145,24 @@ class TestAsyncFraming:
             reader = asyncio.StreamReader()
             reader.feed_data(data)
             reader.feed_eof()
-            return await read_frame(reader)
+            return await read_reply(reader)
 
         return asyncio.run(run())
 
     def test_roundtrip(self):
         message = {"verb": "ping", "nested": {"a": [1, 2, 3]}, "text": "x\ny"}
-        assert self.read(encode_frame(message)) == message
+        spans = [{"name": "worker.request", "args": {"verb": "ping"}}]
+        answer = json.dumps(message).encode()
+        reply = self.read(encode_reply(answer, "ok", spans))
+        assert (reply.answer, reply.status) == (answer, "ok")
+        assert json.loads(reply.spans) == spans
+        assert dict(reply) == message
 
     def test_eof_mid_frame_raises_connection_closed(self):
-        frame = encode_frame({"verb": "ping"})
-        with pytest.raises(ConnectionClosed):
-            self.read(frame[: len(frame) // 2])
+        reply = encode_reply(b'{"verb":"ping"}', "ok")
+        for cut in (2, len(reply) // 2, len(reply) - 1):
+            with pytest.raises(ConnectionClosed):
+                self.read(reply[:cut])
 
     @pytest.mark.parametrize(
         "data",
@@ -341,6 +364,173 @@ class TestResponseCodec:
     def test_unknown_verb_rejected(self):
         with pytest.raises(CodecError):
             response_from_wire({"verb": "nope", "status": "ok"})
+
+
+_eids = st.integers(0, 2**40 - 1).map(EID)
+_latencies = st.one_of(
+    st.sampled_from([0.0, 1e-05, 2.5e-07, 0.1, 3.0]),
+    st.floats(0.0, 1e4, allow_nan=False),
+)
+_errors = st.one_of(st.none(), st.text(max_size=12))
+_statuses = st.sampled_from([STATUS_OK, STATUS_SHED, STATUS_ERROR])
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_match_responses = st.builds(
+    MatchResponse,
+    status=_statuses,
+    matches=st.lists(
+        st.tuples(
+            _eids, st.one_of(st.none(), st.integers(0, 2**31)), _finite,
+            st.integers(0, 10**4),
+        ),
+        max_size=4,
+    ).map(lambda rows: {
+        eid: TargetMatch(eid=eid, prediction=p, agreement=a, evidence=n)
+        for eid, p, a, n in rows
+    }),
+    cached=st.booleans(),
+    deduplicated=st.booleans(),
+    batched_with=st.integers(0, 64),
+    latency_s=_latencies,
+    error=_errors,
+)
+_investigate_responses = st.builds(
+    InvestigateResponse,
+    status=_statuses,
+    eid=st.one_of(st.none(), _eids),
+    num_scenarios=st.integers(0, 10**6),
+    presence=st.lists(st.tuples(*[st.integers(0, 10**6)] * 3), max_size=4),
+    co_travelers=st.lists(st.tuples(_eids, st.integers(1, 10**4)), max_size=6),
+    shards_touched=st.integers(0, 64),
+    cached=st.booleans(),
+    latency_s=_latencies,
+    error=_errors,
+)
+_responses = st.one_of(_match_responses, _investigate_responses)
+
+
+class _ScriptedService:
+    """Stands in for the worker's MatchService: every request gets the
+    scripted answer, a cache hit as is and a response as a resolved
+    future."""
+
+    answer = None
+
+    def submit_or_hit(self, request):
+        if isinstance(self.answer, CacheHit):
+            return self.answer
+        future = Future()
+        future.set_result(self.answer)
+        return future
+
+
+class _RecordingService:
+    """A real MatchService that keeps every answer it hands the worker."""
+
+    def __init__(self, service):
+        self.service = service
+        self.answers = []
+
+    def submit_or_hit(self, request):
+        answer = self.service.submit_or_hit(request)
+        self.answers.append(answer)
+        return answer
+
+
+@pytest.fixture(scope="class")
+def traced():
+    previous = set_tracer(Tracer())
+    yield
+    set_tracer(previous)
+
+
+def _worker(service):
+    spec = WorkerSpec(worker_id="w", dataset_path="unused.npz")
+    server = _WorkerServer(spec, control=None)
+    server.service = service
+    return server
+
+
+def _serve(server, request):
+    """One traced data request through the worker: its reply bytes and
+    the span records that rode in them."""
+    message = inject_trace(request_to_wire(request), TraceContext(new_trace_id()))
+    answer, status, spans = server._handle_data(message, message["verb"])
+    assert spans
+    return encode_reply(answer, status, spans), spans
+
+
+def _expected(response, spans):
+    """The reply the worker sent before cache hits kept their bytes:
+    the whole response encoded."""
+    return encode_reply(
+        dumps(response_to_wire(response)), response.status, spans
+    )
+
+
+def _request_for(response):
+    if isinstance(response, MatchResponse):
+        return MatchRequest(targets=(EID(1),))
+    return InvestigateRequest(eid=EID(1))
+
+
+class TestWorkerAnswerBytes:
+    """The worker's reply bytes equal the full encoding of the response
+    the in-process service gives, on a miss, on a cache entry's first
+    hit and on every later one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(response=_responses)
+    def test_responses_are_encoded_whole(self, traced, response):
+        service = _ScriptedService()
+        service.answer = response
+        reply, spans = _serve(_worker(service), _request_for(response))
+        assert reply == _expected(response, spans)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        template=_responses,
+        latencies=st.lists(_latencies, min_size=2, max_size=4),
+    )
+    def test_hits_splice_the_kept_body(self, traced, template, latencies):
+        service = _ScriptedService()
+        server = _worker(service)
+        entry = CacheEntry(value=template, eids=frozenset())
+        for i, latency in enumerate(latencies):
+            service.answer = CacheHit(entry, latency)
+            reply, spans = _serve(server, _request_for(template))
+            hit_response = replace(template, cached=True, latency_s=latency)
+            assert service.answer.response() == hit_response
+            assert reply == _expected(hit_response, spans)
+            if i == 0:
+                body = entry.body
+                assert body is not None
+            assert entry.body is body  # encoded once, then reused
+
+    def test_a_real_services_hits_match_its_responses(self, traced, ideal_dataset):
+        service = MatchService.from_dataset(
+            ideal_dataset, ServiceConfig(workers=1)
+        ).start()
+        recording = _RecordingService(service)
+        server = _worker(recording)
+        targets = ideal_dataset.sample_targets(3, seed=5)
+        requests = [MatchRequest(targets=tuple(targets[:2]))] + [
+            InvestigateRequest(eid=eid) for eid in targets
+        ]
+        try:
+            for request in requests:
+                for _round in range(3):  # the miss, the first hit, a later hit
+                    reply, spans = _serve(server, request)
+                    answer = recording.answers[-1]
+                    if isinstance(answer, CacheHit):
+                        response = answer.response()
+                    else:
+                        response = answer.result()
+                    assert reply == _expected(response, spans)
+                kinds = [isinstance(a, CacheHit) for a in recording.answers[-3:]]
+                assert kinds == [False, True, True]
+                assert recording.answers[-1].entry.body is not None
+        finally:
+            service.stop()
 
 
 class TestRoutingKey:

@@ -13,9 +13,13 @@ one live 2-worker fleet, traced:
 * after a burst the gateway tracer holds no finished spans and the
   trace collector at most ``max_traces`` traces, and a trace stored
   raw renders the same Chrome trace as the eager conversion
-  (:mod:`tests.oracles.traces`).
+  (:mod:`tests.oracles.traces`);
+* investigate answers — a worker's cache misses and its hits, which it
+  answers from bytes kept with the cache entry — equal the in-process
+  service's, and an ingest naming the suspect drops the kept bytes.
 """
 
+import contextlib
 import json
 import socket
 import struct
@@ -34,7 +38,7 @@ from repro.cluster import (
     TraceCollector,
     WorkerSpec,
 )
-from repro.cluster.codec import error_response
+from repro.cluster.codec import error_response, response_to_wire
 from repro.cluster.protocol import (
     ConnectionClosed,
     decode_line,
@@ -44,10 +48,11 @@ from repro.cluster.protocol import (
 from repro.cluster.supervisor import WorkerHandle
 from repro.datagen.config import ExperimentConfig
 from repro.datagen.dataset import build_dataset
-from repro.datagen.io import save_dataset
+from repro.datagen.io import load_dataset, save_dataset
 from repro.obs.tracing import Tracer, extract_trace, set_tracer
 from repro.service.api import STATUS_ERROR, STATUS_OK, STATUS_SHED
-from repro.service.server import ServiceConfig
+from repro.service.server import MatchService, ServiceConfig
+from repro.world.entities import EID
 from tests.oracles.traces import EagerTraceCollector
 
 
@@ -55,6 +60,10 @@ from tests.oracles.traces import EagerTraceCollector
 class Fleet:
     supervisor: Supervisor
     targets: list
+    #: The saved world the workers serve.
+    path: Path
+    #: EID indices no other test queries.
+    spare: list
     #: ``(worker id, trace id, reply)`` for every reply a handle read.
     replies: list
 
@@ -94,12 +103,15 @@ def fleet(tmp_path_factory):
         ],
         SupervisorConfig(ready_timeout_s=120.0),
     ).start()
+    targets = [eid.index for eid in dataset.sample_targets(6, seed=3)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(WorkerHandle, "exchange", recording_exchange)
         yield Fleet(
             supervisor=supervisor,
-            targets=[eid.index for eid in dataset.sample_targets(6, seed=3)],
+            targets=targets,
             replies=replies,
+            path=path,
+            spare=[e.index for e in dataset.eids if e.index not in targets],
         )
     supervisor.stop()
     set_tracer(previous_tracer)
@@ -333,3 +345,65 @@ class TestTraceRetention:
         # worker answers a failed request inside its span.
         assert pids == [3, 3, 3]
         assert collector.chrome_trace() == eager.chrome_trace()
+
+
+#: Keys that vary per request, or name the replica and trace.
+VOLATILE = ("cached", "latency_s", "worker", "failovers", "trace_id")
+
+
+def stable(answer: dict) -> dict:
+    return {k: v for k, v in answer.items() if k not in VOLATILE}
+
+
+@contextlib.contextmanager
+def first_gateway(fleet):
+    """A ``first``-policy gateway: repeats of a request reach the same
+    replica, so the second one is a cache hit."""
+    router = ClusterRouter(fleet.supervisor, replication=2)
+    gw = ClusterGateway(router, fleet.supervisor).start()
+    try:
+        yield gw
+    finally:
+        gw.drain(timeout=5.0)
+
+
+class TestCachedAnswers:
+    def test_investigate_answers_equal_the_in_process_service(self, fleet):
+        service = MatchService.from_dataset(load_dataset(fleet.path)).start()
+        try:
+            with first_gateway(fleet) as gw:
+                for index in fleet.spare[1:6]:
+                    ask = {"verb": "investigate", "eid": index}
+                    miss, hit = strict(relay(gw, ask)), strict(relay(gw, ask))
+                    assert (miss["cached"], hit["cached"]) == (False, True)
+                    assert miss["worker"] == hit["worker"]
+                    expected = stable(
+                        response_to_wire(service.investigate(EID(index)))
+                    )
+                    assert expected["status"] == STATUS_OK
+                    assert stable(miss) == expected
+                    assert stable(hit) == expected
+        finally:
+            service.stop()
+
+    def test_ingest_drops_the_kept_bytes(self, fleet):
+        index, fresh = fleet.spare[0], 2**40 - 1
+        ask = {"verb": "investigate", "eid": index}
+        scenarios = [
+            {"cell": 0, "tick": 10**7 + i, "inclusive": [index, fresh],
+             "vague": [], "detections": []}
+            for i in range(3)
+        ]
+        with first_gateway(fleet) as gw:
+            miss, hit = strict(relay(gw, ask)), strict(relay(gw, ask))
+            ack = strict(relay(gw, {"verb": "ingest", "scenarios": scenarios}))
+            after, again = strict(relay(gw, ask)), strict(relay(gw, ask))
+        assert (miss["cached"], hit["cached"]) == (False, True)
+        assert (ack["status"], ack["ingested"]) == (STATUS_OK, 3)
+        assert after["cached"] is False
+        assert after["num_scenarios"] == hit["num_scenarios"] + 3
+        assert [fresh, 3] in after["co_travelers"]
+        assert [fresh, 3] not in hit["co_travelers"]
+        assert again["cached"] is True
+        assert again["worker"] == after["worker"]
+        assert stable(again) == stable(after)

@@ -337,7 +337,8 @@ def _worker_response(trace_id, span_id):
     """A traced worker's wire reply: the answer, with its span records
     in the trailer."""
     return encode_reply(
-        {"verb": "match", "status": "ok", "matches": {}},
+        b'{"verb":"match","status":"ok","matches":{}}',
+        "ok",
         [TestTraceCollector.record(span_id, trace_id, pid=100 + span_id)],
     )
 

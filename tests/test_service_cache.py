@@ -22,7 +22,7 @@ class TestBasics:
         cache = ResultCache(capacity=4)
         assert cache.get("k") is None
         cache.put("k", 42)
-        assert cache.get("k") == 42
+        assert cache.get("k").value == 42
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
@@ -30,7 +30,7 @@ class TestBasics:
         cache = ResultCache(capacity=4)
         cache.put("k", 1)
         cache.put("k", 2)
-        assert cache.get("k") == 2
+        assert cache.get("k").value == 2
         assert len(cache) == 1
 
     def test_invalid_configs(self):
@@ -54,9 +54,9 @@ class TestLRU:
         cache.put("b", 2)
         cache.get("a")  # refresh a's recency
         cache.put("c", 3)  # evicts b
-        assert cache.get("a") == 1
+        assert cache.get("a").value == 1
         assert cache.get("b") is None
-        assert cache.get("c") == 3
+        assert cache.get("c").value == 3
         assert cache.stats.evicted_lru == 1
 
 
@@ -66,7 +66,7 @@ class TestTTL:
         cache = ResultCache(capacity=4, ttl_s=10.0, clock=clock)
         cache.put("k", 1)
         clock.advance(9.0)
-        assert cache.get("k") == 1
+        assert cache.get("k").value == 1
         clock.advance(2.0)
         assert cache.get("k") is None
         assert cache.stats.expired_ttl == 1
@@ -77,7 +77,7 @@ class TestTTL:
         cache = ResultCache(capacity=4, ttl_s=None, clock=clock)
         cache.put("k", 1)
         clock.advance(10**6)
-        assert cache.get("k") == 1
+        assert cache.get("k").value == 1
 
 
 class TestInvalidation:
@@ -89,7 +89,7 @@ class TestInvalidation:
         dropped = cache.invalidate_eids([EID(2), EID(4)])
         assert dropped == 2
         assert cache.get("a") is None
-        assert cache.get("b") == 2
+        assert cache.get("b").value == 2
         assert cache.get("c") is None
         assert cache.stats.invalidated == 2
 
@@ -97,13 +97,13 @@ class TestInvalidation:
         cache = ResultCache(capacity=4)
         cache.put("a", 1, eids=[EID(1)])
         assert cache.invalidate_eids([]) == 0
-        assert cache.get("a") == 1
+        assert cache.get("a").value == 1
 
     def test_untagged_entries_survive(self):
         cache = ResultCache(capacity=4)
         cache.put("a", 1)  # no EID deps
         assert cache.invalidate_eids([EID(1)]) == 0
-        assert cache.get("a") == 1
+        assert cache.get("a").value == 1
 
     def test_clear(self):
         cache = ResultCache(capacity=4)
@@ -112,3 +112,57 @@ class TestInvalidation:
         assert cache.clear() == 2
         assert len(cache) == 0
         assert cache.get("a") is None
+
+
+class TestBody:
+    """An entry's encoded body lives and dies with the entry."""
+
+    @staticmethod
+    def fill(cache, key):
+        entry = cache.get(key)
+        entry.body = f"body of {entry.value}".encode()
+        return entry
+
+    def test_later_hits_see_the_body(self):
+        cache = ResultCache(capacity=4)
+        cache.put("a", 1)
+        assert cache.get("a").body is None
+        self.fill(cache, "a")
+        assert cache.get("a").body == b"body of 1"
+        assert cache.get("a").value == 1
+        assert cache.stats.hits == 4
+
+    def test_lru_eviction_drops_the_body(self):
+        cache = ResultCache(capacity=2)
+        cache.put("a", 1)
+        self.fill(cache, "a")
+        cache.put("b", 2)
+        cache.put("c", 3)  # evicts a, the least recently used
+        assert cache.get("a") is None
+        cache.put("a", 1)
+        assert cache.get("a").body is None
+        assert cache.stats.evicted_lru == 2
+
+    def test_ttl_expiry_drops_the_body(self):
+        clock = FakeClock()
+        cache = ResultCache(capacity=4, ttl_s=10.0, clock=clock)
+        cache.put("a", 1)
+        self.fill(cache, "a")
+        clock.advance(9.0)
+        assert cache.get("a").body == b"body of 1"
+        clock.advance(2.0)
+        assert cache.get("a") is None
+        assert len(cache) == 0
+        cache.put("a", 1)
+        assert cache.get("a").body is None
+
+    def test_invalidation_and_refresh_drop_the_body(self):
+        cache = ResultCache(capacity=4)
+        cache.put("a", 1, eids=[EID(1)])
+        self.fill(cache, "a")
+        cache.invalidate_eids([EID(1)])
+        assert cache.get("a") is None
+        cache.put("a", 1)
+        self.fill(cache, "a")
+        cache.put("a", 2)  # a refreshed value never keeps the old bytes
+        assert cache.get("a").body is None
