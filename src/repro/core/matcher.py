@@ -28,7 +28,6 @@ from repro.metrics.timing import CostModel, SimulatedClock, StageTimes
 from repro.obs import (
     EvidenceItem,
     ProvenanceRecord,
-    get_registry,
     get_tracer,
     provenance_evidence_listening,
     provenance_listening,
@@ -180,11 +179,8 @@ class EVMatcher:
                     eid: len(members)
                     for eid, members in split.candidates.items()
                 }
-            span.set(
-                num_selected=report.num_selected,
-                scenarios_examined=report.scenarios_examined,
-            )
-        _record_report(
+            span.set(**report_args(report))
+        record_report_provenance(
             report,
             store=self.store,
             candidates=None if cfg.refining is not None else candidates,
@@ -233,11 +229,8 @@ class EVMatcher:
                 scenarios_examined=e_result.scenarios_examined,
                 times=clock.times(cfg.parallelism),
             )
-            span.set(
-                num_selected=report.num_selected,
-                scenarios_examined=report.scenarios_examined,
-            )
-        _record_report(report, store=self.store)
+            span.set(**report_args(report))
+        record_report_provenance(report, store=self.store)
         return report
 
 
@@ -321,28 +314,27 @@ def provenance_of(
     return tuple(records)
 
 
-def publish_run(algorithm: str, times: StageTimes) -> None:
-    """Fold one matching run's simulated stage times and its run count
-    into the default registry (local and MapReduce runs alike)."""
-    reg = get_registry()
-    for stage, seconds in times.as_dict().items():
-        reg.counter(
-            "ev_simulated_stage_seconds_total",
-            "Simulated stage seconds accumulated by matching runs",
-        ).inc(seconds, stage=stage, algorithm=algorithm)
-    reg.counter(
-        "ev_match_runs_total", "Matching runs completed"
-    ).inc(algorithm=algorithm)
+def report_args(report) -> Dict[str, float]:
+    """The ``match`` span's closing attributes for a local or MapReduce
+    report: its selection counts and simulated stage seconds (which
+    the stage catalogue accumulates into
+    ``ev_simulated_stage_seconds_total``)."""
+    args: Dict[str, float] = {
+        "num_selected": report.num_selected,
+        "scenarios_examined": report.scenarios_examined,
+    }
+    for stage, seconds in report.times.as_dict().items():
+        args[f"sim_{stage}_s"] = seconds
+    return args
 
 
-def _record_report(
-    report: MatchReport,
+def record_report_provenance(
+    report,
     store: Optional[ScenarioStore] = None,
     candidates: Optional[Mapping[EID, int]] = None,
 ) -> None:
-    """Fold one run's simulated stage times into the default registry
-    and, when a run/event audience exists, its provenance records."""
-    publish_run(report.algorithm, report.times)
+    """Record a local or MapReduce run's provenance records when a run
+    or event audience exists."""
     if provenance_listening():
         record_provenance(
             provenance_of(

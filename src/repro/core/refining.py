@@ -23,8 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.core.set_splitting import SetSplitter, SplitConfig
 from repro.core.vid_filtering import FilterConfig, MatchResult, VIDFilter
 from repro.metrics.timing import SimulatedClock
-from repro.obs import get_event_log, get_registry, get_tracer
-from repro.obs import events as ev
+from repro.obs import get_tracer
 from repro.sensing.scenarios import ScenarioKey, ScenarioStore
 from repro.world.entities import EID
 
@@ -85,8 +84,6 @@ class RefiningMatcher:
         """Match ``targets``, refining unacceptable matches round by round."""
         stats = RefiningStats()
         vid_filter = VIDFilter(self.store, self.filter_config, self.clock)
-        extracted_before = self.clock.detections_extracted
-        comparisons_before = self.clock.comparisons
         results: Dict[EID, MatchResult] = {}
         used_keys: Set[ScenarioKey] = set()
         pending: List[EID] = list(targets)
@@ -97,16 +94,10 @@ class RefiningMatcher:
                 break
             stats.rounds += 1
             stats.refined_per_round.append(len(pending))
-            log = get_event_log()
+            before = vid_filter.work()
             with tracer.span(
                 "e.refine.round", round=round_index, pending=len(pending)
             ) as round_span:
-                if log.enabled:
-                    log.emit(
-                        ev.E_REFINE_ROUND_STARTED,
-                        round=round_index,
-                        pending=len(pending),
-                    )
                 splitter = SetSplitter(
                     self.store,
                     replace(self.split_config, seed=self.split_config.seed + round_index),
@@ -142,24 +133,17 @@ class RefiningMatcher:
                     if t not in results
                     or not results[t].is_acceptable(self.filter_config)
                 ]
-                round_span.set(unresolved=len(pending))
-                if log.enabled:
-                    log.emit(
-                        ev.E_REFINE_ROUND_FINISHED,
-                        round=round_index,
-                        selected=split.num_selected,
-                        examined=split.scenarios_examined,
-                        unresolved=len(pending),
-                        progressed=progressed,
-                    )
+                # The loop drives match_one directly (bypassing
+                # VIDFilter.match), so the round carries its V work.
+                round_span.set(
+                    selected=split.num_selected,
+                    examined=split.scenarios_examined,
+                    unresolved=len(pending),
+                    progressed=progressed,
+                    **vid_filter.work_since(before),
+                )
             if not progressed:
                 break  # no fresh scenarios exist for the stragglers
-        get_registry().counter(
-            "ev_refine_rounds_total", "Algorithm 2 refining passes executed"
-        ).inc(stats.rounds)
-        # The loop drives match_one directly (bypassing VIDFilter.match),
-        # so fold its V-stage work into the registry here.
-        vid_filter.publish_metrics(extracted_before, comparisons_before)
 
         for target in targets:
             if target not in results:

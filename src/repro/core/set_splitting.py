@@ -34,7 +34,6 @@ nor get other EIDs wrongly eliminated.
 from __future__ import annotations
 
 import enum
-import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import (
@@ -57,6 +56,7 @@ from repro.core.partition import EIDPartition, SeparationTracker
 from repro.metrics.timing import SimulatedClock
 from repro.obs import get_event_log, get_registry, get_tracer
 from repro.obs import events as ev
+from repro.obs.stages import CANDIDATES_REMAINING
 from repro.sensing.scenarios import EScenario, ScenarioKey, ScenarioStore
 from repro.world.entities import EID
 
@@ -162,6 +162,16 @@ class SplitResult:
         """Targets still confusable with at least one other EID."""
         return frozenset(self.targets) - self.distinguished
 
+    def outcome(self) -> Dict[str, int]:
+        """The counts the ``e.split`` span closes with."""
+        distinguished = len(self.distinguished)
+        return {
+            "examined": self.scenarios_examined,
+            "recorded": len(self.recorded),
+            "distinguished": distinguished,
+            "unresolved": len(self.targets) - distinguished,
+        }
+
     @property
     def avg_scenarios_per_eid(self) -> float:
         """Mean positive-evidence length over targets (Fig. 7 metric)."""
@@ -170,6 +180,14 @@ class SplitResult:
         return sum(len(self.evidence.get(t, ())) for t in self.targets) / len(
             self.targets
         )
+
+
+def observe_candidates(result: SplitResult) -> None:
+    """Each target's final candidate-set size: a list per run, so
+    published here rather than carried on the ``e.split`` span."""
+    CANDIDATES_REMAINING.instrument(get_registry()).observe_many(
+        len(result.candidates.get(target, ())) for target in result.targets
+    )
 
 
 class EvidenceDiversity:
@@ -264,85 +282,28 @@ class SetSplitter:
             result.evidence[t] = []
         diversity = EvidenceDiversity(self.config.min_gap_ticks)
 
-        backend = self.config.backend
-        started = time.perf_counter()
         with get_tracer().span(
-            "e.split", backend=backend, targets=len(targets)
+            "e.split",
+            backend=self.config.backend,
+            strategy=self.config.strategy.value,
+            targets=len(targets),
+            universe=len(universe_set),
         ) as span:
-            log = get_event_log()
-            if log.enabled:
-                log.emit(
-                    ev.E_SPLIT_STARTED,
-                    backend=backend,
-                    strategy=self.config.strategy.value,
-                    targets=len(targets),
-                    universe=len(universe_set),
-                )
             self._run(result, universe_set, diversity, exclude)
-            span.set(
-                examined=result.scenarios_examined,
-                recorded=len(result.recorded),
-                distinguished=len(result.distinguished),
-            )
-            if log.enabled:
+            log = get_event_log()
+            if log.debug:
                 distinguished = result.distinguished
-                if log.debug:
-                    for target in result.targets:
-                        if target in distinguished:
-                            log.emit(
-                                ev.E_TARGET_DISTINGUISHED,
-                                eid=target.index,
-                                mac=target.mac,
-                                evidence=len(
-                                    result.evidence.get(target, ())
-                                ),
-                            )
-                log.emit(
-                    ev.E_SPLIT_CONVERGED,
-                    backend=backend,
-                    examined=result.scenarios_examined,
-                    recorded=len(result.recorded),
-                    distinguished=len(distinguished),
-                    unresolved=len(result.unresolved),
-                )
-        self._publish_metrics(result, time.perf_counter() - started, backend)
+                for target in result.targets:
+                    if target in distinguished:
+                        log.emit(
+                            ev.E_TARGET_DISTINGUISHED,
+                            eid=target.index,
+                            mac=target.mac,
+                            evidence=len(result.evidence.get(target, ())),
+                        )
+            span.set(**result.outcome())
+        observe_candidates(result)
         return result
-
-    def _publish_metrics(
-        self, result: SplitResult, elapsed_s: float, backend: str
-    ) -> None:
-        """One O(1)-ish registry update per run (never per scenario):
-        the E-stage counters the paper's Figs. 5-7 are built from, plus
-        real kernel time, all labelled with the backend name."""
-        registry = get_registry()
-        registry.counter(
-            "ev_e_scenarios_examined_total",
-            "E-Scenarios inspected by set splitting, effective or not",
-        ).inc(result.scenarios_examined, backend=backend)
-        registry.counter(
-            "ev_e_scenarios_recorded_total",
-            "distinct effective scenarios selected (Fig. 5/6 metric)",
-        ).inc(len(result.recorded), backend=backend)
-        registry.counter(
-            "ev_e_targets_total", "targets submitted to set splitting"
-        ).inc(len(result.targets), backend=backend)
-        sizes = [
-            len(result.candidates.get(target, ()))
-            for target in result.targets
-        ]
-        registry.counter(
-            "ev_e_targets_distinguished_total",
-            "targets whose candidate set reached a singleton",
-        ).inc(sizes.count(1), backend=backend)
-        registry.histogram(
-            "ev_e_split_seconds",
-            "real kernel time of one set-splitting run",
-        ).observe(elapsed_s, backend=backend)
-        registry.histogram(
-            "ev_e_candidates_remaining",
-            "per-target candidate-set size when splitting stopped",
-            buckets=(1, 2, 4, 8, 16, 64, 256, 1024),
-        ).observe_many(sizes)
 
     def _run(
         self,

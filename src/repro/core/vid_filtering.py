@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 from repro.core.blas import one_blas_thread
 from repro.metrics.timing import SimulatedClock
-from repro.obs import get_event_log, get_registry, get_tracer
+from repro.obs import get_event_log, get_tracer
 from repro.obs import events as ev
 from repro.sensing.scenarios import Detection, ScenarioKey, ScenarioStore, VScenario
 from repro.world.entities import EID
@@ -244,9 +244,6 @@ class VIDFilter:
         self._topology_counts: Dict[str, int] = {
             "pruned": 0, "kept": 0, "downweighted": 0,
         }
-        # Last-published cumulative counters, so repeated match() calls
-        # on one filter emit monotone deltas into the registry.
-        self._published: Dict[str, float] = {}
 
     def match(
         self,
@@ -270,8 +267,7 @@ class VIDFilter:
         those remain unmatched" (Sec. IV-A).
         """
         results: Dict[EID, MatchResult] = {}
-        extracted_before = self.clock.detections_extracted
-        comparisons_before = self.clock.comparisons
+        before = self.work()
         with get_tracer().span(
             "v.filter", targets=len(evidence), exclusion=use_exclusion
         ) as span:
@@ -292,57 +288,23 @@ class VIDFilter:
                     centroid = self._claim_centroid(result)
                     if centroid is not None:
                         claimed.append(centroid)
-            span.set(
-                detections_extracted=(
-                    self.clock.detections_extracted - extracted_before
-                ),
-                comparisons=self.clock.comparisons - comparisons_before,
-            )
-        self.publish_metrics(extracted_before, comparisons_before)
+            span.set(**self.work_since(before))
         return results
 
-    def publish_metrics(
-        self, extracted_before: int = 0, comparisons_before: int = 0
-    ) -> None:
-        """Fold this match() call's V-stage work and topology decisions
-        into the process registry (deltas, so a long-lived filter in
-        ``repro serve`` keeps its counters monotone)."""
-        registry = get_registry()
-        registry.counter(
-            "ev_v_detections_extracted_total",
-            "human figures feature-extracted in selected V-Scenarios",
-        ).inc(self.clock.detections_extracted - extracted_before)
-        registry.counter(
-            "ev_v_comparisons_total", "feature-vector comparisons charged"
-        ).inc(self.clock.comparisons - comparisons_before)
+    def work(self) -> Dict[str, int]:
+        """Cumulative V work, topology decisions included when on."""
+        work = {
+            "detections_extracted": self.clock.detections_extracted,
+            "comparisons": self.clock.comparisons,
+        }
         if self.config.topology is not None:
-            for count_name, metric, help_text in (
-                (
-                    "pruned",
-                    "ev_topology_pruned_total",
-                    "evidence scenarios dropped by reachability pruning",
-                ),
-                (
-                    "kept",
-                    "ev_topology_kept_total",
-                    "evidence scenarios surviving reachability pruning",
-                ),
-                (
-                    "downweighted",
-                    "ev_topology_downweighted_total",
-                    "evidence scenarios downweighted by the transition prior",
-                ),
-            ):
-                cumulative = float(self._topology_counts[count_name])
-                key = f"topology.{count_name}"
-                delta = cumulative - self._published.get(key, 0.0)
-                self._published[key] = cumulative
-                # Register at zero too: a topology-enabled worker always
-                # exposes the family, so federation and the slowlog
-                # counter deltas see it before the first pruning event.
-                counter = registry.counter(metric, help_text)
-                if delta > 0:
-                    counter.inc(delta)
+            for name, count in self._topology_counts.items():
+                work[f"topology_{name}"] = count
+        return work
+
+    def work_since(self, before: Mapping[str, int]) -> Dict[str, int]:
+        """The work since a :meth:`work` snapshot, as span attributes."""
+        return {key: value - before[key] for key, value in self.work().items()}
 
     def match_one(
         self,

@@ -25,8 +25,8 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Hashable, List, Optional, Tuple
 
-from repro.mapreduce.cluster import SimulatedCluster
-from repro.obs import get_event_log, get_registry, get_tracer
+from repro.mapreduce.cluster import SimulatedCluster, TaskStats
+from repro.obs import get_event_log, get_tracer
 from repro.obs import events as ev
 from repro.mapreduce.failures import (
     FailureInjector,
@@ -91,69 +91,6 @@ class MapReduceEngine:
             metrics.wall_time = time.perf_counter() - started
             metrics.records_out = handle.num_records
             span.set(
-                records_in=metrics.records_in,
-                records_out=metrics.records_out,
-                pairs_shuffled=metrics.pairs_shuffled,
-            )
-        self._publish_job_metrics(metrics)
-        return handle, metrics
-
-    def _publish_job_metrics(self, metrics: JobMetrics) -> None:
-        """Fold one job's counters into the default metrics registry."""
-        reg = get_registry()
-        reg.counter("mr_jobs_total", "MapReduce jobs completed").inc()
-        reg.counter(
-            "mr_records_in_total", "Records read by MapReduce jobs"
-        ).inc(metrics.records_in)
-        reg.counter(
-            "mr_records_out_total", "Records written by MapReduce jobs"
-        ).inc(metrics.records_out)
-        reg.counter(
-            "mr_pairs_shuffled_total", "Key/value pairs moved in shuffles"
-        ).inc(metrics.pairs_shuffled)
-        tasks = reg.counter("mr_tasks_total", "Tasks that ran, by stage")
-        retries = reg.counter(
-            "mr_task_retries_total", "Failed attempts that were retried, by stage"
-        )
-        tasks.inc(metrics.map_tasks, stage="map")
-        retries.inc(max(0, metrics.map_attempts - metrics.map_tasks), stage="map")
-        if metrics.reduce_tasks:
-            tasks.inc(metrics.reduce_tasks, stage="reduce")
-            retries.inc(
-                max(0, metrics.reduce_attempts - metrics.reduce_tasks),
-                stage="reduce",
-            )
-        sim = reg.counter(
-            "mr_simulated_seconds_total",
-            "Simulated stage makespan accumulated by jobs, by stage",
-        )
-        spec = reg.counter(
-            "mr_speculative_copies_total", "Speculative backup copies launched"
-        )
-        log = get_event_log()
-        for stage, stats in (
-            ("map", metrics.map_stats),
-            ("reduce", metrics.reduce_stats),
-        ):
-            if stats is None:
-                continue
-            sim.inc(stats.makespan, stage=stage)
-            if stats.speculative_copies:
-                spec.inc(stats.speculative_copies, stage=stage)
-                if log.enabled:
-                    log.emit(
-                        ev.MR_STAGE_SPECULATION,
-                        job=metrics.job_name,
-                        stage=stage,
-                        speculative_copies=stats.speculative_copies,
-                        wasted_work=getattr(stats, "wasted_work", 0.0),
-                        makespan=stats.makespan,
-                    )
-        if log.enabled:
-            log.emit(
-                ev.MR_JOB_FINISHED,
-                job=metrics.job_name,
-                map_tasks=metrics.map_tasks,
                 reduce_tasks=metrics.reduce_tasks,
                 map_retries=max(0, metrics.map_attempts - metrics.map_tasks),
                 reduce_retries=max(
@@ -163,6 +100,7 @@ class MapReduceEngine:
                 records_out=metrics.records_out,
                 pairs_shuffled=metrics.pairs_shuffled,
             )
+        return handle, metrics
 
     # ------------------------------------------------------------------
     def _run_map_only(
@@ -186,12 +124,8 @@ class MapReduceEngine:
             return output, cost
 
         num_tasks = self.dfs.num_partitions(input_name)
-        results, attempts, costs = self._run_tasks(
-            job.name + ":map", task, num_tasks
-        )
-        metrics.map_attempts = attempts
-        metrics.map_stats = self.cluster.simulate(
-            costs, job.name + ":map", self._map_placements(input_name, len(costs))
+        results, metrics.map_attempts, metrics.map_stats = self._run_stage(
+            job.name, "map", task, num_tasks, input_name
         )
         return self.dfs.write(output_name, results)
 
@@ -217,14 +151,9 @@ class MapReduceEngine:
             return bucket_pairs(pairs, partitioner), cost
 
         num_map_tasks = self.dfs.num_partitions(input_name)
-        map_results, map_attempts, map_costs = self._run_tasks(
-            job.name + ":map", map_task, num_map_tasks
+        all_buckets, metrics.map_attempts, metrics.map_stats = self._run_stage(
+            job.name, "map", map_task, num_map_tasks, input_name
         )
-        metrics.map_attempts = map_attempts
-        metrics.map_stats = self.cluster.simulate(
-            map_costs, job.name + ":map", self._map_placements(input_name, len(map_costs))
-        )
-        all_buckets = map_results
         metrics.pairs_shuffled = sum(
             len(bucket) for buckets in all_buckets for bucket in buckets
         )
@@ -240,41 +169,44 @@ class MapReduceEngine:
                 output.extend(job.reducer(key, grouped[key]))
             return output, 0.0
 
-        reduce_results, reduce_attempts, reduce_costs = self._run_tasks(
-            job.name + ":reduce", reduce_task, num_reducers
+        reduce_results, metrics.reduce_attempts, metrics.reduce_stats = (
+            self._run_stage(job.name, "reduce", reduce_task, num_reducers)
         )
         metrics.reduce_tasks = num_reducers
-        metrics.reduce_attempts = reduce_attempts
-        metrics.reduce_stats = self.cluster.simulate(
-            reduce_costs, job.name + ":reduce"
-        )
         return self.dfs.write(output_name, reduce_results)
 
-    def _map_placements(self, input_name: str, num_costs: int):
-        """Block-home nodes per map attempt, for delay scheduling.
+    def _map_placements(self, input_name: Optional[str], num_costs: int):
+        """Block-home nodes per map attempt, for delay scheduling
+        (``None`` for a reduce stage, which has no ``input_name``).
 
         Retried attempts (num_costs > partitions) disable locality
         accounting — attribution of attempts to blocks is ambiguous.
         """
+        if input_name is None:
+            return None
         num_partitions = self.dfs.num_partitions(input_name)
         if num_costs != num_partitions:
             return None
         return [self.dfs.node_of(input_name, i) for i in range(num_partitions)]
 
     # ------------------------------------------------------------------
-    def _run_tasks(
+    def _run_stage(
         self,
-        stage_id: str,
+        job_name: str,
+        phase: str,
         task: Callable[[int], Tuple[Any, float]],
         num_tasks: int,
-    ) -> Tuple[List[Any], int, List[float]]:
-        """Run one stage's tasks with retry; returns (results, attempts, costs).
+        input_name: Optional[str] = None,
+    ) -> Tuple[List[Any], int, TaskStats]:
+        """Run one stage's (``phase`` is ``"map"`` or ``"reduce"``) tasks
+        with retry and schedule them on the simulated cluster; returns
+        (results, attempts, stage stats).
 
-        ``costs`` has one entry per *attempt* (failed attempts occupied
-        a slot too), which is what the simulated scheduler charges.
+        The scheduler is charged one cost per *attempt* (failed
+        attempts occupied a slot too).  Map stages pass their
+        ``input_name`` for delay scheduling.
         """
-        attempts_total = 0
-        costs: List[float] = []
+        stage_id = f"{job_name}:{phase}"
         tracer = get_tracer()
 
         def attempt_task(index: int) -> Tuple[Any, float, int, List[float]]:
@@ -307,13 +239,25 @@ class MapReduceEngine:
                     f"{stage_id} task {index} failed {policy.max_attempts} attempts"
                 )
 
-        with tracer.span("mr.stage", stage=stage_id, tasks=num_tasks):
-            outcomes = [attempt_task(i) for i in range(num_tasks)]
-
-        results: List[Any] = []
-        for result, cost, attempts, local_costs in outcomes:
-            results.append(result)
-            attempts_total += attempts
-            # Failed attempts are charged at the successful attempt's cost.
-            costs.extend(cost if c < 0 else c for c in local_costs)
-        return results, attempts_total, costs
+        with tracer.span(
+            "mr.stage", job=job_name, stage=stage_id, phase=phase, tasks=num_tasks
+        ) as span:
+            results: List[Any] = []
+            attempts = 0
+            costs: List[float] = []
+            for i in range(num_tasks):
+                result, cost, task_attempts, local_costs = attempt_task(i)
+                results.append(result)
+                attempts += task_attempts
+                # Failed attempts are charged at the successful attempt's cost.
+                costs.extend(cost if c < 0 else c for c in local_costs)
+            stats = self.cluster.simulate(
+                costs, stage_id, self._map_placements(input_name, len(costs))
+            )
+            span.set(
+                retries=max(0, attempts - num_tasks),
+                makespan=stats.makespan,
+                speculative_copies=stats.speculative_copies,
+                wasted_work=stats.wasted_work,
+            )
+        return results, attempts, stats

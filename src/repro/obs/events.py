@@ -53,11 +53,11 @@ from collections import deque
 from typing import IO, Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.obs.registry import get_registry
-from repro.obs.tracing import get_tracer
 
-#: Lazily bound ``repro.obs.runs.get_run_context`` (that module imports
-#: this one, so a top-level import would be circular).
+#: Lazily bound ``repro.obs.runs.get_run_context`` and ``get_tracer``
+#: (both modules import this one, so top-level imports are circular).
 _get_run_context = None
+_get_tracer = None
 
 #: Default ring-buffer capacity.
 DEFAULT_CAPACITY = 4096
@@ -74,101 +74,68 @@ EVENTS_DROPPED_METRIC = "ev_obs_events_dropped_total"
 #: or shorten ``--telemetry-interval`` (see docs/architecture.md).
 SHIP_LAG_METRIC = "ev_obs_ship_lag"
 
-#: The event-type catalogue (documented in ``docs/architecture.md``).
+#: The event-type catalogue (documented in ``docs/architecture.md``),
+#: in declaration order.
+_EVENT_TYPES: List[str] = []
+
+
+def _event_type(name: str) -> str:
+    _EVENT_TYPES.append(name)
+    return name
+
+
 #: E stage (set splitting / refining):
-E_SPLIT_STARTED = "e.split.started"
-E_SPLIT_CONVERGED = "e.split.converged"
-E_SCENARIO_SELECTED = "e.scenario.selected"
-E_TARGET_DISTINGUISHED = "e.target.distinguished"
-E_REFINE_ROUND_STARTED = "e.refine.round.started"
-E_REFINE_ROUND_FINISHED = "e.refine.round.finished"
+E_SPLIT_STARTED = _event_type("e.split.started")
+E_SPLIT_CONVERGED = _event_type("e.split.converged")
+E_SCENARIO_SELECTED = _event_type("e.scenario.selected")
+E_TARGET_DISTINGUISHED = _event_type("e.target.distinguished")
+E_REFINE_ROUND_STARTED = _event_type("e.refine.round.started")
+E_REFINE_ROUND_FINISHED = _event_type("e.refine.round.finished")
 #: V stage (VID filtering):
-V_SCENARIO_DROPPED = "v.scenario.dropped"
-V_MATCH_DECIDED = "v.match.decided"
-V_TOPOLOGY_PRUNED = "v.topology.pruned"
+V_SCENARIO_DROPPED = _event_type("v.scenario.dropped")
+V_MATCH_DECIDED = _event_type("v.match.decided")
+V_TOPOLOGY_PRUNED = _event_type("v.topology.pruned")
 #: Matcher-level provenance:
-MATCH_PROVENANCE = "match.provenance"
+MATCH_PROVENANCE = _event_type("match.provenance")
 #: MapReduce engine:
-MR_TASK_RETRY = "mr.task.retry"
-MR_STAGE_SPECULATION = "mr.stage.speculation"
-MR_JOB_FINISHED = "mr.job.finished"
+MR_TASK_RETRY = _event_type("mr.task.retry")
+MR_STAGE_SPECULATION = _event_type("mr.stage.speculation")
+MR_JOB_FINISHED = _event_type("mr.job.finished")
 #: Serving layer:
-SERVICE_REQUEST_SHED = "service.request.shed"
-SERVICE_CACHE_EVICTED = "service.cache.evicted"
-SERVICE_SHARD_ASSIGNED = "service.shard.assigned"
-SERVICE_DRAIN_STARTED = "service.drain.started"
-SERVICE_DRAIN_COMPLETED = "service.drain.completed"
-SERVICE_QUERY_SLOW = "service.query.slow"
+SERVICE_REQUEST_SHED = _event_type("service.request.shed")
+SERVICE_CACHE_EVICTED = _event_type("service.cache.evicted")
+SERVICE_SHARD_ASSIGNED = _event_type("service.shard.assigned")
+SERVICE_DRAIN_STARTED = _event_type("service.drain.started")
+SERVICE_DRAIN_COMPLETED = _event_type("service.drain.completed")
+SERVICE_QUERY_SLOW = _event_type("service.query.slow")
 #: Cluster layer (:mod:`repro.cluster`):
-CLUSTER_WORKER_SPAWNED = "cluster.worker.spawned"
-CLUSTER_WORKER_READY = "cluster.worker.ready"
-CLUSTER_WORKER_CRASHED = "cluster.worker.crashed"
-CLUSTER_WORKER_HUNG = "cluster.worker.hung"
-CLUSTER_WORKER_RESTARTED = "cluster.worker.restarted"
-CLUSTER_WORKER_STOPPED = "cluster.worker.stopped"
-CLUSTER_HEALTH_DEGRADED = "cluster.health.degraded"
-CLUSTER_HEALTH_OK = "cluster.health.ok"
-CLUSTER_ROUTE_FAILOVER = "cluster.route.failover"
-CLUSTER_INGEST_REPLAYED = "cluster.ingest.replayed"
-CLUSTER_GATEWAY_STARTED = "cluster.gateway.started"
-CLUSTER_GATEWAY_DRAINED = "cluster.gateway.drained"
+CLUSTER_WORKER_SPAWNED = _event_type("cluster.worker.spawned")
+CLUSTER_WORKER_READY = _event_type("cluster.worker.ready")
+CLUSTER_WORKER_CRASHED = _event_type("cluster.worker.crashed")
+CLUSTER_WORKER_HUNG = _event_type("cluster.worker.hung")
+CLUSTER_WORKER_RESTARTED = _event_type("cluster.worker.restarted")
+CLUSTER_WORKER_STOPPED = _event_type("cluster.worker.stopped")
+CLUSTER_HEALTH_DEGRADED = _event_type("cluster.health.degraded")
+CLUSTER_HEALTH_OK = _event_type("cluster.health.ok")
+CLUSTER_ROUTE_FAILOVER = _event_type("cluster.route.failover")
+CLUSTER_INGEST_REPLAYED = _event_type("cluster.ingest.replayed")
+CLUSTER_GATEWAY_STARTED = _event_type("cluster.gateway.started")
+CLUSTER_GATEWAY_DRAINED = _event_type("cluster.gateway.drained")
 #: Streaming ingestion (:mod:`repro.stream`):
-STREAM_WINDOW_CLOSED = "stream.window.closed"
-STREAM_EVENT_LATE = "stream.event.late"
-STREAM_EVENT_SHED = "stream.event.shed"
-STREAM_SCENARIO_EMITTED = "stream.scenario.emitted"
-STREAM_CHECKPOINT_SAVED = "stream.checkpoint.saved"
-STREAM_CHECKPOINT_RESTORED = "stream.checkpoint.restored"
+STREAM_WINDOW_CLOSED = _event_type("stream.window.closed")
+STREAM_EVENT_LATE = _event_type("stream.event.late")
+STREAM_EVENT_SHED = _event_type("stream.event.shed")
+STREAM_SCENARIO_EMITTED = _event_type("stream.scenario.emitted")
+STREAM_CHECKPOINT_SAVED = _event_type("stream.checkpoint.saved")
+STREAM_CHECKPOINT_RESTORED = _event_type("stream.checkpoint.restored")
 #: Run bookkeeping (footer records a JSONL stream carries so a report
 #: can be re-rendered offline from the file alone):
-RUN_MANIFEST = "run.manifest"
-RUN_METRICS = "run.metrics"
-RUN_SPANS = "run.spans"
-BENCH_ARTIFACT = "bench.artifact"
+RUN_MANIFEST = _event_type("run.manifest")
+RUN_METRICS = _event_type("run.metrics")
+RUN_SPANS = _event_type("run.spans")
+BENCH_ARTIFACT = _event_type("bench.artifact")
 
-EVENT_TYPES = (
-    E_SPLIT_STARTED,
-    E_SPLIT_CONVERGED,
-    E_SCENARIO_SELECTED,
-    E_TARGET_DISTINGUISHED,
-    E_REFINE_ROUND_STARTED,
-    E_REFINE_ROUND_FINISHED,
-    V_SCENARIO_DROPPED,
-    V_MATCH_DECIDED,
-    V_TOPOLOGY_PRUNED,
-    MATCH_PROVENANCE,
-    MR_TASK_RETRY,
-    MR_STAGE_SPECULATION,
-    MR_JOB_FINISHED,
-    SERVICE_REQUEST_SHED,
-    SERVICE_CACHE_EVICTED,
-    SERVICE_SHARD_ASSIGNED,
-    SERVICE_DRAIN_STARTED,
-    SERVICE_DRAIN_COMPLETED,
-    SERVICE_QUERY_SLOW,
-    CLUSTER_WORKER_SPAWNED,
-    CLUSTER_WORKER_READY,
-    CLUSTER_WORKER_CRASHED,
-    CLUSTER_WORKER_HUNG,
-    CLUSTER_WORKER_RESTARTED,
-    CLUSTER_WORKER_STOPPED,
-    CLUSTER_HEALTH_DEGRADED,
-    CLUSTER_HEALTH_OK,
-    CLUSTER_ROUTE_FAILOVER,
-    CLUSTER_INGEST_REPLAYED,
-    CLUSTER_GATEWAY_STARTED,
-    CLUSTER_GATEWAY_DRAINED,
-    STREAM_WINDOW_CLOSED,
-    STREAM_EVENT_LATE,
-    STREAM_EVENT_SHED,
-    STREAM_SCENARIO_EMITTED,
-    STREAM_CHECKPOINT_SAVED,
-    STREAM_CHECKPOINT_RESTORED,
-    RUN_MANIFEST,
-    RUN_METRICS,
-    RUN_SPANS,
-    BENCH_ARTIFACT,
-)
+EVENT_TYPES = tuple(_EVENT_TYPES)
 
 _seq = itertools.count(1)
 
@@ -240,12 +207,13 @@ class EventLog:
         """Record one event, correlating it to the active run + span."""
         # Lazy import (``runs`` imports this module) cached in a
         # module global: emit is the flight recorder's hot path.
-        global _get_run_context
+        global _get_run_context, _get_tracer
         if _get_run_context is None:
             from repro.obs.runs import get_run_context as _get_run_context
+            from repro.obs.tracing import get_tracer as _get_tracer
 
         context = _get_run_context()
-        span = get_tracer().current_span()
+        span = _get_tracer().current_span()
         # ``fields`` is this call's own kwargs dict, so it can be kept
         # by reference; only non-scalar values need converting.
         for key, value in fields.items():

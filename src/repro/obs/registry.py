@@ -540,11 +540,6 @@ def merge_expositions(texts: Iterable[str]) -> str:
         lines.extend(entry["samples"])
     return "\n".join(lines) + ("\n" if lines else "")
 
-    def reset(self) -> None:
-        """Drop every instrument (tests / between experiment runs)."""
-        with self._lock:
-            self._instruments.clear()
-
 
 # ---------------------------------------------------------------------------
 # Process-global default + shared no-op.

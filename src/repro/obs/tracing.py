@@ -18,10 +18,11 @@ Two export shapes:
 * :meth:`Tracer.render_tree` — an indented text tree with durations,
   for terminals and test failures.
 
-The default process tracer is a shared :class:`NullTracer` whose
-``span()`` returns one reusable no-op object — instrumented hot paths
-pay a method call and no allocation when tracing is off.  Enable with
-``set_tracer(Tracer())``.
+The default process tracer is a shared :class:`NullTracer`: a span
+name catalogued in :mod:`repro.obs.stages` gets a span that only times
+itself and publishes its stage, every other name one reusable no-op
+object, so hot paths pay a method call and no allocation when tracing
+is off.  Enable recording with ``set_tracer(Tracer())``.
 
 **Cross-process propagation.**  A :class:`TraceContext` carries a
 ``trace_id`` (minted once per cluster request) plus the parent span's
@@ -48,6 +49,8 @@ import time
 import uuid
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.obs.stages import STAGES, Stage
 
 #: Process-unique span ids — the join key between a span and the
 #: events (:mod:`repro.obs.events`) emitted while it was open.
@@ -170,15 +173,42 @@ class _NoopSpan:
 _NOOP_SPAN = _NoopSpan()
 
 
+class _StageSpan:
+    """A catalogued span under :class:`NullTracer`: records nothing,
+    but times itself and publishes its :class:`~repro.obs.stages.Stage`."""
+
+    __slots__ = ("_stage", "args", "_start_s")
+
+    span_id = None
+
+    def __init__(self, stage: Stage, args: Dict[str, Any]) -> None:
+        self._stage = stage
+        self.args = args
+
+    def __enter__(self) -> "_StageSpan":
+        self._start_s = time.perf_counter()
+        self._stage.open(self.args)
+        return self
+
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> bool:
+        if exc_type is None:
+            self._stage.close(self.args, time.perf_counter() - self._start_s)
+        return False
+
+    def set(self, **args: Any) -> None:
+        self.args.update(args)
+
+
 class _SpanContext:
     """Context manager guarding one span's lifetime + contextvar."""
 
-    __slots__ = ("_tracer", "_span", "_token")
+    __slots__ = ("_tracer", "_span", "_token", "_stage")
 
     def __init__(self, tracer: "Tracer", span: Span) -> None:
         self._tracer = tracer
         self._span = span
         self._token: Optional[contextvars.Token] = None
+        self._stage = STAGES.get(span.name)
 
     def __enter__(self) -> Span:
         span = self._span
@@ -192,13 +222,20 @@ class _SpanContext:
             active[span.tid] = [span]
         else:
             stack.append(span)
+        if self._stage is not None:
+            self._stage.open(span.args)
         return span
 
-    def __exit__(self, *exc_info: Any) -> bool:
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> bool:
         span = self._span
         span.end_s = self._tracer._clock()
-        if self._token is not None:
-            self._tracer._current.reset(self._token)
+        try:
+            # Published while the span is current, so its events carry its id.
+            if self._stage is not None and exc_type is None:
+                self._stage.close(span.args, span.duration_s)
+        finally:
+            if self._token is not None:
+                self._tracer._current.reset(self._token)
         active = self._tracer._active
         stack = active.get(span.tid)
         if stack:
@@ -482,19 +519,17 @@ _NULL_REMOTE_VAR: "contextvars.ContextVar[Optional[TraceContext]]" = (
 
 
 class NullTracer:
-    """The zero-overhead tracer: every ``span()`` is the same no-op
-    object, nothing is recorded, exports are empty."""
+    """The zero-overhead tracer: nothing is recorded, exports are empty,
+    and only a catalogued stage span is more than a shared no-op."""
 
     def span(
         self, name: str, parent: Optional[Span] = None, **args: Any
-    ) -> _NoopSpan:
-        return _NOOP_SPAN
+    ) -> "_NoopSpan | _StageSpan":
+        stage = STAGES.get(name)
+        return _NOOP_SPAN if stage is None else _StageSpan(stage, args)
 
-    def trace(self, name: Optional[str] = None) -> Callable:
-        def decorator(fn: Callable) -> Callable:
-            return fn
-
-        return decorator
+    #: The recording tracer's decorator: a catalogued name still publishes.
+    trace = Tracer.trace
 
     def current_span(self) -> Optional[Span]:
         return None

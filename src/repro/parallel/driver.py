@@ -13,19 +13,14 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.edp import EDPConfig
-from repro.core.matcher import provenance_of, publish_run
+from repro.core.matcher import record_report_provenance, report_args
 from repro.core.set_splitting import SplitConfig
 from repro.core.vid_filtering import FilterConfig, MatchResult
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.failures import FailurePolicy
 from repro.metrics.accuracy import AccuracyReport, accuracy_of
-from repro.obs import (
-    get_tracer,
-    provenance_evidence_listening,
-    provenance_listening,
-    record_provenance,
-)
+from repro.obs import get_tracer
 from repro.metrics.timing import CostModel, StageTimes
 from repro.parallel.edp_job import ParallelEDP
 from repro.parallel.filter_job import ParallelFilterStats, ParallelVIDFilter
@@ -94,26 +89,6 @@ class ParallelEVMatcher:
             cluster=self.cluster, failure_policy=self.failure_policy
         )
 
-    def _record_run(
-        self,
-        report: ParallelMatchReport,
-        candidates: Optional[Mapping[EID, int]],
-    ) -> None:
-        """Same run metrics and audit trail as the local matcher,
-        engine-agnostic."""
-        publish_run(report.algorithm, report.times)
-        if not provenance_listening():
-            return
-        record_provenance(
-            provenance_of(
-                report.algorithm,
-                report.results,
-                store=self.store,
-                candidates=candidates,
-                include_evidence=provenance_evidence_listening(),
-            )
-        )
-
     def match(
         self,
         targets: Sequence[EID],
@@ -123,7 +98,7 @@ class ParallelEVMatcher:
         engine = self._engine()
         with get_tracer().span(
             "match", algorithm="ss", engine="mapreduce", targets=len(targets)
-        ):
+        ) as span:
             splitter = ParallelSetSplitter(
                 self.store, engine, self.split_config, self.cost_model
             )
@@ -131,25 +106,28 @@ class ParallelEVMatcher:
             vid_filter = ParallelVIDFilter(
                 self.store, engine, self.filter_config, self.cost_model
             )
-            with get_tracer().span("v.filter", targets=len(split.evidence)):
-                results, filter_stats = vid_filter.match(split.evidence)
-        report = ParallelMatchReport(
-            algorithm="ss",
-            targets=tuple(targets),
-            results=results,
-            num_selected=split.num_selected,
-            avg_scenarios_per_eid=split.avg_scenarios_per_eid,
-            scenarios_examined=split.scenarios_examined,
-            times=StageTimes(
-                e_time=split_stats.simulated_time,
-                v_time=filter_stats.simulated_time,
-            ),
-            split_stats=split_stats,
-            filter_stats=filter_stats,
-        )
-        self._record_run(
+            results, filter_stats = vid_filter.match(split.evidence)
+            report = ParallelMatchReport(
+                algorithm="ss",
+                targets=tuple(targets),
+                results=results,
+                num_selected=split.num_selected,
+                avg_scenarios_per_eid=split.avg_scenarios_per_eid,
+                scenarios_examined=split.scenarios_examined,
+                times=StageTimes(
+                    e_time=split_stats.simulated_time,
+                    v_time=filter_stats.simulated_time,
+                ),
+                split_stats=split_stats,
+                filter_stats=filter_stats,
+            )
+            span.set(**report_args(report))
+        record_report_provenance(
             report,
-            {eid: len(members) for eid, members in split.candidates.items()},
+            store=self.store,
+            candidates={
+                eid: len(members) for eid, members in split.candidates.items()
+            },
         )
         return report
 
@@ -162,7 +140,7 @@ class ParallelEVMatcher:
         engine = self._engine()
         with get_tracer().span(
             "match", algorithm="edp", engine="mapreduce", targets=len(targets)
-        ):
+        ) as span:
             with get_tracer().span("e.edp", targets=len(targets)):
                 edp = ParallelEDP(
                     self.store, engine, self.edp_config, self.cost_model
@@ -171,20 +149,20 @@ class ParallelEVMatcher:
             vid_filter = ParallelVIDFilter(
                 self.store, engine, self.filter_config, self.cost_model
             )
-            with get_tracer().span("v.filter", targets=len(e_result.evidence)):
-                results, filter_stats = vid_filter.match(e_result.evidence)
-        report = ParallelMatchReport(
-            algorithm="edp",
-            targets=tuple(targets),
-            results=results,
-            num_selected=e_result.num_selected,
-            avg_scenarios_per_eid=e_result.avg_scenarios_per_eid,
-            scenarios_examined=e_result.scenarios_examined,
-            times=StageTimes(
-                e_time=edp_stats.simulated_time,
-                v_time=filter_stats.simulated_time,
-            ),
-            filter_stats=filter_stats,
-        )
-        self._record_run(report, None)
+            results, filter_stats = vid_filter.match(e_result.evidence)
+            report = ParallelMatchReport(
+                algorithm="edp",
+                targets=tuple(targets),
+                results=results,
+                num_selected=e_result.num_selected,
+                avg_scenarios_per_eid=e_result.avg_scenarios_per_eid,
+                scenarios_examined=e_result.scenarios_examined,
+                times=StageTimes(
+                    e_time=edp_stats.simulated_time,
+                    v_time=filter_stats.simulated_time,
+                ),
+                filter_stats=filter_stats,
+            )
+            span.set(**report_args(report))
+        record_report_provenance(report, store=self.store)
         return report

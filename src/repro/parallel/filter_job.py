@@ -35,6 +35,7 @@ from repro.core.vid_filtering import FilterConfig, MatchResult, VIDFilter
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobMetrics, MapReduceJob
 from repro.metrics.timing import CostModel
+from repro.obs import get_tracer
 from repro.sensing.scenarios import ScenarioKey, ScenarioStore
 from repro.world.entities import EID
 
@@ -77,17 +78,20 @@ class ParallelVIDFilter:
     def match(
         self, evidence: Mapping[EID, Sequence[ScenarioKey]]
     ) -> Tuple[Dict[EID, MatchResult], ParallelFilterStats]:
-        """Run both jobs for every target in ``evidence``; publishes the
-        serial filter's ``ev_v_*`` and ``ev_topology_*`` counters."""
+        """Run both jobs for every target in ``evidence`` under a
+        ``v.filter`` span carrying the serial filter's work."""
         stats = ParallelFilterStats()
         vid_filter = VIDFilter(self.store, self.config)
-        plans = {eid: vid_filter._evidence(keys) for eid, keys in evidence.items()}
-        ids = {eid: vid_filter._ids_of(plan[0]) for eid, plan in plans.items()}
-        vid_filter._fill(ids.values())
-        distinct = sorted({key for plan in plans.values() for key in plan[0]})
-        self._extraction_job(distinct, stats)
-        results = self._comparison_job(vid_filter, plans, ids, stats)
-        vid_filter.publish_metrics()
+        with get_tracer().span("v.filter", targets=len(evidence)) as span:
+            plans = {
+                eid: vid_filter._evidence(keys) for eid, keys in evidence.items()
+            }
+            ids = {eid: vid_filter._ids_of(plan[0]) for eid, plan in plans.items()}
+            vid_filter._fill(ids.values())
+            distinct = sorted({key for plan in plans.values() for key in plan[0]})
+            self._extraction_job(distinct, stats)
+            results = self._comparison_job(vid_filter, plans, ids, stats)
+            span.set(**vid_filter.work())
         return results, stats
 
     # ------------------------------------------------------------------

@@ -34,7 +34,6 @@ MapReduce dataflow stays exactly the paper's.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -42,9 +41,11 @@ import numpy as np
 
 from repro.core.set_splitting import (
     EvidenceDiversity,
+    SelectionStrategy,
     SetSplitter,
     SplitConfig,
     SplitResult,
+    observe_candidates,
 )
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobMetrics, MapReduceJob
@@ -113,12 +114,11 @@ class ParallelSetSplitter:
     ) -> Tuple[SplitResult, ParallelSplitStats]:
         """Iterate map/reduce/merge until all ``targets`` stand alone.
 
-        Publishes the serial splitter's ``ev_e_*`` counters, labelled
-        ``backend="mapreduce"``.
+        Its ``e.split`` span publishes the serial splitter's ``ev_e_*``
+        counters and events, labelled ``backend="mapreduce"``.
         """
         if not targets:
             raise ValueError("targets must not be empty")
-        started = time.perf_counter()
         splitter = SetSplitter(self.store, self.config)
         universe_set = (
             frozenset(universe)
@@ -150,37 +150,43 @@ class ParallelSetSplitter:
         rng.shuffle(ticks)  # type: ignore[arg-type]
 
         tracer = get_tracer()
-        for tick in ticks:
-            if not active:
-                break
-            batch = self._preprocess(splitter, tick, active, result)
-            if not batch:
-                continue
-            stats.iterations += 1
-            with tracer.span(
-                "e.split.round",
-                round=stats.iterations - 1,
-                tick=tick,
-                batch=len(batch),
-                active=len(active),
-            ) as round_span:
-                signatures = self._signature_job(partition, batch, stats)
-                partition, next_partition_id = self._merge_job(
-                    signatures, partition, next_partition_id, stats
-                )
-                for key, _inclusive in batch:
-                    splitter._apply_scenario(
-                        key, result, candidates, active, diversity
+        with tracer.span(
+            "e.split",
+            backend="mapreduce",
+            strategy=SelectionStrategy.RANDOM_TICK.value,
+            targets=len(targets),
+            universe=len(universe_set),
+        ) as span:
+            for tick in ticks:
+                if not active:
+                    break
+                batch = self._preprocess(splitter, tick, active, result)
+                if not batch:
+                    continue
+                stats.iterations += 1
+                with tracer.span(
+                    "e.split.round",
+                    round=stats.iterations - 1,
+                    tick=tick,
+                    batch=len(batch),
+                    active=len(active),
+                ) as round_span:
+                    signatures = self._signature_job(partition, batch, stats)
+                    partition, next_partition_id = self._merge_job(
+                        signatures, partition, next_partition_id, stats
                     )
-                stats.partition_sets = len(partition)
-                round_span.set(
-                    partition_sets=len(partition), undistinguished=len(active)
-                )
+                    for key, _inclusive in batch:
+                        splitter._apply_scenario(
+                            key, result, candidates, active, diversity
+                        )
+                    stats.partition_sets = len(partition)
+                    round_span.set(
+                        partition_sets=len(partition), undistinguished=len(active)
+                    )
 
-        result.candidates = candidates
-        splitter._publish_metrics(
-            result, time.perf_counter() - started, backend="mapreduce"
-        )
+            result.candidates = candidates
+            span.set(**result.outcome())
+        observe_candidates(result)
         return result, stats
 
     # ------------------------------------------------------------------

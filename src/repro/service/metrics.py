@@ -29,8 +29,7 @@ smallest, so p50 of ``[1, 2, 3, 4]`` is deterministically 2.  See
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs.registry import DEFAULT_MAX_SAMPLES, MetricsRegistry
 
@@ -64,9 +63,7 @@ class ServiceMetrics:
         max_samples: int = DEFAULT_MAX_SAMPLES,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        self._lock = threading.Lock()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._endpoints: Set[str] = set()
         self.requests = self.registry.counter(
             "service_requests_total", "Requests seen, by endpoint"
         )
@@ -110,8 +107,6 @@ class ServiceMetrics:
         batched: bool = False,
     ) -> None:
         """Record one finished request."""
-        with self._lock:
-            self._endpoints.add(endpoint)
         self.requests.inc(endpoint=endpoint)
         outcome = status if status in ("ok", "shed") else "error"
         self.responses.inc(endpoint=endpoint, outcome=outcome)
@@ -128,8 +123,9 @@ class ServiceMetrics:
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """Every endpoint's counters/percentiles, in the historical
         ``stats`` dict shape."""
-        with self._lock:
-            endpoints = sorted(self._endpoints)
+        endpoints = sorted(
+            {dict(key)["endpoint"] for key, _ in self.requests.series()}
+        )
         return {name: self._snapshot_of(name) for name in endpoints}
 
     def _snapshot_of(self, endpoint: str) -> Dict[str, float]:

@@ -51,6 +51,7 @@ from repro.obs import get_event_log, get_registry, get_tracer
 from repro.obs import events as ev
 from repro.obs.registry import merge_expositions
 from repro.obs.slowlog import SlowLogConfig, SlowQueryLog
+from repro.obs.stages import SCENARIOS_EXAMINED, TOPOLOGY_PRUNED
 from repro.sensing.scenarios import EVScenario, ScenarioStore
 from repro.service.api import (
     STATUS_ERROR,
@@ -652,15 +653,18 @@ class MatchService:
     #: per-request bill — good enough to tell "examined 40x the usual
     #: scenarios" from "same work, slower machine".
     _SLOWLOG_COUNTERS = (
-        ("scenarios_examined", "ev_e_scenarios_examined_total"),
-        ("topology_pruned", "ev_topology_pruned_total"),
+        ("scenarios_examined", SCENARIOS_EXAMINED.name),
+        ("topology_pruned", TOPOLOGY_PRUNED.name),
     )
 
     def _kernel_counter_totals(self) -> dict:
+        """Read without creating: a family no stage has published yet
+        counts 0, and keeps the help text its stage publishes with."""
         registry = get_registry()
+        counters = {key: registry.get(name) for key, name in self._SLOWLOG_COUNTERS}
         return {
-            key: registry.counter(name).total()
-            for key, name in self._SLOWLOG_COUNTERS
+            key: 0.0 if counter is None else counter.total()
+            for key, counter in counters.items()
         }
 
     def _execute_match_batch(

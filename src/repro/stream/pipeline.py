@@ -29,13 +29,13 @@ under ``"shed"``: with lossy admission the applied prefix is no longer
 a prefix of the source, and a resume offset could silently re-apply
 shed-adjacent events into open windows.
 
-**Observability.**  Every run records to :mod:`repro.obs`: counters
-(``ev_stream_events_total`` by kind, tallied in plain ints and
-published at each window close and at the end of the run;
-late/shed/emitted/duplicate totals), gauges (open windows, watermark),
-one span per window close, and flight-recorder events for window
-close, scenario emission, late drops (one per late event), sheds (one
-per shed item, with its event count), and checkpoint save/restore.
+**Observability.**  The ``stream.run``, ``stream.window.close`` and
+``stream.checkpoint.save`` / ``.restore`` spans publish the
+``ev_stream_*`` counters and gauges and the window-close and
+checkpoint events (:mod:`repro.obs.stages`); events by kind and late
+drops are tallied in plain ints until the next window close or the
+run's end carries them.  Scenario emission, late drops and sheds are
+flight-recorder events emitted directly.
 """
 
 from __future__ import annotations
@@ -48,14 +48,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.incremental import IncrementalMatcher
-from repro.obs import get_event_log, get_registry, get_tracer
+from repro.obs import get_event_log, get_tracer
 from repro.obs.events import (
-    STREAM_CHECKPOINT_RESTORED,
-    STREAM_CHECKPOINT_SAVED,
     STREAM_EVENT_LATE,
     STREAM_EVENT_SHED,
     STREAM_SCENARIO_EMITTED,
-    STREAM_WINDOW_CLOSED,
 )
 from repro.sensing.builder import VFrame
 from repro.sensing.scenarios import EVScenario, ScenarioStore
@@ -300,6 +297,16 @@ class StreamReport:
         return "\n".join(lines)
 
 
+def _checkpoint_args(state) -> Dict[str, int]:
+    """A saved or restored checkpoint's span attributes."""
+    return {
+        "events_processed": state.events_processed,
+        "next_window": state.next_window,
+        "open_windows": len(state.open_windows),
+        "scenarios_emitted": state.scenarios_emitted,
+    }
+
+
 class StreamPipeline:
     """One source, one sink, one assembler — see module docstring.
 
@@ -325,40 +332,10 @@ class StreamPipeline:
             vague_threshold=self.config.vague_threshold,
             allowed_lateness=self.config.allowed_lateness,
         )
-        registry = get_registry()
-        self._events_counter = registry.counter(
-            "ev_stream_events_total", "Stream events applied, by kind"
-        )
-        self._late_counter = registry.counter(
-            "ev_stream_late_dropped_total",
-            "Events dropped for arriving after their window closed",
-        )
-        self._shed_counter = registry.counter(
-            "ev_stream_shed_total",
-            "Events shed by the bounded admission queue",
-        )
-        self._emitted_counter = registry.counter(
-            "ev_stream_scenarios_emitted_total",
-            "Scenarios applied to the sink",
-        )
-        self._dup_counter = registry.counter(
-            "ev_stream_duplicates_suppressed_total",
-            "Re-assembled scenarios suppressed by the idempotent sink",
-        )
-        self._windows_counter = registry.counter(
-            "ev_stream_windows_closed_total", "Windows closed"
-        )
-        self._checkpoint_counter = registry.counter(
-            "ev_stream_checkpoints_total", "Checkpoint operations, by op"
-        )
-        self._open_gauge = registry.gauge(
-            "ev_stream_open_windows", "Currently open windows"
-        )
-        self._watermark_gauge = registry.gauge(
-            "ev_stream_watermark", "Event-time watermark (ticks)"
-        )
         self._events_applied = 0
-        self._unpublished_events = {"e": 0, "v": 0}
+        # Applied (by kind) and late-dropped events not yet carried by a
+        # stream span, keyed by the span attribute that carries them.
+        self._unpublished = {"events_e": 0, "events_v": 0, "late": 0}
         self._events_processed_total = 0
         self._scenarios_applied = 0
         self._scenarios_emitted_total = 0
@@ -373,28 +350,19 @@ class StreamPipeline:
         path = self.config.checkpoint_path
         if path is None or not os.path.exists(path):
             return 0
-        checkpoint = load_checkpoint(path)
-        restore_into(self.assembler, checkpoint, self.config.fingerprint())
+        with get_tracer().span("stream.checkpoint.restore", path=path) as span:
+            checkpoint = load_checkpoint(path)
+            restore_into(self.assembler, checkpoint, self.config.fingerprint())
+            span.set(**_checkpoint_args(checkpoint))
         self._events_processed_total = checkpoint.events_processed
         self._scenarios_emitted_total = checkpoint.scenarios_emitted
         self._restored = True
-        self._checkpoint_counter.inc(op="restore")
-        log = get_event_log()
-        if log.enabled:
-            log.emit(
-                STREAM_CHECKPOINT_RESTORED,
-                path=path,
-                events_processed=checkpoint.events_processed,
-                next_window=checkpoint.next_window,
-                open_windows=len(checkpoint.open_windows),
-                scenarios_emitted=checkpoint.scenarios_emitted,
-            )
         return checkpoint.events_processed
 
     def _save_checkpoint(self) -> None:
         path = self.config.checkpoint_path
         assert path is not None
-        with get_tracer().span("stream.checkpoint.save", path=path):
+        with get_tracer().span("stream.checkpoint.save", path=path) as span:
             state = snapshot(
                 self.assembler,
                 events_processed=self._events_processed_total,
@@ -402,19 +370,9 @@ class StreamPipeline:
                 config=self.config.fingerprint(),
             )
             save_checkpoint(path, state)
+            span.set(**_checkpoint_args(state))
         self._checkpoints_saved += 1
         self._windows_since_checkpoint = 0
-        self._checkpoint_counter.inc(op="save")
-        log = get_event_log()
-        if log.enabled:
-            log.emit(
-                STREAM_CHECKPOINT_SAVED,
-                path=path,
-                events_processed=state.events_processed,
-                next_window=state.next_window,
-                open_windows=len(state.open_windows),
-                scenarios_emitted=state.scenarios_emitted,
-            )
 
     # -- item application ---------------------------------------------------
     def _apply(self, item: StreamItem) -> None:
@@ -422,10 +380,10 @@ class StreamPipeline:
         kind = event_kind(item)
         self._events_applied += count
         self._events_processed_total += count
-        self._unpublished_events[kind] += count
+        self._unpublished["events_" + kind] += count
         closed, late = self.assembler.offer(item)
         if late:
-            self._late_counter.inc(len(late))
+            self._unpublished["late"] += len(late)
             log = get_event_log()
             if log.enabled:
                 mark = self.assembler.watermark.watermark
@@ -446,44 +404,32 @@ class StreamPipeline:
         ):
             self._save_checkpoint()
 
-    def _publish_event_counts(self) -> None:
-        for kind, count in self._unpublished_events.items():
-            if count:
-                self._events_counter.inc(count, kind=kind)
-                self._unpublished_events[kind] = 0
+    def _take_unpublished(self) -> Dict[str, int]:
+        """The unpublished counts, as the next stream span's attributes."""
+        taken, self._unpublished = self._unpublished, dict.fromkeys(
+            self._unpublished, 0
+        )
+        return taken
 
     def _handle_closed(self, closed: ClosedWindow) -> None:
-        self._publish_event_counts()
-        tracer = get_tracer()
-        with tracer.span(
+        with get_tracer().span(
             "stream.window.close",
             window=closed.window,
             scenarios=len(closed.scenarios),
+            **self._take_unpublished(),
         ) as span:
             applied, duplicates = self.sink.emit_window(closed.scenarios)
-            span.set(applied=len(applied), duplicates=duplicates)
+            span.set(
+                applied=len(applied),
+                duplicates=duplicates,
+                open_windows=self.assembler.open_windows,
+                watermark=self.assembler.watermark.watermark,
+            )
         self._scenarios_applied += len(applied)
         self._scenarios_emitted_total += len(applied)
         self._duplicates += duplicates
-        self._windows_counter.inc()
-        if applied:
-            self._emitted_counter.inc(len(applied))
-        if duplicates:
-            self._dup_counter.inc(duplicates)
-        self._open_gauge.set(float(self.assembler.open_windows))
-        mark = self.assembler.watermark.watermark
-        if mark is not None:
-            self._watermark_gauge.set(float(mark))
         log = get_event_log()
         if log.enabled:
-            log.emit(
-                STREAM_WINDOW_CLOSED,
-                window=closed.window,
-                scenarios=len(closed.scenarios),
-                applied=len(applied),
-                duplicates=duplicates,
-                watermark=mark,
-            )
             for scenario in applied:
                 log.emit(
                     STREAM_SCENARIO_EMITTED,
@@ -502,26 +448,27 @@ class StreamPipeline:
         pipeline instance to resume from the checkpoint.
         """
         started = time.perf_counter()
-        skip = self._maybe_restore()
-        # The source applies the resume offset before pacing, so a
-        # restored run does not sleep through the skipped prefix.
-        items = self.source.events(skip=skip) if skip else self.source.events()
-        if self.config.synchronous:
-            killed = self._run_synchronous(items)
-            shed = 0
-        else:
-            killed, shed = self._run_threaded(items)
-            if shed:
-                self._shed_counter.inc(shed)
-        if not killed:
-            for closed_window in self.assembler.flush():
-                self._handle_closed(closed_window)
-            if (
-                self.config.checkpoint_path is not None
-                and self._windows_since_checkpoint > 0
-            ):
-                self._save_checkpoint()
-        self._publish_event_counts()
+        with get_tracer().span("stream.run") as span:
+            skip = self._maybe_restore()
+            # The source applies the resume offset before pacing, so a
+            # restored run does not sleep through the skipped prefix.
+            items = (
+                self.source.events(skip=skip) if skip else self.source.events()
+            )
+            if self.config.synchronous:
+                killed = self._run_synchronous(items)
+                shed = 0
+            else:
+                killed, shed = self._run_threaded(items)
+            if not killed:
+                for closed_window in self.assembler.flush():
+                    self._handle_closed(closed_window)
+                if (
+                    self.config.checkpoint_path is not None
+                    and self._windows_since_checkpoint > 0
+                ):
+                    self._save_checkpoint()
+            span.set(shed=shed, **self._take_unpublished())
         elapsed = time.perf_counter() - started
         mark = self.assembler.watermark.watermark
         return StreamReport(

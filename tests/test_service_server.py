@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.matcher import EVMatcher
-from repro.obs.registry import Histogram
+from repro.obs.registry import Histogram, MetricsRegistry, set_registry
 from repro.sensing.scenarios import ScenarioStore
 from repro.service import (
     LoadConfig,
@@ -257,6 +257,30 @@ class TestMetricsUnit:
         assert snap["shed"] == 1
         assert snap["errors"] == 1
         assert snap["cache_hits"] == 1
+
+
+class TestMetricsExposition:
+    def test_fresh_service_keeps_the_stage_help_text(self, ideal_dataset):
+        """The slow-query exemplars read the kernel counters without
+        creating them, so each ``ev_*`` family keeps the help text its
+        stage publishes with, and a topology-blind service exposes no
+        ``ev_topology_*`` family."""
+        previous = set_registry(MetricsRegistry())
+        try:
+            with MatchService.from_dataset(
+                ideal_dataset, ServiceConfig(workers=1)
+            ) as svc:
+                targets = list(ideal_dataset.sample_targets(5, seed=1))
+                assert svc.match(targets).status == "ok"
+                text = svc.metrics_text().text
+        finally:
+            set_registry(previous)
+        lines = text.splitlines()
+        families = {l.split()[2] for l in lines if l.startswith("# TYPE ev_")}
+        helped = {l.split()[2] for l in lines if l.startswith("# HELP ev_")}
+        assert "ev_e_scenarios_examined_total" in families
+        assert families <= helped
+        assert not [name for name in families if name.startswith("ev_topology_")]
 
 
 class TestLoadgen:
