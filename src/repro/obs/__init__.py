@@ -30,8 +30,8 @@ here rather than ad-hoc ``perf_counter`` calls:
 
 ``repro.obs`` sits below every other package (it imports nothing from
 ``repro``) so core, mapreduce, and service can all record to it.  The
-metric / span / event catalogues live in ``docs/architecture.md``
-("Observability").
+stage spans' metrics and events are declared in :mod:`repro.obs.stages`
+and documented in ``docs/architecture.md`` ("Observability").
 """
 
 from repro.obs.events import (
