@@ -15,7 +15,7 @@ replicated consistent-hash routing.  This demo:
 * kills a worker mid-run and watches the supervisor detect the crash,
   restart it with backoff, and replay the ingests it missed — no
   query fails along the way;
-* pulls the observability plane's view of all that: the last request's
+* pulls the observability plane's view of all that: a traced request's
   merged gateway+worker Chrome trace (the ``trace`` verb) and the
   cluster-wide federated metrics exposition (the ``metrics`` verb,
   every worker series labelled ``worker="<id>"``);
@@ -39,14 +39,22 @@ from repro.cluster import (
     WorkerSpec,
 )
 from repro.datagen.io import save_dataset
-from repro.obs import EventLog, Tracer, set_event_log, set_tracer
+from repro.obs import (
+    EventLog,
+    TraceContext,
+    Tracer,
+    inject_trace,
+    new_trace_id,
+    set_event_log,
+    set_tracer,
+)
 from repro.service import LoadConfig, MatchRequest, ServiceConfig
 from repro.service.loadgen import run_load_socket
 
 
 def main() -> None:
     set_event_log(EventLog())
-    set_tracer(Tracer())  # real tracer → the gateway mints per-request traces
+    set_tracer(Tracer())  # real tracer → enveloped requests are traced
     workdir = Path(tempfile.mkdtemp(prefix="repro-cluster-demo-"))
 
     print("Building the world (150 people, 4x4 cells)...")
@@ -135,10 +143,16 @@ def main() -> None:
         time.sleep(0.1)
 
     print("\nThe observability plane's view of the episode:")
-    # One merged Chrome trace for the last request: the gateway span,
-    # the router fan-out, and the worker's match/e.split/v.filter tree
-    # on a single wall-clock axis (open in chrome://tracing).
-    trace = client.merged_trace()
+    # One merged Chrome trace for a request sent with a trace envelope
+    # (requests without one are not traced): the gateway span, the
+    # router fan-out, and the worker's match/e.split/v.filter tree on
+    # a single wall-clock axis (open in chrome://tracing).
+    context = TraceContext(new_trace_id())
+    client.call(inject_trace(
+        {"verb": "match", "targets": [t.index for t in targets[:2]]},
+        context,
+    ))
+    trace = client.merged_trace(context.trace_id)
     spans = [
         e for e in trace["chrome"]["traceEvents"] if e.get("ph") == "X"
     ]

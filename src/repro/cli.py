@@ -1108,8 +1108,8 @@ def run_cluster_serve(args: argparse.Namespace, out=None) -> int:
 
     # A live event log always runs under the gateway: it feeds the SSE
     # stream; --events additionally mirrors it to a JSONL file.  A real
-    # tracer makes every request's merged gateway+worker trace
-    # available on the ``trace`` verb.
+    # tracer makes the merged gateway+worker trace of every request
+    # that carries a trace envelope available on the ``trace`` verb.
     log = EventLog(sink=args.events) if args.events else EventLog()
     previous_log = set_event_log(log)
     previous_tracer = set_tracer(Tracer())
@@ -1233,16 +1233,23 @@ def run_cluster_trace(args: argparse.Namespace, out=None) -> int:
     """``repro cluster trace OUT.json``: one merged cross-process trace.
 
     Stands up a fresh fleet with tracing on, issues ``--requests``
-    traced match requests through the gateway, fetches the last
-    request's merged Chrome trace over the ``trace`` verb, and writes
-    it for chrome://tracing / Perfetto.
+    match requests through the gateway, each with a trace envelope of
+    its own, fetches the last request's merged Chrome trace by its id
+    over the ``trace`` verb, and writes it for chrome://tracing /
+    Perfetto.
     """
     out = out if out is not None else sys.stdout
     import json
 
     from repro.cluster import GatewayClient
     from repro.obs import EventLog, set_event_log
-    from repro.obs.tracing import Tracer, set_tracer
+    from repro.obs.tracing import (
+        TraceContext,
+        Tracer,
+        inject_trace,
+        new_trace_id,
+        set_tracer,
+    )
 
     log = EventLog(sink=args.events) if args.events else EventLog()
     previous_log = set_event_log(log)
@@ -1258,19 +1265,21 @@ def run_cluster_trace(args: argparse.Namespace, out=None) -> int:
                 targets = dataset.sample_targets(
                     min(3, len(dataset.eids)), seed=args.seed + i
                 )
-                response = client.call(
+                context = TraceContext(new_trace_id())
+                response = client.call(inject_trace(
                     {
                         "verb": "match",
                         "targets": [eid.index for eid in targets],
                         "algorithm": "ss",
-                    }
-                )
+                    },
+                    context,
+                ))
                 if response.get("status") != "ok":
                     print(
                         f"match failed: {response.get('error')}", file=out
                     )
                     return 1
-            trace = client.merged_trace()
+            trace = client.merged_trace(context.trace_id)
         chrome = trace["chrome"]
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(chrome, fh)

@@ -11,10 +11,10 @@ Verbs:
   worker processes by the :class:`~repro.cluster.router.ClusterRouter`
   over pooled asyncio connections on the gateway's own event loop.
   The gateway relays each worker's answer bytes unparsed, splicing
-  the routing fields and ``trace_id`` into the line it writes
-  (:meth:`~repro.cluster.protocol.Reply.line`).  Every outcome feeds
-  the gateway's :class:`~repro.service.health.HealthTracker` rolling
-  SLO window.
+  the routing fields (and a traced request's ``trace_id``) into the
+  line it writes (:meth:`~repro.cluster.protocol.Reply.line`).  Every
+  outcome feeds the gateway's
+  :class:`~repro.service.health.HealthTracker` rolling SLO window.
 * ``health`` — the SLO verdict plus cluster availability
   (``workers_available`` / ``workers_total`` / ``degraded``).
 * ``stats`` — topology + routing + gateway counters snapshot, plus
@@ -25,7 +25,7 @@ Verbs:
   gateway process's registry merged with every worker's federated
   series (``worker``-labelled, restart re-based), family headers
   deduped.
-* ``trace`` — one merged Chrome trace for a cluster request
+* ``trace`` — one merged Chrome trace for a traced cluster request
   (``trace_id`` option; defaults to the latest): gateway and worker
   spans under a single trace id on one wall-clock axis.
 * ``profile`` — fan out to every available worker's continuous
@@ -48,12 +48,12 @@ Verbs:
   ``types`` (filter list), ``max_events`` (close after N, for
   scripting), ``poll_s`` (tail cadence).
 
-When the process tracer is real (``set_tracer(Tracer())``), every
-data-plane request gets a ``trace_id`` minted at the gateway (or
-adopted from the client's own trace envelope), carried in every
-protocol hop, and answered with the id in the response.  The gateway
-and worker span records are stored raw; the ``trace`` verb builds the
-merged trace from them when asked.
+A data-plane request is traced if and only if its client sent a trace
+envelope (:func:`~repro.obs.tracing.inject_trace`) and the process
+tracer is real: the client's ``trace_id`` rides every hop and the
+response, and the gateway and worker span records are stored raw for
+the ``trace`` verb to merge when asked.  Any other request opens no
+span here, nor on a worker that answers it from its result cache.
 
 **Graceful shutdown** (:meth:`ClusterGateway.drain`): stop accepting,
 answer new requests with ``shed``, wait for in-flight requests to
@@ -84,7 +84,6 @@ from repro.obs.tracing import (
     extract_trace,
     get_tracer,
     inject_trace,
-    new_trace_id,
 )
 from repro.service.api import STATUS_OK, STATUS_SHED
 from repro.service.health import HealthTracker, SLOConfig
@@ -492,36 +491,28 @@ class ClusterGateway:
         return reply
 
     async def _dispatch_data(self, verb: str, message: Dict[str, Any]) -> Reply:
-        """Route one data-plane request on this loop, wrapped in a
-        ``gateway.request`` root span when tracing is on.
-
-        The gateway mints the ``trace_id`` (or adopts the client's, if
-        the incoming message already carried a trace envelope) and
-        injects ``TraceContext(trace_id, root span)`` into the message
-        — the workers parent under it, and the router adds the id to
-        the reply.  After the reply lands the gateway-side spans are
-        popped off the tracer and stored, unconverted, in the trace
-        collector next to the worker records.
-        """
+        """Route one data-plane request on this loop; one whose client
+        sent a trace envelope under a ``gateway.request`` span in its
+        trace, which the envelope then names as parent.  After the
+        reply lands the gateway-side spans are popped off the tracer
+        and stored, unconverted, in the trace collector."""
         tracer = get_tracer()
-        if not isinstance(tracer, Tracer):
+        trace = extract_trace(message)
+        if trace is None or not isinstance(tracer, Tracer):
             return await self.router.dispatch(message)
-        incoming = extract_trace(message)
-        trace_id = incoming.trace_id if incoming else new_trace_id()
-        root_ctx = TraceContext(
-            trace_id, incoming.parent_span_id if incoming else None
-        )
         try:
-            with tracer.remote_context(root_ctx):
+            with tracer.remote_context(trace):
                 with tracer.span("gateway.request", verb=verb) as root:
-                    inject_trace(message, TraceContext(trace_id, root.span_id))
+                    inject_trace(
+                        message, TraceContext(trace.trace_id, root.span_id)
+                    )
                     return await self.router.dispatch(message)
         finally:
-            spans = tracer.take_trace(trace_id)
+            spans = tracer.take_trace(trace.trace_id)
             collector = self.router.trace_collector
             if spans and collector is not None:
                 collector.add_records(
-                    trace_id,
+                    trace.trace_id,
                     functools.partial(tracer.span_records, spans),
                     label="gateway",
                 )

@@ -35,9 +35,9 @@ A ``first`` read relays the worker's answer bytes unparsed; a quorum
 read parses each replica's answer for the vote and relays the
 majority's bytes; ingest parses the acks and answers with its tally.
 The router only adds routing fields (``worker``, ``failovers`` or
-``quorum``/``responders``, and the request's ``trace_id``) for the
-gateway to splice in, and hands each worker's raw span records to the
-trace collector.
+``quorum``/``responders``, and a traced request's ``trace_id``) for
+the gateway to splice in, and hands each worker's raw span records to
+the trace collector.
 """
 
 from __future__ import annotations
@@ -145,23 +145,27 @@ class ClusterRouter:
         return sorted(candidates, key=lambda wid: wid not in available)
 
     async def dispatch(self, message: Dict[str, Any]) -> Reply:
-        """Route one wire request on the running event loop.  The
-        message's trace envelope is re-activated here, so
-        ``cluster.request`` and everything under it join the request's
-        trace even when the caller holds no open span, and its trace id
-        is added to the reply."""
+        """Route one wire request on the running event loop.  A request
+        that carries a trace envelope is routed under a
+        ``cluster.request`` span in its trace, even when the caller
+        holds no open span, and its trace id is added to the reply;
+        any other request opens no span."""
         verb = str(message.get("verb", "?"))
-        tracer = get_tracer()
+        if verb == "ingest":
+            routed = self._dispatch_ingest(message)
+        elif self.read_policy == "quorum":
+            routed = self._dispatch_quorum(message, verb)
+        else:
+            routed = self._dispatch_first(message, verb)
         trace = extract_trace(message)
-        with tracer.remote_context(trace):
-            with tracer.span("cluster.request", verb=verb):
-                if verb == "ingest":
-                    reply = await self._dispatch_ingest(message)
-                elif self.read_policy == "quorum":
-                    reply = await self._dispatch_quorum(message, verb)
-                else:
-                    reply = await self._dispatch_first(message, verb)
-        if trace is not None:
+        if trace is None:
+            reply = await routed
+        else:
+            tracer = get_tracer()
+            with tracer.remote_context(trace), tracer.span(
+                "cluster.request", verb=verb
+            ):
+                reply = await routed
             reply.fields["trace_id"] = trace.trace_id
         self._requests.inc(verb=verb, status=reply.status)
         return reply

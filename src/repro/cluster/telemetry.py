@@ -51,7 +51,6 @@ from repro.obs.registry import (
     _label_key,
     _render_labels,
     get_registry,
-    merge_expositions,
 )
 
 __all__ = [
@@ -183,11 +182,6 @@ class MetricsFederation:
     def workers(self) -> List[str]:
         with self._lock:
             return sorted(self._workers)
-
-    def forget(self, worker_id: str) -> None:
-        """Drop a worker's series entirely (it left the fleet)."""
-        with self._lock:
-            self._workers.pop(worker_id, None)
 
     def _rebased(
         self,
@@ -551,8 +545,3 @@ class ClusterTelemetry:
                 for wid, summary in self._summaries.items()
             }
         return {"workers": workers, "traces": len(self.traces.trace_ids())}
-
-    def render_metrics(self, *local_texts: str) -> str:
-        """The cluster-wide exposition: local registries first, then
-        every worker's federated series, headers deduped by family."""
-        return merge_expositions(list(local_texts) + [self.federation.render()])

@@ -34,10 +34,11 @@ Tracing: when a data-verb message carries a trace envelope
 ``worker.request`` root span under the remote parent, the service and
 pipeline spans nest beneath it, and the completed span records travel
 back in the reply trailer, beside the answer, so the gateway can merge
-one cluster-wide Chrome trace without parsing the answer.  Untraced
-requests still get a local trace id so their spans can be discarded
-after the response — the tracer's retained set stays bounded by
-in-flight work.
+one cluster-wide Chrome trace without parsing the answer.  An untraced
+result-cache hit opens no span.  Any other untraced request runs under
+a ``worker.request`` span of a throwaway local trace, so a slow-query
+exemplar keeps its span tree; the trace is dropped after the response,
+and the tracer's retained set stays bounded by in-flight work.
 
 Answers leave the worker as bytes (:func:`~repro.cluster.codec.answer_bytes`).
 A result-cache hit is answered from the body kept with its cache entry
@@ -51,6 +52,7 @@ and the availability benchmark a deterministic way to kill a worker
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -58,7 +60,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster import codec
 from repro.cluster.protocol import (
@@ -98,7 +100,7 @@ MSG_STOPPED = "stopped"
 #: Parent → child.
 MSG_SHUTDOWN = "shutdown"
 
-#: Verbs served under a ``worker.request`` span.
+#: Verbs answered by the data path (``_WorkerServer._handle_data``).
 DATA_VERBS = ("ingest", "match", "investigate")
 
 
@@ -436,48 +438,60 @@ class _WorkerServer:
         self, message: Dict[str, Any], verb: str
     ) -> Tuple[bytes, str]:
         """A data verb's answer bytes and status; a failure becomes its
-        error answer here, so it is answered inside the request's span.
-        A result-cache hit is answered from its entry's body."""
+        error answer here, so a traced request is answered inside its
+        span.  A result-cache hit is answered from its entry's body
+        before any span opens; other work runs under
+        :meth:`_untraced_span` unless the request is traced."""
         try:
-            if verb == "ingest":
-                return _encoded(self._handle_ingest(message))
-            request = codec.request_from_wire(message)
-            answer = self.service.submit_or_hit(request)
-            if isinstance(answer, CacheHit):
-                return codec.hit_bytes(answer), answer.entry.value.status
-            response = answer.result(timeout=self.spec.request_result_timeout_s)
+            answer = None
+            if verb != "ingest":
+                answer = self.service.lookup(codec.request_from_wire(message))
+                if isinstance(answer, CacheHit):
+                    return codec.hit_bytes(answer), answer.entry.value.status
+            with self._untraced_span(verb):
+                if answer is None:
+                    return _encoded(self._handle_ingest(message))
+                response = self.service.submit_miss(answer).result(
+                    timeout=self.spec.request_result_timeout_s
+                )
             return codec.answer_bytes(response), response.status
         except Exception as exc:
             return _encoded(_error_response(message, exc))
 
+    @contextlib.contextmanager
+    def _untraced_span(self, verb: str) -> Iterator[None]:
+        """``worker.request`` under a throwaway trace id, dropped when
+        it closes; nothing inside a traced request's span or without a
+        real tracer."""
+        tracer = get_tracer()
+        if not isinstance(tracer, Tracer) or tracer.current_span() is not None:
+            yield
+            return
+        local = TraceContext(new_trace_id())
+        try:
+            with tracer.remote_context(local), tracer.span(
+                "worker.request", verb=verb, worker=self.spec.worker_id
+            ):
+                yield
+        finally:
+            tracer.take_trace(local.trace_id)
+
     def _handle_data(
         self, message: Dict[str, Any], verb: str
     ) -> Tuple[bytes, str, Optional[List[Dict[str, Any]]]]:
-        """A data verb under a ``worker.request`` root span; returns the
-        answer bytes, the status and, for a traced request, its span
-        records.
-
-        When the message carries a trace envelope the span tree adopts
-        the remote trace id + parent and the finished records ride back
-        beside the response.  Untraced requests get a throwaway local
-        trace id so their spans can still be popped off the tracer — a
-        long-running worker's span retention stays bounded either way.
-        """
+        """A data verb's answer bytes, status and, for a request that
+        carries a trace envelope, its span records: the untraced
+        dispatch run under a ``worker.request`` root span that adopts
+        the remote trace id and parent."""
         tracer = get_tracer()
-        if not isinstance(tracer, Tracer):
-            return (*self._dispatch_data(message, verb), None)
         remote = extract_trace(message)
-        local = remote if remote is not None else TraceContext(new_trace_id())
-        with tracer.remote_context(local):
-            with tracer.span(
-                "worker.request", verb=verb, worker=self.spec.worker_id
-            ):
-                # Never raises: a failed request is answered here, so
-                # its error reply carries the worker's spans too.
-                answer, status = self._dispatch_data(message, verb)
-        spans = tracer.take_trace(local.trace_id)
-        if remote is None:
-            return answer, status, None
+        if remote is None or not isinstance(tracer, Tracer):
+            return (*self._dispatch_data(message, verb), None)
+        with tracer.remote_context(remote), tracer.span(
+            "worker.request", verb=verb, worker=self.spec.worker_id
+        ):
+            answer, status = self._dispatch_data(message, verb)
+        spans = tracer.take_trace(remote.trace_id)
         return answer, status, tracer.span_records(spans)
 
     def _connection_loop(self, sock: socket.socket) -> None:

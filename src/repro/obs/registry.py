@@ -74,6 +74,10 @@ def nearest_rank(samples: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
+#: Label keys one instrument keeps for label sets that repeat.
+_MAX_KEPT_KEYS = 4096
+
+
 def _label_key(labels: Dict[str, str]) -> LabelKey:
     if not labels:
         return ()
@@ -109,6 +113,28 @@ class _Instrument:
         self.name = name
         self.help = help
         self._lock = threading.Lock()
+        self._keys: Dict[Tuple[Tuple[str, Any], ...], LabelKey] = {}
+
+    def _key(self, labels: Dict[str, Any]) -> LabelKey:
+        """``_label_key(labels)``, kept by the label set's items in call
+        order, so a label set that repeats (every request's ``verb``
+        and ``status``) is not sorted again.  Only all-``str`` sets are
+        kept: ``1``, ``1.0`` and ``True`` are equal items that render
+        differently."""
+        if not labels:
+            return ()
+        items = tuple(labels.items())
+        try:
+            key = self._keys.get(items)
+        except TypeError:  # an unhashable label value
+            return _label_key(labels)
+        if key is None:
+            key = _label_key(labels)
+            if len(self._keys) < _MAX_KEPT_KEYS and all(
+                type(value) is str for _, value in items
+            ):
+                self._keys[items] = key
+        return key
 
     def series(self) -> List[Tuple[LabelKey, Any]]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -136,13 +162,13 @@ class Counter(_Instrument):
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease ({amount})")
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: str) -> float:
         with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
+            return self._values.get(self._key(labels), 0.0)
 
     def total(self) -> float:
         """Sum over every label series."""
@@ -171,10 +197,10 @@ class Gauge(_Instrument):
 
     def set(self, value: float, **labels: str) -> None:
         with self._lock:
-            self._values[_label_key(labels)] = float(value)
+            self._values[self._key(labels)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -183,7 +209,7 @@ class Gauge(_Instrument):
 
     def value(self, **labels: str) -> float:
         with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
+            return self._values.get(self._key(labels), 0.0)
 
     def series(self) -> List[Tuple[LabelKey, float]]:
         with self._lock:
@@ -246,7 +272,7 @@ class Histogram(_Instrument):
         return series
 
     def observe(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             series = self._series_for(key)
             series.bucket_counts[bisect_left(self.buckets, value)] += 1
@@ -265,7 +291,7 @@ class Histogram(_Instrument):
         values = list(values)
         if not values:
             return
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             series = self._series_for(key)
             counts = series.bucket_counts
@@ -278,17 +304,17 @@ class Histogram(_Instrument):
 
     def count(self, **labels: str) -> int:
         with self._lock:
-            series = self._series.get(_label_key(labels))
+            series = self._series.get(self._key(labels))
             return series.count if series else 0
 
     def sum(self, **labels: str) -> float:
         with self._lock:
-            series = self._series.get(_label_key(labels))
+            series = self._series.get(self._key(labels))
             return series.sum if series else 0.0
 
     def mean(self, **labels: str) -> float:
         with self._lock:
-            series = self._series.get(_label_key(labels))
+            series = self._series.get(self._key(labels))
             if series is None or series.count == 0:
                 return 0.0
             return series.sum / series.count
@@ -296,7 +322,7 @@ class Histogram(_Instrument):
     def samples(self, **labels: str) -> List[float]:
         """The retained reservoir (most recent observations)."""
         with self._lock:
-            series = self._series.get(_label_key(labels))
+            series = self._series.get(self._key(labels))
             return list(series.reservoir) if series else []
 
     def percentile(self, q: float, **labels: str) -> float:
@@ -372,18 +398,22 @@ class MetricsRegistry:
     def _get_or_create(self, cls, null_cls, name: str, help: str, **kwargs):
         if not self.enabled:
             cls = null_cls
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise TypeError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}, requested {cls.kind}"
-                    )
-                return existing
-            instrument = cls(name, help, **kwargs)
-            self._instruments[name] = instrument
-            return instrument
+        # Instruments are only ever added, so a family that exists is
+        # found without the lock.
+        existing = self._instruments.get(name)
+        if existing is None:
+            with self._lock:
+                existing = self._instruments.get(name)
+                if existing is None:
+                    instrument = cls(name, help, **kwargs)
+                    self._instruments[name] = instrument
+                    return instrument
+        if not isinstance(existing, cls):
+            raise TypeError(
+                f"metric {name!r} already registered as "
+                f"{existing.kind}, requested {cls.kind}"
+            )
+        return existing
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, _NullCounter, name, help)

@@ -25,11 +25,12 @@ object, so hot paths pay a method call and no allocation when tracing
 is off.  Enable recording with ``set_tracer(Tracer())``.
 
 **Cross-process propagation.**  A :class:`TraceContext` carries a
-``trace_id`` (minted once per cluster request) plus the parent span's
-id across a process boundary: the sender calls :func:`inject_trace`
-on its wire message, the receiver :func:`extract_trace` and opens its
-spans under ``Tracer.remote_context(ctx)`` — the first span with no
-local parent adopts the remote trace id and records the remote parent
+``trace_id`` (minted once per traced request, by its client) plus the
+parent span's id across a process boundary: the sender calls
+:func:`inject_trace` on its wire message, the receiver
+:func:`extract_trace` and opens its spans under
+``Tracer.remote_context(ctx)`` — the first span with no local parent
+adopts the remote trace id and records the remote parent
 (:attr:`Span.remote_parent_id`), and every descendant inherits the
 trace id.  :meth:`Tracer.take_trace` pops a finished trace's spans
 (bounding memory in long-lived servers) and
@@ -66,7 +67,7 @@ class TraceContext:
 
     Attributes:
         trace_id: opaque id shared by every span of one distributed
-            request (the gateway mints it; retries and replica
+            request (the client mints it; retries and replica
             fan-out reuse it).
         parent_span_id: the sender-side span the receiver's spans
             should parent under (``None`` for a fresh root).

@@ -18,10 +18,12 @@ Request path::
     metrics ◄── MatchBatcher.execute ──► EVMatcher over target union
                                          (under the read lock)
 
-:meth:`MatchService.submit_or_hit` takes the same path, except that a
-hit comes back as its :class:`CacheHit` (the cache entry and the
-request's latency) rather than a resolved future; the cluster worker
-answers it from the bytes kept with the entry.
+:meth:`MatchService.lookup` and :meth:`MatchService.submit_miss` are
+the same path in two calls: a hit comes back as its :class:`CacheHit`
+(the cache entry and the request's latency) rather than a resolved
+future, and a miss as a :class:`CacheMiss` to submit.  The cluster
+worker answers a hit from the bytes kept with the entry, and opens its
+request span only for a miss.
 
 ``ingest_tick`` is the only writer: under the write lock it appends
 scenarios to the store and shards, streams them through the
@@ -65,7 +67,6 @@ from repro.service.api import (
     MatchRequest,
     MatchResponse,
     MetricsResponse,
-    ServiceOverloaded,
     StatsResponse,
 )
 from repro.service.batcher import MatchBatcher, Waiter
@@ -104,6 +105,15 @@ class CacheHit:
                 latency_s=self.latency_s,
             )
         return replace(template, cached=True, latency_s=self.latency_s)
+
+
+@dataclass(frozen=True)
+class CacheMiss:
+    """A query the result cache did not answer, timed from its lookup:
+    :meth:`MatchService.submit_miss` queues it."""
+
+    request: Request
+    started: float
 
 
 @dataclass(frozen=True)
@@ -389,46 +399,54 @@ class MatchService:
         ``"shed"`` response, so closed-loop clients can count drops.
         A draining service sheds everything (see :meth:`begin_drain`).
         """
-        answer = self.submit_or_hit(request)
-        if isinstance(answer, CacheHit):
-            future: "Future" = Future()
-            future.set_result(answer.response())
-            return future
-        return answer
+        answer = self.lookup(request)
+        if isinstance(answer, CacheMiss):
+            return self.submit_miss(answer)
+        future: "Future" = Future()
+        future.set_result(answer.response())
+        return future
 
-    def submit_or_hit(self, request: Request) -> Union["Future", "CacheHit"]:
-        """Like :meth:`submit`, but a result-cache hit comes back as its
-        :class:`CacheHit` instead of a resolved future, so the caller
-        can answer it from the entry's body without building a
-        response (the cluster worker does)."""
-        if self._draining:
-            return self._shed_draining(request)
+    def lookup(self, request: Request) -> Union["CacheHit", "CacheMiss"]:
+        """The first half of :meth:`submit`: one result-cache lookup.
+
+        A hit is counted and comes back as its :class:`CacheHit`, so
+        the caller can answer it from the entry's body without building
+        a response (the cluster worker does); anything else comes back
+        as a :class:`CacheMiss` for :meth:`submit_miss`.  A draining
+        service looks nothing up: its misses are shed."""
         if isinstance(request, MatchRequest):
-            endpoint, submit = "match", self._submit_match
+            endpoint = "match"
         elif isinstance(request, InvestigateRequest):
-            endpoint, submit = "investigate", self._submit_investigate
+            endpoint = "investigate"
         else:
             raise TypeError(f"cannot submit {type(request).__name__}")
         started = time.perf_counter()
-        entry = self.cache.get(request.cache_key())
+        entry = None if self._draining else self.cache.get(request.cache_key())
         if entry is None:
-            return submit(request, started)
+            return CacheMiss(request, started)
         latency = time.perf_counter() - started
         self._observe(endpoint, STATUS_OK, latency, cached=True)
         return CacheHit(entry, latency)
+
+    def submit_miss(self, miss: CacheMiss) -> "Future":
+        """The second half of :meth:`submit`: queue a query the cache
+        missed (shed it while draining)."""
+        if self._draining:
+            return self._shed_draining(miss.request)
+        if isinstance(miss.request, MatchRequest):
+            return self._submit_match(miss.request, miss.started)
+        return self._submit_investigate(miss.request, miss.started)
 
     def _shed_draining(self, request: Request) -> "Future":
         future: "Future" = Future()
         if isinstance(request, MatchRequest):
             future.set_result(MatchResponse(status=STATUS_SHED))
             self._observe("match", STATUS_SHED, 0.0)
-        elif isinstance(request, InvestigateRequest):
+        else:
             future.set_result(
                 InvestigateResponse(status=STATUS_SHED, eid=request.eid)
             )
             self._observe("investigate", STATUS_SHED, 0.0)
-        else:
-            raise TypeError(f"cannot submit {type(request).__name__}")
         return future
 
     def _submit_match(self, request: MatchRequest, started: float) -> "Future":
@@ -491,16 +509,6 @@ class MatchService:
     ) -> InvestigateResponse:
         request = InvestigateRequest(eid=eid, min_shared=min_shared)
         return self.submit(request).result(timeout=timeout)
-
-    def match_or_raise(
-        self, targets: Sequence[EID], algorithm: str = "ss"
-    ) -> MatchResponse:
-        """Like :meth:`match` but raises :class:`ServiceOverloaded` on
-        shed — for callers that prefer the exception style."""
-        response = self.match(targets, algorithm=algorithm)
-        if response.status == STATUS_SHED:
-            raise ServiceOverloaded("match request shed by admission control")
-        return response
 
     # -- ingest (the writer) -----------------------------------------------
     def ingest_tick(

@@ -11,6 +11,7 @@ import pytest
 
 from repro.datagen.config import ExperimentConfig
 from repro.datagen.dataset import EVDataset, build_dataset
+from repro.obs.tracing import Tracer, set_tracer
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,25 @@ def practical_dataset() -> EVDataset:
             seed=43,
         )
     )
+
+
+class CountingTracer(Tracer):
+    """A recording tracer that also lists every span it opens."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.opened = []
+
+    def span(self, name, parent=None, **args):
+        self.opened.append(name)
+        return super().span(name, parent, **args)
+
+
+@pytest.fixture()
+def counting_tracer():
+    """A :class:`CountingTracer` as the process tracer, restored after
+    the test."""
+    tracer = CountingTracer()
+    previous = set_tracer(tracer)
+    yield tracer
+    set_tracer(previous)

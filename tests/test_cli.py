@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
@@ -435,3 +436,28 @@ class TestClusterJournalDir:
         assert main(self.FLAGS + ["--journal-dir", str(given)]) == 0
         assert (given / "world.npz").is_file()
         assert list(tmp_path.glob("repro-cluster-*")) == []
+
+
+class TestClusterTrace:
+    """``repro cluster trace`` sends each request with a trace envelope
+    of its own and writes the last one's merged trace, fetched by id."""
+
+    def test_writes_one_merged_cross_process_trace(self, tmp_path, capsys):
+        output = tmp_path / "trace.json"
+        assert main([
+            "cluster", "trace", str(output), "--people", "60",
+            "--processes", "2", "--requests", "2",
+        ]) == 0
+        chrome = json.loads(output.read_text())
+        trace_id = chrome["otherData"]["trace_id"]
+        assert f"trace {trace_id}," in capsys.readouterr().out
+        spans = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
+        assert {e["args"]["trace_id"] for e in spans} == {trace_id}
+        assert len({e["pid"] for e in spans}) >= 2
+        ids = {e["args"]["span_id"] for e in spans}
+        parents = {e["args"]["parent_span_id"] for e in spans}
+        assert parents - {None} <= ids
+        roots = [
+            e["name"] for e in spans if e["args"]["parent_span_id"] is None
+        ]
+        assert roots == ["gateway.request"]

@@ -37,7 +37,13 @@ from repro.datagen.dataset import EVDataset, build_dataset
 from repro.datagen.io import save_dataset
 from repro.obs import EventLog, MetricsRegistry, set_event_log, set_registry
 from repro.obs.slowlog import SlowLogConfig
-from repro.obs.tracing import Tracer, set_tracer
+from repro.obs.tracing import (
+    TraceContext,
+    Tracer,
+    inject_trace,
+    new_trace_id,
+    set_tracer,
+)
 from repro.sensing.scenarios import ScenarioStore
 from repro.service.api import STATUS_OK
 from repro.service.server import ServiceConfig
@@ -138,15 +144,20 @@ def client(stack):
         yield c
 
 
-def match_message(stack: ObsStack, seed: int) -> dict:
+def match_message(stack: ObsStack, seed: int, trace: bool = False) -> dict:
+    """A match request; with ``trace``, it carries a trace envelope of
+    its own: only requests that carry one are traced."""
     targets = stack.dataset.sample_targets(
         min(3, len(stack.dataset.eids)), seed=seed
     )
-    return {
+    message = {
         "verb": "match",
         "targets": [eid.index for eid in targets],
         "algorithm": "ss",
     }
+    if trace:
+        inject_trace(message, TraceContext(new_trace_id()))
+    return message
 
 
 def federated_total(text: str, family: str, worker: str = "") -> float:
@@ -164,7 +175,7 @@ def federated_total(text: str, family: str, worker: str = "") -> float:
 
 class TestMergedTrace:
     def test_one_request_yields_one_cross_process_trace(self, stack, client):
-        response = client.call(match_message(stack, seed=21))
+        response = client.call(match_message(stack, seed=21, trace=True))
         assert response["status"] == STATUS_OK
         trace_id = response["trace_id"]
         assert trace_id
@@ -201,8 +212,8 @@ class TestMergedTrace:
         assert any(label.startswith("worker w") for label in labels)
 
     def test_each_request_gets_its_own_trace(self, stack, client):
-        first = client.call(match_message(stack, seed=22))
-        second = client.call(match_message(stack, seed=23))
+        first = client.call(match_message(stack, seed=22, trace=True))
+        second = client.call(match_message(stack, seed=23, trace=True))
         assert first["trace_id"] != second["trace_id"]
         assert (
             client.merged_trace(first["trace_id"])["trace_id"]

@@ -46,6 +46,7 @@ from repro.cluster.supervisor import (
     WorkerHandle,
 )
 from repro.cluster.worker import WorkerSpec, _WorkerServer
+from repro.obs.slowlog import SlowLogConfig
 from repro.obs.tracing import (
     TraceContext,
     Tracer,
@@ -68,7 +69,12 @@ from repro.service.api import (
     TargetMatch,
 )
 from repro.service.cache import CacheEntry
-from repro.service.server import CacheHit, MatchService, ServiceConfig
+from repro.service.server import (
+    CacheHit,
+    CacheMiss,
+    MatchService,
+    ServiceConfig,
+)
 from repro.world.entities import EID
 
 
@@ -415,25 +421,35 @@ class _ScriptedService:
 
     answer = None
 
-    def submit_or_hit(self, request):
+    def lookup(self, request):
         if isinstance(self.answer, CacheHit):
             return self.answer
+        return CacheMiss(request, started=0.0)
+
+    def submit_miss(self, miss):
         future = Future()
         future.set_result(self.answer)
         return future
 
 
 class _RecordingService:
-    """A real MatchService that keeps every answer it hands the worker."""
+    """A real MatchService that keeps every answer it hands the worker:
+    a cache hit, or the future of a miss."""
 
     def __init__(self, service):
         self.service = service
         self.answers = []
 
-    def submit_or_hit(self, request):
-        answer = self.service.submit_or_hit(request)
-        self.answers.append(answer)
+    def lookup(self, request):
+        answer = self.service.lookup(request)
+        if isinstance(answer, CacheHit):
+            self.answers.append(answer)
         return answer
+
+    def submit_miss(self, miss):
+        future = self.service.submit_miss(miss)
+        self.answers.append(future)
+        return future
 
 
 @pytest.fixture(scope="class")
@@ -531,6 +547,87 @@ class TestWorkerAnswerBytes:
                 assert recording.answers[-1].entry.body is not None
         finally:
             service.stop()
+
+
+def _ask_untraced(server, request):
+    """One request without a trace envelope through the worker: its
+    answer, parsed; no span records ride back."""
+    message = request_to_wire(request)
+    answer, status, spans = server._handle_data(message, message["verb"])
+    assert spans is None
+    return json.loads(answer)
+
+
+class TestUntracedWorker:
+    """A request without a trace envelope: a result-cache hit opens no
+    span, any other request runs under a ``worker.request`` span of a
+    throwaway trace, and the worker's tracer keeps no span."""
+
+    @pytest.fixture()
+    def service(self, ideal_dataset):
+        service = MatchService.from_dataset(
+            ideal_dataset,
+            ServiceConfig(
+                workers=1,
+                # Every miss is over the fixed threshold: an exemplar.
+                worker_delay_s=0.002,
+                slowlog=SlowLogConfig(threshold_s=0.001),
+            ),
+        ).start()
+        yield service
+        service.stop()
+
+    def test_hits_open_no_span(self, counting_tracer, service, ideal_dataset):
+        server = _worker(service)
+        targets = ideal_dataset.sample_targets(2, seed=5)
+        requests = [
+            MatchRequest(targets=tuple(targets)),
+            InvestigateRequest(eid=targets[0]),
+        ]
+        for request in requests:
+            assert _ask_untraced(server, request)["cached"] is False
+        assert counting_tracer.opened.count("worker.request") == 2
+        counting_tracer.opened.clear()
+        for _burst in range(50):
+            for request in requests:
+                assert _ask_untraced(server, request)["cached"] is True
+        assert counting_tracer.opened == []
+        assert counting_tracer.spans == []
+
+    def test_mixed_burst_leaves_no_span(
+        self, counting_tracer, service, ideal_dataset
+    ):
+        server = _worker(service)
+        targets = ideal_dataset.sample_targets(8, seed=6)
+        cached = []
+        for i in range(200):
+            if i % 3:
+                pair = (targets[i % 8], targets[(i // 8) % 8])
+                request = MatchRequest(targets=tuple(sorted(set(pair))))
+            else:
+                request = InvestigateRequest(eid=targets[(i // 3) % 8])
+            answer = _ask_untraced(server, request)
+            assert answer["status"] == STATUS_OK
+            cached.append(answer["cached"])
+        assert 0 < cached.count(False) < cached.count(True)
+        assert "worker.request" in counting_tracer.opened
+        assert counting_tracer.spans == []
+        assert counting_tracer.roots == []
+
+    def test_untraced_miss_keeps_its_exemplar(
+        self, counting_tracer, service, ideal_dataset
+    ):
+        server = _worker(service)
+        targets = ideal_dataset.sample_targets(2, seed=7)
+        request = MatchRequest(targets=tuple(targets))
+        assert _ask_untraced(server, request)["cached"] is False
+        assert _ask_untraced(server, request)["cached"] is True
+        records = service.slowlog()["records"]
+        assert len(records) == 1  # the miss; a hit is never an exemplar
+        record = records[0]
+        assert record["trace_id"]
+        assert record["spans"]["name"] == "service.execute"
+        assert counting_tracer.spans == []
 
 
 class TestRoutingKey:

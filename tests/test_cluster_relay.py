@@ -49,7 +49,14 @@ from repro.cluster.supervisor import WorkerHandle
 from repro.datagen.config import ExperimentConfig
 from repro.datagen.dataset import build_dataset
 from repro.datagen.io import load_dataset, save_dataset
-from repro.obs.tracing import Tracer, extract_trace, set_tracer
+from repro.obs.tracing import (
+    TraceContext,
+    Tracer,
+    extract_trace,
+    inject_trace,
+    new_trace_id,
+    set_tracer,
+)
 from repro.service.api import STATUS_ERROR, STATUS_OK, STATUS_SHED
 from repro.service.server import MatchService, ServiceConfig
 from repro.world.entities import EID
@@ -127,14 +134,23 @@ def gateway(request, fleet):
     gw.drain(timeout=5.0)
 
 
-def messages(fleet):
+def traced(message: dict) -> dict:
+    """``message`` with a trace envelope of its own: only requests that
+    carry one are traced."""
+    return inject_trace(message, TraceContext(new_trace_id()))
+
+
+def messages(fleet, trace=True):
     targets = fleet.targets
-    return {
+    plain = {
         "match": {"verb": "match", "targets": targets[:3], "algorithm": "ss"},
         "investigate": {"verb": "investigate", "eid": targets[3]},
         # The worker's codec rejects it: an error reply from the worker.
         "error": {"verb": "investigate", "eid": targets[4], "min_shared": "x"},
     }
+    if not trace:
+        return plain
+    return {kind: traced(message) for kind, message in plain.items()}
 
 
 def relay(gateway, message) -> bytes:
@@ -209,6 +225,31 @@ class TestRelayedLines:
         assert strict(line) == decode_line(encode_line(
             error_response("match", "gateway draining", STATUS_SHED)
         ))
+
+
+class TestUntracedRelayedLines:
+    """The same requests without a trace envelope: the line is the
+    worker's answer plus the routing fields, with no ``trace_id``, and
+    nothing reaches the trace collector."""
+
+    @pytest.mark.parametrize("kind", ["match", "investigate", "error"])
+    def test_line_equals_the_worker_reply_plus_routing(
+        self, fleet, gateway, kind
+    ):
+        seen = len(fleet.replies)
+        traces = gateway.router.trace_collector.trace_ids()
+        relayed = strict(relay(gateway, messages(fleet, trace=False)[kind]))
+        assert relayed["status"] == (STATUS_ERROR if kind == "error" else STATUS_OK)
+        assert "trace_id" not in relayed
+        fresh = fleet.replies[seen:]
+        assert all(trace_id is None for _wid, trace_id, _reply in fresh)
+        (reply,) = [r for wid, _tid, r in fresh if wid == relayed["worker"]]
+        assert not reply.spans
+        expected = {
+            **json.loads(reply.answer), **routing(gateway, relayed, 2)
+        }
+        assert relayed == decode_line(encode_line(expected))
+        assert gateway.router.trace_collector.trace_ids() == traces
 
 
 #: Worker replies that must never reach a client; each carries a
@@ -293,11 +334,11 @@ class TestTraceRetention:
         try:
             with GatewayClient(*gateway.address) as client:
                 trace_ids = [
-                    client.call({
+                    client.call(traced({
                         "verb": "match",
                         "targets": [target],
                         "algorithm": "ss",
-                    })["trace_id"]
+                    }))["trace_id"]
                     for target in fleet.targets * 4
                 ]
         finally:
@@ -306,6 +347,43 @@ class TestTraceRetention:
         assert tracer.spans == []
         assert collector.trace_ids() == trace_ids[-collector.max_traces:]
         assert collector.evicted["lru"] == len(trace_ids) - collector.max_traces
+
+    def test_untraced_burst_opens_and_keeps_no_span(
+        self, fleet, counting_tracer
+    ):
+        collector = TraceCollector()
+        router = ClusterRouter(
+            fleet.supervisor, replication=2, trace_collector=collector
+        )
+        gateway = ClusterGateway(router, fleet.supervisor).start()
+        targets = fleet.targets
+        cached = []
+        try:
+            with GatewayClient(*gateway.address) as client:
+                for i in range(200):
+                    if i % 4:
+                        pair = {targets[i % 6], targets[(i // 6) % 6]}
+                        message = {
+                            "verb": "match",
+                            "targets": sorted(pair),
+                            "algorithm": "edp",
+                        }
+                    else:
+                        message = {
+                            "verb": "investigate",
+                            "eid": targets[(i // 4) % 6],
+                            "min_shared": 2,
+                        }
+                    reply = client.call(message)
+                    assert reply["status"] == STATUS_OK
+                    assert "trace_id" not in reply
+                    cached.append(reply["cached"])
+        finally:
+            gateway.drain(timeout=5.0)
+        assert 0 < cached.count(False) < cached.count(True)
+        assert counting_tracer.opened == []
+        assert counting_tracer.spans == []
+        assert collector.trace_ids() == []
 
     def test_raw_trace_renders_like_the_eager_conversion(
         self, fleet, monkeypatch

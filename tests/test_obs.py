@@ -107,6 +107,45 @@ class TestRegistry:
         assert "lat_count 1" in text
 
 
+class TestKeptLabelKeys:
+    """An instrument keeps the key of a label set that repeats; the
+    series are the ones an unkept key gives."""
+
+    def test_equal_values_of_other_types_stay_apart(self, registry):
+        counter = registry.counter("kept_total")
+        for _ in range(2):
+            for value in ("1", 1, 1.0, True, None):
+                counter.inc(flag=value)
+        assert dict(counter.series()) == {
+            (("flag", "1"),): 4.0,
+            (("flag", "1.0"),): 2.0,
+            (("flag", "True"),): 2.0,
+            (("flag", "None"),): 2.0,
+        }
+
+    def test_label_order_and_unhashable_values(self, registry):
+        gauge = registry.gauge("kept")
+        gauge.set(1, a="x", b="y")
+        gauge.set(2, b="y", a="x")
+        gauge.set(3, a=["x"])
+        assert gauge.value(a="x", b="y") == 2
+        assert gauge.series() == [
+            ((("a", "['x']"),), 3.0),
+            ((("a", "x"), ("b", "y")), 2.0),
+        ]
+
+    def test_past_the_cap_keys_are_built_each_call(self, registry, monkeypatch):
+        from repro.obs import registry as registry_module
+
+        monkeypatch.setattr(registry_module, "_MAX_KEPT_KEYS", 2)
+        hist = registry.histogram("kept_seconds")
+        for i in range(4):
+            hist.observe(0.5, shard=str(i))
+            hist.observe(0.5, shard=str(i))
+        assert len(hist._keys) == 2
+        assert [hist.count(shard=str(i)) for i in range(4)] == [2, 2, 2, 2]
+
+
 class TestPercentileConvention:
     def test_nearest_rank_is_pinned(self):
         # The documented convention: p50 of [1,2,3,4] is the

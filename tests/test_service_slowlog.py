@@ -200,9 +200,9 @@ class TestServiceWiring:
         record = match_records[0]
         assert record["latency_s"] >= record["threshold_s"] == 0.001
         assert record["status"] == STATUS_OK
-        # Standalone services have no distributed trace id (the gateway
-        # mints one per cluster request); the key is still present so
-        # the record joins against merged traces when there is one.
+        # Standalone services have no distributed trace id (a cluster
+        # client mints one per traced request); the key is still present
+        # so the record joins against merged traces when there is one.
         assert "trace_id" in record
         assert record["backend_label"] == (
             slow_service.config.matcher.split.backend
