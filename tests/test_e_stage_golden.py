@@ -5,9 +5,10 @@ strategy and rule combination, the :class:`EDPMatcher` baseline and the
 :class:`IncrementalMatcher` stream — is reduced to a short SHA-256 of
 its observable output (recorded scenarios, per-target evidence and
 candidates, examined count; for the stream, pending targets, evidence
-and emission timing).  The digests pin the E stage's exact behaviour,
+and emission timing) and the ``repr`` of the simulated E time its
+clock accumulated.  The digests pin the E stage's exact behaviour,
 so a refactor or speed-up of the candidate-set code must reproduce
-them bit for bit.
+them bit for bit, down to the order its E-Scenario charges add up in.
 
 To re-derive a digest after an intentional semantic change, run the
 case's ``digest_*`` helper on the ``practical_dataset`` fixture's world
@@ -38,6 +39,11 @@ def _digest(payload) -> str:
 
 def _key(key):
     return (key.cell_id, key.tick)
+
+
+def _e_time(clock) -> str:
+    """The simulated E time, every bit of it."""
+    return repr(clock.times().e_time)
 
 
 def _targets(store, count=8):
@@ -71,8 +77,15 @@ def digest_split(store, strategy, merge_vague, gap, budget, extra=False):
         treat_vague_as_inclusive=merge_vague,
         min_gap_ticks=gap,
     )
-    result = SetSplitter(store, config).run(_targets(store), universe=universe)
-    return _digest(([_key(k) for k in result.recorded], _e_output(result)))
+    splitter = SetSplitter(store, config)
+    result = splitter.run(_targets(store), universe=universe)
+    return _digest(
+        (
+            [_key(k) for k in result.recorded],
+            _e_output(result),
+            _e_time(splitter.clock),
+        )
+    )
 
 
 def digest_edp(store, greedy_sample, gap, budget, extra=False):
@@ -83,8 +96,9 @@ def digest_edp(store, greedy_sample, gap, budget, extra=False):
         greedy_sample=greedy_sample,
         min_gap_ticks=gap,
     )
-    result = EDPMatcher(store, config).run(_targets(store), universe=universe)
-    return _digest(_e_output(result))
+    matcher = EDPMatcher(store, config)
+    result = matcher.run(_targets(store), universe=universe)
+    return _digest((_e_output(result), _e_time(matcher.clock)))
 
 
 def digest_incremental(store, merge_vague, gap):
@@ -113,6 +127,7 @@ def digest_incremental(store, merge_vague, gap):
             fired,
             sorted(t.index for t in stream.pending),
             _evidence(targets, stream.evidence_of),
+            _e_time(stream.clock),
         )
     )
 
@@ -136,84 +151,84 @@ INCREMENTAL_CASES = list(itertools.product((False, True), (0, 5)))
 #: (strategy, treat_vague_as_inclusive, min_gap_ticks, max_scenarios)
 #: -> digest.
 SPLIT_GOLDEN = {
-    (SelectionStrategy.RANDOM, False, 0, None): 'd26bfc139da90608',
-    (SelectionStrategy.RANDOM, False, 0, 40): '2567582b4afd743a',
-    (SelectionStrategy.RANDOM, False, 0, 350): 'd26bfc139da90608',
-    (SelectionStrategy.RANDOM, False, 5, None): '9be78496dcf05e13',
-    (SelectionStrategy.RANDOM, False, 5, 40): 'f63596e4122a4b22',
-    (SelectionStrategy.RANDOM, False, 5, 350): '9be78496dcf05e13',
-    (SelectionStrategy.RANDOM, True, 0, None): 'f131c95e19ef78d7',
-    (SelectionStrategy.RANDOM, True, 0, 40): '286ee6a1069413c3',
-    (SelectionStrategy.RANDOM, True, 0, 350): 'f131c95e19ef78d7',
-    (SelectionStrategy.RANDOM, True, 5, None): '959da9a754539a2a',
-    (SelectionStrategy.RANDOM, True, 5, 40): '6c1a6e16c89e7b12',
-    (SelectionStrategy.RANDOM, True, 5, 350): '959da9a754539a2a',
-    (SelectionStrategy.SEQUENTIAL, False, 0, None): '56071c9a81d43597',
-    (SelectionStrategy.SEQUENTIAL, False, 0, 40): '2e6de6496bfe8ccd',
-    (SelectionStrategy.SEQUENTIAL, False, 0, 350): '56071c9a81d43597',
-    (SelectionStrategy.SEQUENTIAL, False, 5, None): '31c195ce6038a727',
-    (SelectionStrategy.SEQUENTIAL, False, 5, 40): '7a35d0aefd9f39a7',
-    (SelectionStrategy.SEQUENTIAL, False, 5, 350): '31c195ce6038a727',
-    (SelectionStrategy.SEQUENTIAL, True, 0, None): '692727e36fc9c869',
-    (SelectionStrategy.SEQUENTIAL, True, 0, 40): '540ba8ef0415bf07',
-    (SelectionStrategy.SEQUENTIAL, True, 0, 350): '692727e36fc9c869',
-    (SelectionStrategy.SEQUENTIAL, True, 5, None): 'e983601f91c59348',
-    (SelectionStrategy.SEQUENTIAL, True, 5, 40): '6fe50ed01516e7df',
-    (SelectionStrategy.SEQUENTIAL, True, 5, 350): 'e983601f91c59348',
-    (SelectionStrategy.RANDOM_TICK, False, 0, None): '47a02a9977f1388e',
-    (SelectionStrategy.RANDOM_TICK, False, 0, 40): 'c5571699bfe138eb',
-    (SelectionStrategy.RANDOM_TICK, False, 0, 350): '47a02a9977f1388e',
-    (SelectionStrategy.RANDOM_TICK, False, 5, None): 'd6a837faa5e83111',
-    (SelectionStrategy.RANDOM_TICK, False, 5, 40): '32f33e21437ab995',
-    (SelectionStrategy.RANDOM_TICK, False, 5, 350): 'd6a837faa5e83111',
-    (SelectionStrategy.RANDOM_TICK, True, 0, None): '0ca3edd4369090b8',
-    (SelectionStrategy.RANDOM_TICK, True, 0, 40): '2ed40b4a47ab1fe8',
-    (SelectionStrategy.RANDOM_TICK, True, 0, 350): '0ca3edd4369090b8',
-    (SelectionStrategy.RANDOM_TICK, True, 5, None): 'ec501a234031f2e8',
-    (SelectionStrategy.RANDOM_TICK, True, 5, 40): 'bd81674a111b4b33',
-    (SelectionStrategy.RANDOM_TICK, True, 5, 350): 'ec501a234031f2e8',
-    (SelectionStrategy.GREEDY, False, 0, None): '85f71dd289a4d2f6',
-    (SelectionStrategy.GREEDY, False, 0, 40): 'aa94d2cfb173b7f2',
-    (SelectionStrategy.GREEDY, False, 0, 350): 'f480858c5001956c',
-    (SelectionStrategy.GREEDY, False, 5, None): 'eedf4b0af4723ef5',
-    (SelectionStrategy.GREEDY, False, 5, 40): 'aa94d2cfb173b7f2',
-    (SelectionStrategy.GREEDY, False, 5, 350): 'f480858c5001956c',
-    (SelectionStrategy.GREEDY, True, 0, None): '176c5629f38dbd8f',
-    (SelectionStrategy.GREEDY, True, 0, 40): '063059cf78c100b3',
-    (SelectionStrategy.GREEDY, True, 0, 350): 'ce64944f6204b4ed',
-    (SelectionStrategy.GREEDY, True, 5, None): 'b62e110bd4bd1ab4',
-    (SelectionStrategy.GREEDY, True, 5, 40): '063059cf78c100b3',
-    (SelectionStrategy.GREEDY, True, 5, 350): 'ce64944f6204b4ed',
+    (SelectionStrategy.RANDOM, False, 0, None): 'bc0978a3fbae0923',
+    (SelectionStrategy.RANDOM, False, 0, 40): 'b074e07206a936af',
+    (SelectionStrategy.RANDOM, False, 0, 350): 'bc0978a3fbae0923',
+    (SelectionStrategy.RANDOM, False, 5, None): '7d48832b1d0886ca',
+    (SelectionStrategy.RANDOM, False, 5, 40): '20da5487d3b47696',
+    (SelectionStrategy.RANDOM, False, 5, 350): '7d48832b1d0886ca',
+    (SelectionStrategy.RANDOM, True, 0, None): '39c41a5949a1bdf3',
+    (SelectionStrategy.RANDOM, True, 0, 40): '1ba2c9d6bd7a6421',
+    (SelectionStrategy.RANDOM, True, 0, 350): '39c41a5949a1bdf3',
+    (SelectionStrategy.RANDOM, True, 5, None): '7ea8620cf46bbf7e',
+    (SelectionStrategy.RANDOM, True, 5, 40): 'bf2081378f894b4a',
+    (SelectionStrategy.RANDOM, True, 5, 350): '7ea8620cf46bbf7e',
+    (SelectionStrategy.SEQUENTIAL, False, 0, None): '3f6bf0008552b28a',
+    (SelectionStrategy.SEQUENTIAL, False, 0, 40): 'ed9cf06b9dbe38bc',
+    (SelectionStrategy.SEQUENTIAL, False, 0, 350): '3f6bf0008552b28a',
+    (SelectionStrategy.SEQUENTIAL, False, 5, None): 'e080527b5288de6d',
+    (SelectionStrategy.SEQUENTIAL, False, 5, 40): 'db8e7c1281aea95d',
+    (SelectionStrategy.SEQUENTIAL, False, 5, 350): 'e080527b5288de6d',
+    (SelectionStrategy.SEQUENTIAL, True, 0, None): '0e73b970a0b5d034',
+    (SelectionStrategy.SEQUENTIAL, True, 0, 40): 'fde6e932a214d8a8',
+    (SelectionStrategy.SEQUENTIAL, True, 0, 350): '0e73b970a0b5d034',
+    (SelectionStrategy.SEQUENTIAL, True, 5, None): '6a51d052c08a9bfa',
+    (SelectionStrategy.SEQUENTIAL, True, 5, 40): 'ab59dc5a3066eb5f',
+    (SelectionStrategy.SEQUENTIAL, True, 5, 350): '6a51d052c08a9bfa',
+    (SelectionStrategy.RANDOM_TICK, False, 0, None): '9fd92e7fdf4f3f5d',
+    (SelectionStrategy.RANDOM_TICK, False, 0, 40): '72063365da388326',
+    (SelectionStrategy.RANDOM_TICK, False, 0, 350): '9fd92e7fdf4f3f5d',
+    (SelectionStrategy.RANDOM_TICK, False, 5, None): '9266570e00ea9359',
+    (SelectionStrategy.RANDOM_TICK, False, 5, 40): 'b5fd9b2f024be3f8',
+    (SelectionStrategy.RANDOM_TICK, False, 5, 350): '9266570e00ea9359',
+    (SelectionStrategy.RANDOM_TICK, True, 0, None): '1a49ade9180a2f88',
+    (SelectionStrategy.RANDOM_TICK, True, 0, 40): 'c71c51ae97cff3bc',
+    (SelectionStrategy.RANDOM_TICK, True, 0, 350): '1a49ade9180a2f88',
+    (SelectionStrategy.RANDOM_TICK, True, 5, None): 'b42484fbe6045ad3',
+    (SelectionStrategy.RANDOM_TICK, True, 5, 40): '67ddd5585b6affde',
+    (SelectionStrategy.RANDOM_TICK, True, 5, 350): 'b42484fbe6045ad3',
+    (SelectionStrategy.GREEDY, False, 0, None): '2eaed68d3d3d9f0d',
+    (SelectionStrategy.GREEDY, False, 0, 40): '6efbfcabd1fed84f',
+    (SelectionStrategy.GREEDY, False, 0, 350): '09043f36cd2392d6',
+    (SelectionStrategy.GREEDY, False, 5, None): 'b60e8f0e46d61301',
+    (SelectionStrategy.GREEDY, False, 5, 40): '6efbfcabd1fed84f',
+    (SelectionStrategy.GREEDY, False, 5, 350): '09043f36cd2392d6',
+    (SelectionStrategy.GREEDY, True, 0, None): '6c4226b88a92bcd5',
+    (SelectionStrategy.GREEDY, True, 0, 40): '37751c0160fc16ff',
+    (SelectionStrategy.GREEDY, True, 0, 350): '0388b3811c12c23b',
+    (SelectionStrategy.GREEDY, True, 5, None): '94a4c2486791f265',
+    (SelectionStrategy.GREEDY, True, 5, 40): '37751c0160fc16ff',
+    (SelectionStrategy.GREEDY, True, 5, 350): '0388b3811c12c23b',
 }
 
 #: Universe with one unobserved EID, per strategy, under a 40-scenario
 #: budget (so some targets end without evidence).
 SPLIT_EXTRA_GOLDEN = {
-    SelectionStrategy.RANDOM: '118cd369acb673f6',
-    SelectionStrategy.SEQUENTIAL: '71f8dd18c13390e3',
-    SelectionStrategy.RANDOM_TICK: '32f33e21437ab995',
-    SelectionStrategy.GREEDY: 'e6dbe124e2c18402',
+    SelectionStrategy.RANDOM: 'ed156ec33a28bfbe',
+    SelectionStrategy.SEQUENTIAL: '01f48457cf91e391',
+    SelectionStrategy.RANDOM_TICK: 'b5fd9b2f024be3f8',
+    SelectionStrategy.GREEDY: 'c304e68e21a40507',
 }
 
 #: EDP_CASES entry -> digest.
 EDP_GOLDEN = {
-    (1, 0, None, False): '2e80d7bb7cb62128',
-    (1, 0, 2, False): 'ff08b38a70430197',
-    (1, 5, None, False): '7945c2f923fb5592',
-    (1, 5, 2, False): '01552864cfefc2a1',
-    (12, 0, None, False): '8c778c91a39c5f0c',
-    (12, 0, 2, False): 'd26bd640761fbe74',
-    (12, 5, None, False): 'd7be49b52838380b',
-    (12, 5, 2, False): 'd26bd640761fbe74',
-    (12, 5, None, True): 'd7be49b52838380b',
+    (1, 0, None, False): '2fca8349ce52684a',
+    (1, 0, 2, False): 'be84c7670c4bb3c4',
+    (1, 5, None, False): '2a8044c7c602d601',
+    (1, 5, 2, False): '6760bc6c2aacc7f4',
+    (12, 0, None, False): '0778e59aa0d222b5',
+    (12, 0, 2, False): 'f2f0e57e7b6bf5da',
+    (12, 5, None, False): '3f4aef9a784cef04',
+    (12, 5, 2, False): 'f2f0e57e7b6bf5da',
+    (12, 5, None, True): '3f4aef9a784cef04',
 }
 
 #: INCREMENTAL_CASES entry -> digest.
 INCREMENTAL_GOLDEN = {
-    (False, 0): '74eb593bc88249bf',
-    (False, 5): '794c7ffcee86bafd',
-    (True, 0): '006cadcd5bee1b7c',
-    (True, 5): '01eeb160308746e7',
+    (False, 0): '3d93e6a70610d9cb',
+    (False, 5): '788e0673c866919b',
+    (True, 0): '86662d7dae8e0947',
+    (True, 5): '5560f5b03962f66d',
 }
 
 
