@@ -42,7 +42,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -323,9 +322,9 @@ class SetSplitter:
         )
         active: Set[EID] = set(result.targets)
 
-        def apply_fn(key: ScenarioKey) -> bool:
+        def apply_fn(e_scenario: EScenario) -> bool:
             return self._apply_scenario(
-                key, result, candidates, active, diversity
+                e_scenario, result, candidates, active, diversity
             )
 
         def score_fn(key: ScenarioKey) -> int:
@@ -333,13 +332,10 @@ class SetSplitter:
             inclusive, allowed = self._scenario_sides(e_scenario)
             return sum(1 for t in inclusive & active if not candidates[t] <= allowed)
 
-        def done() -> bool:
-            return not active
-
         if self.config.strategy is SelectionStrategy.GREEDY:
-            self._run_greedy(result, apply_fn, score_fn, done, exclude)
+            self._run_greedy(result, apply_fn, score_fn, active, exclude)
         else:
-            self._run_streaming(result, apply_fn, done, exclude)
+            self._run_streaming(result, apply_fn, active, exclude)
         result.candidates = candidates
 
     # ------------------------------------------------------------------
@@ -365,7 +361,7 @@ class SetSplitter:
 
     def _apply_scenario(
         self,
-        key: ScenarioKey,
+        e_scenario: EScenario,
         result: SplitResult,
         candidates: Dict[EID, FrozenSet[EID]],
         active: Set[EID],
@@ -376,7 +372,7 @@ class SetSplitter:
         ``inclusive & active`` is a C-level intersection over the sets'
         stored hashes; no EID is hashed again.
         """
-        e_scenario = self.store.e_scenario(key)
+        key = e_scenario.key
         inclusive, allowed = self._scenario_sides(e_scenario)
         helped = [
             target
@@ -405,27 +401,42 @@ class SetSplitter:
     def _run_streaming(
         self,
         result: SplitResult,
-        apply_fn: Callable[[ScenarioKey], bool],
-        done: Callable[[], bool],
+        apply_fn: Callable[[EScenario], bool],
+        active: Set[EID],
         exclude: FrozenSet[ScenarioKey],
     ) -> None:
-        """RANDOM / SEQUENTIAL / RANDOM_TICK: one pass in a fixed order."""
+        """RANDOM / SEQUENTIAL / RANDOM_TICK: one pass in a fixed order.
+
+        The pass walks the store's own E-Scenarios, so it pays per
+        scenario for what the scenario holds, not for its key.  A
+        scenario naming no active target cannot help any: it is
+        examined (counted and charged) but skipped by one C-level
+        ``isdisjoint``, so a few-target run pays in proportion to the
+        scenarios its targets appear in.  The clock is charged once,
+        for the whole pass (it adds per scenario; see
+        :meth:`~repro.metrics.timing.SimulatedClock.charge_e_scenarios`).
+        """
         budget = self.config.max_scenarios
-        for key in self._ordered_keys(exclude):
-            if done():
+        merge_vague = self.config.treat_vague_as_inclusive
+        examined = 0
+        for e_scenario in self._ordered_scenarios(exclude):
+            if not active or examined == budget:
                 break
-            if budget is not None and result.scenarios_examined >= budget:
-                break
-            result.scenarios_examined += 1
-            self.clock.charge_e_scenarios(1)
-            apply_fn(key)
+            examined += 1
+            if active.isdisjoint(e_scenario.inclusive) and (
+                not merge_vague or active.isdisjoint(e_scenario.vague)
+            ):
+                continue
+            apply_fn(e_scenario)
+        result.scenarios_examined += examined
+        self.clock.charge_e_scenarios(examined)
 
     def _run_greedy(
         self,
         result: SplitResult,
-        apply_fn: Callable[[ScenarioKey], bool],
+        apply_fn: Callable[[EScenario], bool],
         score_fn: Callable[[ScenarioKey], int],
-        done: Callable[[], bool],
+        active: Set[EID],
         exclude: FrozenSet[ScenarioKey],
     ) -> None:
         """GREEDY: repeatedly pick the scenario helping the most targets.
@@ -439,7 +450,7 @@ class SetSplitter:
         pool: List[ScenarioKey] = [k for k in self.store.keys if k not in exclude]
         dead: Set[ScenarioKey] = set()
         budget = self.config.max_scenarios
-        while not done() and len(dead) < len(pool):
+        while active and len(dead) < len(pool):
             if budget is not None and result.scenarios_examined >= budget:
                 break
             best_key: Optional[ScenarioKey] = None
@@ -457,32 +468,39 @@ class SetSplitter:
             if best_key is None:
                 break
             dead.add(best_key)
-            apply_fn(best_key)
+            apply_fn(self.store.e_scenario(best_key))
 
-    def _ordered_keys(
+    def _ordered_scenarios(
         self, exclude: FrozenSet[ScenarioKey]
-    ) -> Iterator[ScenarioKey]:
-        """Scenario keys in the strategy's order, minus exclusions."""
+    ) -> Iterable[EScenario]:
+        """The store's E-Scenarios in the strategy's order, minus
+        exclusions.  RANDOM's order is a seeded permutation of the
+        store's (cell, tick) order."""
+        store = self.store
         strategy = self.config.strategy
+        ordered: Iterable[EScenario]
         if strategy is SelectionStrategy.SEQUENTIAL:
-            ordered: Iterable[ScenarioKey] = self.store.keys
+            ordered = store.e_scenarios()
         elif strategy is SelectionStrategy.RANDOM:
-            keys = list(self.store.keys)
-            rng = np.random.default_rng(self.config.seed)
-            rng.shuffle(keys)  # type: ignore[arg-type]
-            ordered = keys
+            scenarios = store.e_scenarios()
+            order = np.random.default_rng(self.config.seed).permutation(
+                len(scenarios)
+            )
+            ordered = map(scenarios.__getitem__, order.tolist())
         elif strategy is SelectionStrategy.RANDOM_TICK:
-            ticks = list(self.store.ticks)
+            ticks = list(store.ticks)
             rng = np.random.default_rng(self.config.seed)
             rng.shuffle(ticks)  # type: ignore[arg-type]
             ordered = (
-                key for tick in ticks for key in self.store.keys_at_tick(tick)
+                store.e_scenario(key)
+                for tick in ticks
+                for key in store.keys_at_tick(tick)
             )
         else:  # pragma: no cover - GREEDY handled by _run_greedy
             raise ValueError(f"unsupported streaming strategy {strategy}")
-        for key in ordered:
-            if key not in exclude:
-                yield key
+        if not exclude:
+            return ordered
+        return (e for e in ordered if e.key not in exclude)
 
 
 def algorithm1_set_split(

@@ -20,6 +20,9 @@ comparison; the benchmark shapes are insensitive to the exact values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Dict
 
 
@@ -90,11 +93,18 @@ class SimulatedClock:
 
     # E stage -----------------------------------------------------------
     def charge_e_scenarios(self, count: int) -> None:
-        """Charge the examination of ``count`` E-Scenarios."""
+        """Charge the examination of ``count`` E-Scenarios.
+
+        The cost is added once per scenario, at C speed, so a bulk
+        charge sums to the same bits as ``count`` single charges: a
+        stage may charge a whole pass at once and keep its E time.
+        """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         self._e_scenarios_examined += count
-        self._e_time += count * self.cost_model.e_scenario_cost
+        self._e_time = reduce(
+            add, repeat(self.cost_model.e_scenario_cost, count), self._e_time
+        )
 
     # V stage -----------------------------------------------------------
     def charge_extraction(self, num_detections: int) -> None:

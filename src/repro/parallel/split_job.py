@@ -177,7 +177,11 @@ class ParallelSetSplitter:
                     )
                     for key, _inclusive in batch:
                         splitter._apply_scenario(
-                            key, result, candidates, active, diversity
+                            self.store.e_scenario(key),
+                            result,
+                            candidates,
+                            active,
+                            diversity,
                         )
                     stats.partition_sets = len(partition)
                     round_span.set(

@@ -19,10 +19,9 @@ filtering solves.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import (
     Dict,
@@ -30,6 +29,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -44,7 +44,7 @@ from repro.world.entities import EID, VID
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_FEATURES = np.empty((0, 0))
 
-#: An EID's index, read at C level (the co-occurrence count's key).
+#: An EID's index, read at C level (an E-Scenario's index column).
 _INDEX = attrgetter("index")
 
 #: One shared :class:`EID` per index for the co-occurrence count's
@@ -58,9 +58,12 @@ _eid = lru_cache(maxsize=1 << 16)(EID)
 _vid = lru_cache(maxsize=None)(VID)
 
 
-@dataclass(frozen=True, order=True)
-class ScenarioKey:
+class ScenarioKey(NamedTuple):
     """Identifies one scenario: a cell at a sampling instant (or window).
+
+    A named tuple, so a key hashes, compares and sorts in C, in
+    ``(cell_id, tick)`` order: keys are dict and set members on every
+    matching path.
 
     Attributes:
         cell_id: which cell of the decomposition.
@@ -97,6 +100,18 @@ class EScenario:
                 f"EIDs cannot be both inclusive and vague in {self.key}: "
                 f"{sorted(e.index for e in overlap)}"
             )
+
+    @cached_property
+    def inclusive_ids(self) -> np.ndarray:
+        """The inclusive EIDs' indices, sorted, as one int64 column:
+        the co-occurrence count concatenates these instead of reading
+        EIDs one by one.  Derived on first use and kept, so only the
+        scenarios such counts read pay for it."""
+        ids = np.fromiter(
+            map(_INDEX, self.inclusive), dtype=np.int64, count=len(self.inclusive)
+        )
+        ids.sort()
+        return ids
 
     @property
     def eids(self) -> FrozenSet[EID]:
@@ -269,8 +284,9 @@ class EVScenario:
 class ScenarioStore:
     """All EV-Scenarios of one dataset, indexed for the matcher.
 
-    The E stage iterates over E-Scenarios (cheap, always in memory);
-    the V stage fetches V-Scenarios by key only for the selected lists,
+    The E stage walks the E-Scenarios themselves (cheap, always in
+    memory), which the store keeps in key order beside the keys; the V
+    stage fetches V-Scenarios by key only for the selected lists,
     which is exactly the access pattern that makes set splitting save
     visual processing.
     """
@@ -279,8 +295,8 @@ class ScenarioStore:
         self._by_key: Dict[ScenarioKey, EVScenario] = {}
         self._ticks: Dict[int, List[ScenarioKey]] = {}
         self._eids: Set[EID] = set()
-        self._sorted: List[ScenarioKey] = []
         self._keys_cache: Optional[Tuple[ScenarioKey, ...]] = None
+        self._e_cache: Optional[Tuple[EScenario, ...]] = None
         self._ticks_cache: Optional[Tuple[int, ...]] = None
         self._universe_cache: Optional[FrozenSet[EID]] = None
         for scenario in scenarios:
@@ -291,9 +307,12 @@ class ScenarioStore:
             self._eids.update(scenario.e.eids)
         for keys in self._ticks.values():
             keys.sort()
-        # The (cell, tick) order ScenarioKey's own comparison defines,
-        # by a C-level key: far cheaper than the dataclass ``__lt__``.
-        self._sorted = sorted(self._by_key, key=attrgetter("cell_id", "tick"))
+        #: Every key in (cell, tick) order, and each key's E-Scenario
+        #: at the same position.
+        self._sorted: List[ScenarioKey] = sorted(self._by_key)
+        self._sorted_e: List[EScenario] = [
+            self._by_key[key].e for key in self._sorted
+        ]
 
     def add(self, scenario: EVScenario) -> None:
         """Append one scenario (live ingestion path).
@@ -311,8 +330,11 @@ class ScenarioStore:
             self._ticks_cache = None
         else:
             insort(tick_keys, scenario.key)
-        insort(self._sorted, scenario.key)
+        at = bisect_left(self._sorted, scenario.key)
+        self._sorted.insert(at, scenario.key)
+        self._sorted_e.insert(at, scenario.e)
         self._keys_cache = None
+        self._e_cache = None
         if not self._eids.issuperset(scenario.e.eids):
             self._eids.update(scenario.e.eids)
             self._universe_cache = None
@@ -360,10 +382,12 @@ class ScenarioStore:
     def v_scenario(self, key: ScenarioKey) -> VScenario:
         return self.get(key).v
 
-    def e_scenarios(self) -> Iterator[EScenario]:
-        """All E-Scenarios in deterministic order."""
-        for key in self.keys:
-            yield self._by_key[key].e
+    def e_scenarios(self) -> Sequence[EScenario]:
+        """All E-Scenarios in (cell, tick) order, aligned with
+        :attr:`keys`."""
+        if self._e_cache is None:
+            self._e_cache = tuple(self._sorted_e)
+        return self._e_cache
 
     def keys_at_tick(self, tick: int) -> Sequence[ScenarioKey]:
         """Scenario keys of one sampling instant (parallel preprocess
@@ -395,23 +419,20 @@ def co_travelers(
 
     Keeps the keys where ``eid`` is inclusive and counts every EID over
     those scenarios' inclusive sets; vague sightings count on neither
-    side.  The count is one ``np.unique`` over the sighted EIDs'
-    indices, so its memory follows the number of sightings, never the
-    size of an index: indices arrive from outside (the cluster and
-    checkpoint codecs) and span the 40-bit MAC range.
+    side.  The count is one ``np.unique`` over the concatenated
+    :attr:`EScenario.inclusive_ids` columns, so its memory follows the
+    number of sightings, never the size of an index: indices arrive
+    from outside (the cluster and checkpoint codecs) and span the
+    40-bit MAC range.
     """
     if min_shared <= 0:
         raise ValueError(f"min_shared must be positive, got {min_shared}")
-    sets = [
-        inclusive
-        for inclusive in (store.e_scenario(key).inclusive for key in keys)
-        if eid in inclusive
+    columns = [
+        e_scenario.inclusive_ids
+        for e_scenario in map(store.e_scenario, keys)
+        if eid in e_scenario.inclusive
     ]
-    indices = np.fromiter(
-        map(_INDEX, chain.from_iterable(sets)),
-        dtype=np.int64,
-        count=sum(map(len, sets)),
-    )
+    indices = np.concatenate(columns) if columns else _NO_IDS
     ids, counts = np.unique(indices, return_counts=True)
     keep = (counts >= min_shared) & (ids != eid.index)
     ids, counts = ids[keep], counts[keep]

@@ -102,6 +102,18 @@ class TestSimulatedClock:
         assert clock.detections_extracted == 4
         assert clock.comparisons == 10
 
+    def test_bulk_e_charge_adds_like_single_charges(self):
+        """A stage may charge a whole pass at once: the E time must be
+        the same bits as one charge per scenario."""
+        bulk, single = SimulatedClock(), SimulatedClock()
+        for count in (1, 7, 0, 513, 2):
+            bulk.charge_e_scenarios(count)
+            for _ in range(count):
+                single.charge_e_scenarios(1)
+        assert repr(bulk.times().e_time) == repr(single.times().e_time)
+        assert bulk.e_scenarios_examined == single.e_scenarios_examined == 523
+        assert bulk.times().e_time != 523 * CostModel().e_scenario_cost
+
     def test_parallelism_division(self):
         clock = SimulatedClock(CostModel(1.0, 1.0, 0.0))
         clock.charge_e_scenarios(10)
