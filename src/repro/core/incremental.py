@@ -9,11 +9,12 @@ evidence has accumulated — not after a nightly batch.
 :class:`IncrementalMatcher` maintains the same per-target candidate
 sets and evidence lists as the batch E stage, updated by
 :meth:`IncrementalMatcher.observe` for every arriving EV-Scenario.
-The moment a target's candidates collapse to a singleton, the V stage
-runs for just that target and the match is emitted.  Feeding a store's
-scenarios in tick order reproduces the batch matcher's semantics
-(a property the tests pin down), while the emission latency — how many
-windows until each match fires — becomes measurable.
+The moment a target's candidates collapse to a singleton, its match
+is due: the V stage runs once per observed batch, for just the targets
+the batch distinguished, and their matches are emitted.  Feeding a
+store's scenarios in tick order reproduces the batch matcher's
+semantics (a property the tests pin down), while the emission latency
+— how many windows until each match fires — becomes measurable.
 
 Targets can also be added mid-stream (:meth:`add_target`): a new
 investigation starts with the universe as its candidate set and only
@@ -82,6 +83,9 @@ class IncrementalMatcher:
         self.clock = clock if clock is not None else SimulatedClock()
         self._filter = VIDFilter(store, filter_config, self.clock)
         self._candidates: Dict[EID, Set[EID]] = {}
+        #: The keys of ``_candidates``, as a set: the targets a scenario
+        #: names are then one C-level intersection over stored hashes.
+        self._pending: Set[EID] = set()
         #: Each target's position in watch order: ``observe`` visits
         #: the targets a scenario names in this order.
         self._rank: Dict[EID, int] = {}
@@ -99,6 +103,7 @@ class IncrementalMatcher:
         if target in self._evidence or target in self._emitted:
             return  # already tracked (or already matched)
         self._candidates[target] = set(self.universe)
+        self._pending.add(target)
         self._rank[target] = len(self._rank)
         self._evidence[target] = []
 
@@ -109,7 +114,7 @@ class IncrementalMatcher:
     @property
     def pending(self) -> FrozenSet[EID]:
         """Targets still waiting for enough evidence."""
-        return frozenset(self._candidates.keys())
+        return frozenset(self._pending)
 
     @property
     def emissions(self) -> Dict[EID, Emission]:
@@ -126,20 +131,47 @@ class IncrementalMatcher:
         return self._duplicates_ignored
 
     # -- the stream ----------------------------------------------------------
-    def observe(self, scenario: EVScenario) -> List[Emission]:
-        """Consume one arriving EV-Scenario; return any matches it fired.
+    def observe(self, *scenarios: EVScenario) -> List[Emission]:
+        """Consume arriving EV-Scenarios, in order; return the matches
+        they fired, in firing order.
+
+        The E side narrows the targets scenario by scenario.  Every
+        target the scenarios distinguish then goes through one V stage
+        (:meth:`VIDFilter.match`), so a window that completes several
+        targets fills their shared scenario pairs once.  ``observe(s)``
+        is the one-scenario case.
 
         Idempotent per ``(cell, tick)`` key: re-observing an
         already-consumed snapshot (a replayed window after a crash
         restore, an at-least-once transport) is ignored — no clock
         charge, no evidence growth, no emissions.
         """
-        if scenario.key in self._seen_keys:
-            self._duplicates_ignored += 1
-            return []
-        self._seen_keys.add(scenario.key)
-        self._scenarios_consumed += 1
-        self.clock.charge_e_scenarios(1)
+        fired: List[Tuple[EID, int, int]] = []
+        fresh = 0
+        for scenario in scenarios:
+            key = scenario.key
+            if key in self._seen_keys:
+                self._duplicates_ignored += 1
+                continue
+            self._seen_keys.add(key)
+            self._scenarios_consumed += 1
+            fresh += 1
+            fired.extend(
+                (target, key.tick, self._scenarios_consumed)
+                for target in self._narrow(scenario)
+            )
+        self.clock.charge_e_scenarios(fresh)
+        return self._emit(fired)
+
+    def observe_tick(
+        self, store: ScenarioStore, tick: int
+    ) -> List[Emission]:
+        """Replay every scenario of one window from a store."""
+        return self.observe(*map(store.get, store.keys_at_tick(tick)))
+
+    def _narrow(self, scenario: EVScenario) -> List[EID]:
+        """Narrow every pending target ``scenario`` names as inclusive;
+        returns (and stops tracking) those it distinguished."""
         if self.split_config.treat_vague_as_inclusive:
             inclusive = scenario.e.inclusive | scenario.e.vague
             allowed = inclusive
@@ -147,10 +179,10 @@ class IncrementalMatcher:
             inclusive = scenario.e.inclusive
             allowed = scenario.e.inclusive | scenario.e.vague
 
-        fired: List[Emission] = []
+        distinguished: List[EID] = []
         gap = self.split_config.min_gap_ticks
         key = scenario.key
-        named = self._candidates.keys() & inclusive
+        named = inclusive & self._pending
         for target in sorted(named, key=self._rank.__getitem__):
             candidates = self._candidates[target]
             if candidates <= allowed:
@@ -163,30 +195,30 @@ class IncrementalMatcher:
             candidates &= allowed
             self._evidence[target].append(key)
             if len(candidates) == 1:
-                fired.append(self._emit(target, key.tick))
-        return fired
+                del self._candidates[target]
+                self._pending.discard(target)
+                distinguished.append(target)
+        return distinguished
 
-    def observe_tick(
-        self, store: ScenarioStore, tick: int
-    ) -> List[Emission]:
-        """Replay every scenario of one window from a store."""
-        fired: List[Emission] = []
-        for key in store.keys_at_tick(tick):
-            fired.extend(self.observe(store.get(key)))
-        return fired
-
-    def _emit(self, target: EID, tick: int) -> Emission:
-        """Run the V stage for one distinguished target and emit."""
-        result = self._filter.match_one(target, self._evidence[target])
-        emission = Emission(
-            eid=target,
-            result=result,
-            emitted_at_tick=tick,
-            scenarios_consumed=self._scenarios_consumed,
+    def _emit(self, fired: Sequence[Tuple[EID, int, int]]) -> List[Emission]:
+        """Run the V stage once for the ``(target, tick, consumed)``
+        triples fired, and emit them in that order."""
+        if not fired:
+            return []
+        results = self._filter.match(
+            {target: self._evidence[target] for target, _, _ in fired}
         )
-        self._emitted[target] = emission
-        del self._candidates[target]
-        return emission
+        emissions: List[Emission] = []
+        for target, tick, consumed in fired:
+            emission = Emission(
+                eid=target,
+                result=results[target],
+                emitted_at_tick=tick,
+                scenarios_consumed=consumed,
+            )
+            self._emitted[target] = emission
+            emissions.append(emission)
+        return emissions
 
     # -- reporting -------------------------------------------------------------
     def evidence_of(self, target: EID) -> Tuple[ScenarioKey, ...]:

@@ -26,10 +26,11 @@ worker answers a hit from the bytes kept with the entry, and opens its
 request span only for a miss.
 
 ``ingest_tick`` is the only writer: under the write lock it appends
-scenarios to the store and shards, streams them through the
-:class:`~repro.core.incremental.IncrementalMatcher` watch-list, and
-then drops every cached answer whose EIDs appear in the new scenarios
-(the invalidation rule — see ``docs/architecture.md``).
+scenarios to the store and shards.  It then drops every cached answer
+whose EIDs appear in the new scenarios (the invalidation rule — see
+``docs/architecture.md``) and, under the watch lock and beside the
+reads, streams the batch through the
+:class:`~repro.core.incremental.IncrementalMatcher` watch-list.
 
 Everything is stdlib: ``threading``, ``queue``,
 ``concurrent.futures.Future``.  No sockets — the service is an
@@ -239,6 +240,9 @@ class MatchService:
         )
         self._matcher = EVMatcher(store, matcher_cfg)
         self._watch = IncrementalMatcher(store, self.universe)
+        #: Guards the watch list; ``ingest_tick`` takes it while still
+        #: holding the write lock, never the other way round.
+        self._watch_lock = threading.Lock()
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.config.queue_size)
         self._rw = _RWLock()
         self._threads: List[threading.Thread] = []
@@ -337,15 +341,18 @@ class MatchService:
     def watch(self, targets: Sequence[EID]) -> None:
         """Track targets on the incremental stream: every future
         ingest feeds them, and their matches appear in ``stats``."""
-        self._watch.add_targets(list(targets))
+        with self._watch_lock:
+            self._watch.add_targets(list(targets))
 
     @property
     def watch_pending(self) -> int:
-        return len(self._watch.pending)
+        with self._watch_lock:
+            return len(self._watch.pending)
 
     @property
     def watch_emitted(self) -> int:
-        return len(self._watch.emissions)
+        with self._watch_lock:
+            return len(self._watch.emissions)
 
     # -- observation -------------------------------------------------------
     def _observe(
@@ -514,34 +521,50 @@ class MatchService:
     def ingest_tick(
         self, request: Union[IngestTickRequest, Sequence[EVScenario]]
     ) -> IngestTickResponse:
-        """Append newly-arrived scenarios and invalidate stale answers.
+        """Append newly-arrived scenarios, invalidate stale answers and
+        feed the watch list.
 
         Runs on the caller's thread (the data-plane workers never
-        block behind it in the queue), taking the write lock so no
-        query observes a half-applied window.
+        block behind it in the queue).  The write lock covers only the
+        store and shard appends, so no query observes a half-applied
+        window; the watch list's E side and V stage then run under the
+        watch lock, beside the reads.  A failed append still
+        invalidates and feeds the watch list what it applied.
         """
         if not isinstance(request, IngestTickRequest):
             request = IngestTickRequest(scenarios=tuple(request))
         started = time.perf_counter()
+        applied: List[EVScenario] = []
         affected: set = set()
-        emissions = []
+        emissions: list = []
+        error: Optional[str] = None
         self._rw.acquire_write()
         try:
             for scenario in request.scenarios:
                 self.store.add(scenario)
                 self.shards.add_scenario(scenario)
-                emissions.extend(self._watch.observe(scenario))
+                applied.append(scenario)
                 affected.update(scenario.e.eids)
         except Exception as exc:
-            latency = time.perf_counter() - started
+            error = str(exc)
+        finally:
+            # Taken before the store is let go, so the watch list sees
+            # the batches in the order the store took them.
+            self._watch_lock.acquire()
+            self._rw.release_write()
+        try:
+            invalidated = self.cache.invalidate_eids(affected)
+            emissions = self._watch.observe(*applied)
+        except Exception as exc:
+            error = error or str(exc)
+        finally:
+            self._watch_lock.release()
+        latency = time.perf_counter() - started
+        if error is not None:
             self._observe("ingest", STATUS_ERROR, latency)
             return IngestTickResponse(
-                status=STATUS_ERROR, latency_s=latency, error=str(exc)
+                status=STATUS_ERROR, latency_s=latency, error=error
             )
-        finally:
-            self._rw.release_write()
-        invalidated = self.cache.invalidate_eids(affected)
-        latency = time.perf_counter() - started
         self._observe("ingest", STATUS_OK, latency)
         return IngestTickResponse(
             status=STATUS_OK,

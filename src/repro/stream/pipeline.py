@@ -175,9 +175,9 @@ class StoreSink:
                 duplicates += 1
                 continue
             self.store.add(scenario)
-            if self.watch is not None:
-                self.emissions.extend(self.watch.observe(scenario))
             applied.append(scenario)
+        if self.watch is not None:
+            self.emissions.extend(self.watch.observe(*applied))
         return applied, duplicates
 
 

@@ -1,32 +1,29 @@
 """The streaming E stage visiting every pending target per scenario.
 
-:meth:`IncrementalMatcher.observe` visits only the pending targets a
+:meth:`IncrementalMatcher.observe` narrows only the pending targets a
 scenario names, in watch order.  This oracle keeps the literal loop it
 replaced: walk every pending target in watch order and skip the ones
 the scenario does not name.  The equivalence suite checks that the two
 emit the same matches in the same order, grow the same evidence and
-charge the same simulated clock.
+charge the same simulated clock.  A second oracle keeps the per-target
+V stage the batched one replaced.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 from repro.core.incremental import Emission, IncrementalMatcher
 from repro.sensing.scenarios import EVScenario
+from repro.world.entities import EID
 
 
 class AllPendingIncrementalMatcher(IncrementalMatcher):
     """:class:`IncrementalMatcher` with the all-pending-targets loop in
-    :meth:`observe`; target bookkeeping and the V stage are shared."""
+    its per-scenario E side; target bookkeeping and the V stage are
+    shared."""
 
-    def observe(self, scenario: EVScenario) -> List[Emission]:
-        if scenario.key in self._seen_keys:
-            self._duplicates_ignored += 1
-            return []
-        self._seen_keys.add(scenario.key)
-        self._scenarios_consumed += 1
-        self.clock.charge_e_scenarios(1)
+    def _narrow(self, scenario: EVScenario) -> List[EID]:
         if self.split_config.treat_vague_as_inclusive:
             inclusive = scenario.e.inclusive | scenario.e.vague
             allowed = inclusive
@@ -34,7 +31,7 @@ class AllPendingIncrementalMatcher(IncrementalMatcher):
             inclusive = scenario.e.inclusive
             allowed = scenario.e.inclusive | scenario.e.vague
 
-        fired: List[Emission] = []
+        distinguished: List[EID] = []
         gap = self.split_config.min_gap_ticks
         key = scenario.key
         for target in list(self._candidates):
@@ -51,5 +48,26 @@ class AllPendingIncrementalMatcher(IncrementalMatcher):
             candidates &= allowed
             self._evidence[target].append(key)
             if len(candidates) == 1:
-                fired.append(self._emit(target, key.tick))
-        return fired
+                del self._candidates[target]
+                self._pending.discard(target)
+                distinguished.append(target)
+        return distinguished
+
+
+class PerTargetIncrementalMatcher(IncrementalMatcher):
+    """:class:`IncrementalMatcher` running the V stage one target at a
+    time, through ``match_one``, as each fires: what the watch list did
+    before a batch's targets shared one ``VIDFilter.match``."""
+
+    def _emit(self, fired: Sequence[Tuple[EID, int, int]]) -> List[Emission]:
+        emissions: List[Emission] = []
+        for target, tick, consumed in fired:
+            emission = Emission(
+                eid=target,
+                result=self._filter.match_one(target, self._evidence[target]),
+                emitted_at_tick=tick,
+                scenarios_consumed=consumed,
+            )
+            self._emitted[target] = emission
+            emissions.append(emission)
+        return emissions

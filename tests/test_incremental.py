@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,10 @@ from repro.core.vid_filtering import VIDFilter
 from repro.metrics.accuracy import accuracy_of
 from repro.metrics.timing import SimulatedClock
 from repro.world.entities import EID
-from tests.oracles.incremental import AllPendingIncrementalMatcher
+from tests.oracles.incremental import (
+    AllPendingIncrementalMatcher,
+    PerTargetIncrementalMatcher,
+)
 
 
 def replay_all(matcher, store):
@@ -267,3 +271,68 @@ class TestObserveOrderOracle:
         oracle, _ = stream_run(AllPendingIncrementalMatcher, *args)
         assert max(fired) >= 2
         assert fast == oracle
+
+
+def replay_emissions(matcher_cls, dataset, targets):
+    """Every emission of a tick-by-tick replay with ``targets`` watched
+    from the start, plus what stayed pending."""
+    matcher = matcher_cls(dataset.store, dataset.eids)
+    matcher.add_targets(targets)
+    return replay_all(matcher, dataset.store), matcher.pending
+
+
+def assert_same_emissions(batched, per_target):
+    """Same targets, timing and choices; scores to ``rtol=1e-12``: a
+    batch fills its scenario pairs in larger BLAS blocks than one
+    target does, which moves the products' last bits."""
+    assert [e.eid for e in batched] == [e.eid for e in per_target]
+    # Some window distinguished several targets at once.
+    ticks = [e.emitted_at_tick for e in batched]
+    assert max(map(ticks.count, ticks)) >= 2
+    for got, want in zip(batched, per_target):
+        assert got.emitted_at_tick == want.emitted_at_tick
+        assert got.scenarios_consumed == want.scenarios_consumed
+        assert got.result.scenario_keys == want.result.scenario_keys
+        assert [d.detection_id for d in got.result.chosen] == [
+            d.detection_id for d in want.result.chosen
+        ]
+        assert got.result.agreement == want.result.agreement
+        np.testing.assert_allclose(
+            got.result.scores, want.result.scores, rtol=1e-12, atol=0.0
+        )
+
+
+@pytest.fixture(scope="module")
+def paper_world():
+    """The paper-shape world: 1000 people, 5x5 cells."""
+    from repro.bench.datasets import default_config
+    from repro.datagen.dataset import build_dataset
+
+    return build_dataset(default_config())
+
+
+class TestBatchedVStage:
+    """A window's distinguished targets share one ``VIDFilter.match``;
+    the per-target ``match_one`` it replaced must emit the same."""
+
+    def test_practical_world(self, practical_dataset):
+        targets = list(practical_dataset.eids)[::-1]
+        batched, pending = replay_emissions(
+            IncrementalMatcher, practical_dataset, targets
+        )
+        per_target, oracle_pending = replay_emissions(
+            PerTargetIncrementalMatcher, practical_dataset, targets
+        )
+        assert len(batched) > len(targets) // 2
+        assert pending == oracle_pending
+        assert_same_emissions(batched, per_target)
+
+    def test_paper_world_replay(self, paper_world):
+        targets = list(paper_world.sample_targets(600, seed=1))
+        batched, pending = replay_emissions(IncrementalMatcher, paper_world, targets)
+        per_target, oracle_pending = replay_emissions(
+            PerTargetIncrementalMatcher, paper_world, targets
+        )
+        assert len(batched) == len(targets)
+        assert pending == oracle_pending
+        assert_same_emissions(batched, per_target)
