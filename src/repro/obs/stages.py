@@ -14,8 +14,8 @@ and :data:`CANDIDATES_REMAINING` (a list per run) stay in stage code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import events as ev
 from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry, get_registry
@@ -35,12 +35,35 @@ class Metric:
     labels: Tuple[Tuple[str, str], ...] = ()
     sparse: bool = False
     buckets: Tuple[float, ...] = DEFAULT_BUCKETS
+    #: ``(registry, publish, fixed labels)`` for the registry last
+    #: published to: one slot, swapped whole, so a span close finds
+    #: its instrument without a lookup by name.
+    _bound: List[Any] = field(
+        default_factory=lambda: [None], init=False, repr=False, compare=False
+    )
 
     def instrument(self, registry: MetricsRegistry):
         """The family in ``registry`` (created on first use)."""
         if self.kind == "histogram":
             return registry.histogram(self.name, self.help, buckets=self.buckets)
         return getattr(registry, self.kind)(self.name, self.help)
+
+    def publisher(
+        self, registry: MetricsRegistry
+    ) -> Tuple[Callable[..., None], Dict[str, str]]:
+        """The family's publish method in ``registry`` (``inc``,
+        ``set`` or ``observe``) and this metric's fixed labels,
+        remembered for the last registry asked."""
+        bound = self._bound[0]
+        if bound is None or bound[0] is not registry:
+            instrument = self.instrument(registry)
+            bound = (
+                registry,
+                getattr(instrument, _PUBLISH[self.kind]),
+                dict(self.labels),
+            )
+            self._bound[0] = bound
+        return bound[1], bound[2]
 
 
 #: The instrument method each metric kind publishes a value with.
@@ -71,7 +94,8 @@ class Stage:
     open_metrics: Tuple[Metric, ...] = ()
 
     def open(self, args: Mapping[str, Any]) -> None:
-        self._publish(self.open_metrics, args, 0.0)
+        if self.open_metrics:
+            self._publish(self.open_metrics, args, 0.0)
         if self.opened is not None:
             log = ev.get_event_log()
             if log.enabled:
@@ -97,11 +121,9 @@ class Stage:
                 value = args.get(metric.attr)
                 if value is None:
                     continue
-            instrument = metric.instrument(registry)
+            publish, fixed = metric.publisher(registry)
             if value or not metric.sparse:
-                getattr(instrument, _PUBLISH[metric.kind])(
-                    value, **labels, **dict(metric.labels)
-                )
+                publish(value, **labels, **fixed)
         return labels
 
 
