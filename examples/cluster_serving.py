@@ -25,6 +25,7 @@ Run:
     python examples/cluster_serving.py
 """
 
+import shutil
 import tempfile
 import threading
 import time
@@ -56,7 +57,14 @@ def main() -> None:
     set_event_log(EventLog())
     set_tracer(Tracer())  # real tracer → enveloped requests are traced
     workdir = Path(tempfile.mkdtemp(prefix="repro-cluster-demo-"))
+    try:
+        demo(workdir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
+
+def demo(workdir: Path) -> None:
+    """The tour, with the saved world and the journals in ``workdir``."""
     print("Building the world (150 people, 4x4 cells)...")
     dataset = build_dataset(
         ExperimentConfig(

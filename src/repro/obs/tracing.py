@@ -334,14 +334,6 @@ class Tracer:
         need no branching on whether a request carried a trace."""
         return _RemoteContext(self._remote, ctx)
 
-    def current_trace_context(self) -> Optional[TraceContext]:
-        """The context to inject into an outbound message: the innermost
-        open span (as parent), else any bound remote context."""
-        span = self._current.get()
-        if span is not None and span.trace_id is not None:
-            return TraceContext(span.trace_id, span.span_id)
-        return self._remote.get()
-
     def trace(self, name: Optional[str] = None) -> Callable:
         """Decorator form: the wrapped call body becomes one span."""
 
@@ -540,9 +532,6 @@ class NullTracer:
 
     def remote_context(self, ctx: Optional[TraceContext]) -> "_RemoteContext":
         return _RemoteContext(_NULL_REMOTE_VAR, None)
-
-    def current_trace_context(self) -> Optional[TraceContext]:
-        return None
 
     def take_trace(self, trace_id: str) -> List[Span]:
         return []
