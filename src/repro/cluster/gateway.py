@@ -12,9 +12,7 @@ Verbs:
   over pooled asyncio connections on the gateway's own event loop.
   The gateway relays each worker's answer bytes unparsed, splicing
   the routing fields (and a traced request's ``trace_id``) into the
-  line it writes (:meth:`~repro.cluster.protocol.Reply.line`).  Every
-  outcome feeds the gateway's
-  :class:`~repro.service.health.HealthTracker` rolling SLO window.
+  line it writes (:meth:`~repro.cluster.protocol.Reply.line`).
 * ``health`` — the SLO verdict plus cluster availability
   (``workers_available`` / ``workers_total`` / ``degraded``).
 * ``stats`` — topology + routing + gateway counters snapshot, plus
@@ -86,10 +84,13 @@ from repro.obs.tracing import (
     inject_trace,
 )
 from repro.service.api import STATUS_OK, STATUS_SHED
-from repro.service.health import HealthTracker, SLOConfig
-
-#: Verbs the router forwards to workers.
-DATA_VERBS = ("match", "investigate", "ingest")
+from repro.service.metrics import (
+    DATA_ENDPOINTS,
+    GATEWAY,
+    RequestLog,
+    RequestRecord,
+    SLOConfig,
+)
 
 #: Verbs the gateway answers by fanning out to every available worker
 #: itself (not via the router's read policies — there is no key to
@@ -124,7 +125,6 @@ class ClusterGateway:
         self.host = host
         self.port = port
         self.sse_poll_s = sse_poll_s
-        self.health_tracker = HealthTracker(slo or SLOConfig())
         self.draining = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -135,14 +135,9 @@ class ClusterGateway:
         self._inflight = 0
         self._conn_tasks: Set[asyncio.Task] = set()
         self._registry = get_registry()
-        self._requests = self._registry.counter(
-            "ev_cluster_gateway_requests_total",
-            "Requests answered by the gateway, by verb and status",
-        )
-        self._latency = self._registry.histogram(
-            "ev_cluster_gateway_latency_seconds",
-            "Gateway-observed request latency, by verb",
-        )
+        #: Every verb's answers, once each (:meth:`_answer`): the
+        #: gateway's request families and the ``health`` window.
+        self.requests = RequestLog(GATEWAY, self._registry, slo or SLOConfig())
         # The observability plane: federates worker metrics, adopts
         # shipped events, and collects distributed traces.  The router
         # keeps its own collector if one was injected; otherwise it
@@ -245,6 +240,7 @@ class ClusterGateway:
             self._thread = None
         self._server = None
         self._loop = None
+        self.requests.fold()  # the loop has stopped: nothing more is written
         return {"drained": leftover == 0, "inflight": leftover}
 
     # alias: symmetric with MatchService.stop
@@ -252,7 +248,7 @@ class ClusterGateway:
 
     # -- local (gateway-side) verbs --------------------------------------
     def _health_response(self) -> Dict[str, Any]:
-        wire = codec.response_to_wire(self.health_tracker.snapshot())
+        wire = codec.response_to_wire(self.requests.health())
         available = len(self.supervisor.available())
         total = len(self.supervisor.workers)
         wire["workers_available"] = available
@@ -415,7 +411,7 @@ class ClusterGateway:
                 "verb": "metrics",
                 "status": STATUS_OK,
                 "text": merge_expositions([
-                    self._registry.render_prometheus(),
+                    self.requests.render_prometheus(),
                     self.telemetry.federation.render(),
                 ]),
             }
@@ -460,14 +456,14 @@ class ClusterGateway:
 
     async def _answer(self, verb: str, message: Dict[str, Any]) -> Reply:
         started = time.perf_counter()
-        if verb in DATA_VERBS and self.draining:
+        if verb in DATA_ENDPOINTS and self.draining:
             reply = Reply.of(codec.error_response(
                 verb, "gateway draining", STATUS_SHED
             ))
         else:
             self._inflight += 1
             try:
-                if verb in DATA_VERBS:
+                if verb in DATA_ENDPOINTS:
                     reply = await self._dispatch_data(verb, message)
                 elif verb in FANOUT_VERBS:
                     reply = Reply.of(await (
@@ -483,11 +479,9 @@ class ClusterGateway:
                 ))
             finally:
                 self._inflight -= 1
-        latency = time.perf_counter() - started
-        if verb in DATA_VERBS:
-            self.health_tracker.record(reply.status, latency)
-        self._requests.inc(verb=verb, status=reply.status)
-        self._latency.observe(latency, verb=verb)
+        self.requests.write(RequestRecord(
+            verb, reply.status, time.perf_counter() - started
+        ))
         return reply
 
     async def _dispatch_data(self, verb: str, message: Dict[str, Any]) -> Reply:

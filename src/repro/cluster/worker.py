@@ -297,24 +297,15 @@ class _WorkerServer:
             "scenarios": 0,
         }
         if self.service is not None:
-            states.append(self.service.metrics.registry.export_state())
+            requests = self.service.metrics
+            snapshot = requests.snapshot()  # folds the buffered records
+            states.append(requests.registry.export_state())
             summary["scenarios"] = len(self.service.store)
-            metrics = self.service.metrics
-            summary["requests"] = metrics.requests.total()
-            outcomes = {"ok": 0.0, "shed": 0.0, "error": 0.0}
-            for key, value in metrics.responses.series():
-                outcome = dict(key).get("outcome", "error")
-                outcomes[outcome] = outcomes.get(outcome, 0.0) + value
-            summary.update(
-                ok=outcomes["ok"], shed=outcomes["shed"],
-                errors=outcomes["error"],
-            )
-            latency = metrics.latency.percentiles(endpoint="match")
-            summary.update(
-                p50_ms=latency["p50"] * 1e3,
-                p95_ms=latency["p95"] * 1e3,
-                p99_ms=latency["p99"] * 1e3,
-            )
+            for key in ("requests", "ok", "shed", "errors"):
+                summary[key] = sum(row[key] for row in snapshot.values())
+            match = snapshot.get("match", {})
+            for name in ("p50", "p95", "p99"):
+                summary[f"{name}_ms"] = match.get(f"latency_{name}_s", 0.0) * 1e3
         events: list = []
         events_dropped = 0
         if self._shipper is not None:

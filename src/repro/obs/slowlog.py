@@ -14,8 +14,9 @@ Two thresholding modes (:class:`SlowLogConfig`):
 * **adaptive** — ``threshold_s=None`` (default): the threshold floats
   at ``adaptive_factor ×`` the serving layer's rolling p99 (supplied
   by the owner as a callable — :class:`MatchService` passes
-  ``HealthTracker.latency_p99``), clamped below by
-  ``min_threshold_s``.  Until the window has enough samples for a p99,
+  ``RequestLog.latency_p99``), clamped below by ``min_threshold_s``,
+  so a request faster than that floor is passed over without reading
+  the p99.  Until the window has enough samples for a p99,
   nothing is captured — the first requests of a cold process are not
   "slow", they are *warming up*.
 
@@ -191,6 +192,10 @@ class SlowQueryLog:
         context (target ids, batch size).
         """
         self.considered += 1
+        if self.config.threshold_s is None and (
+            latency_s < self.config.min_threshold_s
+        ):
+            return False  # under the adaptive floor, whatever the p99
         threshold = self.threshold()
         if threshold is None or latency_s < threshold:
             return False

@@ -11,11 +11,10 @@ Composition (see ``docs/architecture.md``, "Serving layer")::
       ├── ResultCache             LRU+TTL, EID-tagged invalidation
       ├── MatchBatcher            in-flight dedup + union batching
       ├── ShardedDataset          region-banded standing indexes
-      ├── ServiceMetrics          counters + latency percentiles
-      │                           (on a repro.obs MetricsRegistry;
-      │                           the ``metrics`` verb renders it as
-      │                           Prometheus text)
-      ├── HealthTracker           rolling-window SLO verdicts
+      ├── RequestLog              one RequestRecord per request:
+      │                           counters + latency percentiles
+      │                           (the ``stats`` / ``metrics`` verbs)
+      │                           and the rolling-window SLO verdict
       │                           (the ``health`` verb)
       └── IncrementalMatcher      the ingest-fed watch-list
 
@@ -44,14 +43,13 @@ from repro.service.api import (
 from repro.service.batcher import MatchBatcher
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.dataset_shards import DatasetShard, ShardedDataset
-from repro.service.health import HealthTracker, SLOConfig
 from repro.service.loadgen import (
     LoadConfig,
     LoadReport,
     run_load,
     run_load_socket,
 )
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import RequestLog, RequestRecord, SLOConfig
 from repro.service.server import MatchService, ServiceConfig
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "CacheStats",
     "DatasetShard",
     "HealthResponse",
-    "HealthTracker",
     "IngestTickRequest",
     "IngestTickResponse",
     "InvestigateRequest",
@@ -71,6 +68,8 @@ __all__ = [
     "MatchResponse",
     "MatchService",
     "MetricsResponse",
+    "RequestLog",
+    "RequestRecord",
     "ResultCache",
     "STATUS_ERROR",
     "STATUS_OK",
@@ -78,7 +77,6 @@ __all__ = [
     "SLOCheck",
     "SLOConfig",
     "ServiceConfig",
-    "ServiceMetrics",
     "ServiceOverloaded",
     "ShardedDataset",
     "StatsResponse",

@@ -73,8 +73,7 @@ from repro.service.api import (
 from repro.service.batcher import MatchBatcher, Waiter
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.dataset_shards import ShardedDataset
-from repro.service.health import HealthTracker, SLOConfig
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import RequestLog, RequestRecord, SLOConfig
 from repro.world.cells import CellGrid, HexCellGrid
 from repro.world.entities import EID
 
@@ -228,10 +227,9 @@ class MatchService:
         self.cache = ResultCache(
             capacity=self.config.cache_capacity, ttl_s=self.config.cache_ttl_s
         )
-        self.metrics = ServiceMetrics()
-        self.health_tracker = HealthTracker(self.config.slo)
+        self.metrics = RequestLog(slo=self.config.slo)
         self.slow_queries = SlowQueryLog(
-            self.config.slowlog, p99_source=self.health_tracker.latency_p99
+            self.config.slowlog, p99_source=self.metrics.latency_p99
         )
         matcher_cfg = self.config.matcher
         coupled = matcher_cfg.use_exclusion or matcher_cfg.refining is not None
@@ -364,18 +362,12 @@ class MatchService:
         deduplicated: bool = False,
         batched: bool = False,
     ) -> None:
-        """One data-plane outcome: feeds both the cumulative service
-        metrics and the rolling health window (meta endpoints like
-        ``stats`` report to metrics only and bypass this)."""
-        self.metrics.observe(
-            endpoint,
-            status,
-            latency_s,
-            cached=cached,
-            deduplicated=deduplicated,
-            batched=batched,
-        )
-        self.health_tracker.record(status, latency_s)
+        """The one write of a finished request, any verb: its record
+        feeds the service metrics, ``stats`` and, for a data endpoint,
+        the health window."""
+        self.metrics.write(RequestRecord(
+            endpoint, status, latency_s, cached, deduplicated, batched
+        ))
         if status == STATUS_SHED:
             log = get_event_log()
             if log.enabled:
@@ -388,7 +380,7 @@ class MatchService:
 
     def health(self) -> HealthResponse:
         """The ``health`` verb: SLO pass/fail over the rolling window."""
-        return self.health_tracker.snapshot()
+        return self.metrics.health()
 
     def slowlog(self, limit: Optional[int] = None) -> dict:
         """The ``slowlog`` verb: retained slow-query exemplars (newest
@@ -598,7 +590,7 @@ class MatchService:
         started = time.perf_counter()
         snapshot = self.metrics.snapshot()
         snapshot["service"] = self._service_gauges()
-        self.metrics.observe("stats", STATUS_OK, time.perf_counter() - started)
+        self._observe("stats", STATUS_OK, time.perf_counter() - started)
         return StatsResponse(snapshot=snapshot)
 
     def metrics_text(self) -> MetricsResponse:
@@ -623,7 +615,7 @@ class MatchService:
         global_registry = get_registry()
         if global_registry is not self.metrics.registry:
             parts.append(global_registry.render_prometheus())
-        self.metrics.observe("metrics", STATUS_OK, time.perf_counter() - started)
+        self._observe("metrics", STATUS_OK, time.perf_counter() - started)
         return MetricsResponse(text=merge_expositions(parts))
 
     # -- worker pool -------------------------------------------------------

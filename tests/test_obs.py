@@ -180,11 +180,12 @@ class TestPercentileConvention:
         assert series_a.bucket_counts == series_b.bucket_counts
 
     def test_latency_histogram_matches(self):
-        from repro.service.metrics import ServiceMetrics
+        from repro.service.metrics import RequestLog, RequestRecord
 
-        metrics = ServiceMetrics()
+        metrics = RequestLog()
         for v in (1.0, 2.0, 3.0, 4.0):
-            metrics.observe("match", "ok", v)
+            metrics.write(RequestRecord("match", "ok", v))
+        metrics.fold()
         assert metrics.latency.percentile(50, endpoint="match") == 2.0
         assert metrics.latency.count(endpoint="match") == 4
         assert metrics.snapshot()["match"]["latency_p50_s"] == 2.0

@@ -17,7 +17,7 @@ from repro.service.api import (
     STATUS_SHED,
     MatchRequest,
 )
-from repro.service.health import HealthTracker
+from repro.service.metrics import RequestLog, RequestRecord
 
 
 class FakeClock:
@@ -33,13 +33,13 @@ class TestHealthTracker:
         clock = FakeClock()
         defaults = dict(window_s=60.0, min_samples=4)
         defaults.update(overrides)
-        return HealthTracker(SLOConfig(**defaults), clock=clock), clock
+        return RequestLog(slo=SLOConfig(**defaults), clock=clock), clock
 
     def test_insufficient_data_is_healthy(self):
         tracker, _clock = self.make(min_samples=10)
         for _ in range(3):
-            tracker.record(STATUS_OK, 0.001)
-        health = tracker.snapshot()
+            tracker.write(RequestRecord("match", STATUS_OK, 0.001))
+        health = tracker.health()
         assert health.healthy
         assert health.samples == 3
         assert "insufficient" in health.note
@@ -48,8 +48,8 @@ class TestHealthTracker:
     def test_all_objectives_met(self):
         tracker, _clock = self.make()
         for _ in range(10):
-            tracker.record(STATUS_OK, 0.01)
-        health = tracker.snapshot()
+            tracker.write(RequestRecord("match", STATUS_OK, 0.01))
+        health = tracker.health()
         assert health.healthy
         assert {c.name for c in health.checks} == {
             "latency_p99_s", "shed_rate", "error_rate"
@@ -59,8 +59,8 @@ class TestHealthTracker:
     def test_latency_breach_flips_verdict(self):
         tracker, _clock = self.make(latency_p99_s=0.05)
         for _ in range(10):
-            tracker.record(STATUS_OK, 0.2)
-        health = tracker.snapshot()
+            tracker.write(RequestRecord("match", STATUS_OK, 0.2))
+        health = tracker.health()
         assert not health.healthy
         (latency,) = [c for c in health.checks if c.name == "latency_p99_s"]
         assert not latency.ok and latency.observed == pytest.approx(0.2)
@@ -68,12 +68,12 @@ class TestHealthTracker:
     def test_shed_and_error_rates(self):
         tracker, _clock = self.make(max_shed_rate=0.2, max_error_rate=0.2)
         for _ in range(6):
-            tracker.record(STATUS_OK, 0.001)
+            tracker.write(RequestRecord("match", STATUS_OK, 0.001))
         for _ in range(2):
-            tracker.record(STATUS_SHED, 0.0)
+            tracker.write(RequestRecord("match", STATUS_SHED, 0.0))
         for _ in range(2):
-            tracker.record(STATUS_ERROR, 0.001)
-        health = tracker.snapshot()
+            tracker.write(RequestRecord("match", STATUS_ERROR, 0.001))
+        health = tracker.health()
         by_name = {c.name: c for c in health.checks}
         assert by_name["shed_rate"].observed == pytest.approx(0.2)
         assert by_name["error_rate"].observed == pytest.approx(0.2)
@@ -82,20 +82,20 @@ class TestHealthTracker:
     def test_window_forgets_old_outcomes(self):
         tracker, clock = self.make(max_error_rate=0.01)
         for _ in range(10):
-            tracker.record(STATUS_ERROR, 0.001)
-        assert not tracker.snapshot().healthy
+            tracker.write(RequestRecord("match", STATUS_ERROR, 0.001))
+        assert not tracker.health().healthy
         clock.now += 120.0  # the bad minute scrolls out of the window
         for _ in range(10):
-            tracker.record(STATUS_OK, 0.001)
-        health = tracker.snapshot()
+            tracker.write(RequestRecord("match", STATUS_OK, 0.001))
+        health = tracker.health()
         assert health.healthy
         assert health.samples == 10
 
     def test_sample_cap_bounds_memory(self):
         tracker, _clock = self.make(max_window_samples=8, min_samples=1)
         for _ in range(100):
-            tracker.record(STATUS_OK, 0.001)
-        assert tracker.snapshot().samples == 8
+            tracker.write(RequestRecord("match", STATUS_OK, 0.001))
+        assert tracker.health().samples == 8
 
 
 class TestServiceHealth:

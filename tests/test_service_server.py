@@ -18,7 +18,7 @@ from repro.service import (
     run_load,
 )
 from repro.service.loadgen import build_request_pool
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import RequestLog, RequestRecord
 
 
 @pytest.fixture()
@@ -436,10 +436,10 @@ class TestMetricsUnit:
         assert hist.percentile(0) >= 90.0
 
     def test_observe_counters(self):
-        metrics = ServiceMetrics()
-        metrics.observe("match", "ok", 0.01, cached=True)
-        metrics.observe("match", "shed", 0.0)
-        metrics.observe("match", "error", 0.02)
+        metrics = RequestLog()
+        metrics.write(RequestRecord("match", "ok", 0.01, cached=True))
+        metrics.write(RequestRecord("match", "shed", 0.0))
+        metrics.write(RequestRecord("match", "error", 0.02))
         snap = metrics.snapshot()["match"]
         assert snap["requests"] == 3
         assert snap["ok"] == 1

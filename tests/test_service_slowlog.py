@@ -73,6 +73,44 @@ class TestThresholding:
         p99[0] = 0.0001
         assert slowlog.threshold() == pytest.approx(0.005)
 
+    def test_adaptive_floor_skips_the_p99_for_fast_requests(self, fresh_obs):
+        calls = []
+
+        def p99():
+            calls.append(1)
+            return 0.0001
+
+        slowlog = SlowQueryLog(
+            SlowLogConfig(min_threshold_s=0.005), p99_source=p99
+        )
+        # Under the floor no p99 can make a request slow: not read.
+        assert not slowlog.consider(
+            endpoint="match", latency_s=0.004, status=STATUS_OK
+        )
+        assert calls == [] and slowlog.considered == 1
+        # At the floor the p99 is read, and the floor captures.
+        assert slowlog.consider(
+            endpoint="match", latency_s=0.005, status=STATUS_OK
+        )
+        assert len(calls) == 1 and slowlog.considered == 2
+        # A zero floor reads the p99 for every request, as before.
+        zero_floor = SlowQueryLog(
+            SlowLogConfig(min_threshold_s=0.0), p99_source=p99
+        )
+        assert not zero_floor.consider(
+            endpoint="match", latency_s=0.0002, status=STATUS_OK
+        )
+        assert len(calls) == 2
+        # Fixed mode never reads the p99 and captures by its threshold.
+        fixed = SlowQueryLog(
+            SlowLogConfig(threshold_s=0.001, min_threshold_s=0.005),
+            p99_source=p99,
+        )
+        assert fixed.consider(
+            endpoint="match", latency_s=0.002, status=STATUS_OK
+        )
+        assert len(calls) == 2 and fixed.considered == 1
+
     def test_adaptive_without_a_source_captures_nothing(self):
         slowlog = SlowQueryLog(SlowLogConfig())
         assert slowlog.threshold() is None
