@@ -48,13 +48,12 @@ def main() -> None:
             arriving.setdefault(key.tick, []).append(full.get(key))
 
     targets = list(dataset.sample_targets(16, seed=1))
-    config = ServiceConfig(workers=3, cache_capacity=128, num_shards=4)
+    config = ServiceConfig(workers=3, cache_capacity=128)
     with MatchService(
         standing, grid=dataset.grid, universe=dataset.eids, config=config
     ) as service:
         print(
             f"Service up: {config.workers} workers, "
-            f"{service.shards.num_shards} shards, "
             f"{len(standing)} scenarios standing "
             f"(ticks up to {cutoff}).\n"
         )
@@ -104,8 +103,7 @@ def main() -> None:
                 print(
                     f"  client {name}/{label}: {resp.num_scenarios} sightings, "
                     f"{len(resp.co_travelers)} co-travelers, "
-                    f"touched {resp.shards_touched}/"
-                    f"{service.shards.num_shards} shards"
+                    f"{len(resp.presence)} dwell runs"
                 )
 
         repeat = service.match(targets[:3])
@@ -154,8 +152,6 @@ def main() -> None:
             f"  service      cache {int(gauges['cache_entries'])} entries "
             f"(hit rate {gauges['cache_hit_rate']:.2f}), "
             f"{int(gauges['store_scenarios'])} scenarios standing, "
-            f"shard load {int(gauges['shard_min_load'])}-"
-            f"{int(gauges['shard_max_load'])}, "
             f"watch {int(gauges['watch_emitted'])} emitted / "
             f"{int(gauges['watch_pending'])} pending"
         )

@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--workers", type=int, default=2, help="worker threads")
     serve.add_argument("--queue-size", type=int, default=64)
-    serve.add_argument("--shards", type=int, default=4, help="dataset shards")
     serve.add_argument(
         "--no-cache", action="store_true", help="disable the result cache"
     )
@@ -203,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest.add_argument("--targets-per-request", type=int, default=3)
     loadtest.add_argument("--workers", type=int, default=2)
-    loadtest.add_argument("--shards", type=int, default=4)
 
     cluster = sub.add_parser(
         "cluster",
@@ -964,7 +962,6 @@ def run_serve(args: argparse.Namespace, out=None) -> int:
     config = ServiceConfig(
         workers=args.workers,
         queue_size=args.queue_size,
-        num_shards=args.shards,
         cache_capacity=0 if args.no_cache else 256,
     )
     with MatchService.from_dataset(dataset, config) as service, \
@@ -979,7 +976,6 @@ def run_serve(args: argparse.Namespace, out=None) -> int:
         ))
         print(
             f"service up: {config.workers} workers, "
-            f"{service.shards.num_shards} shards, "
             f"cache {'off' if args.no_cache else 'on'}; "
             f"answering {args.requests} demo queries...",
             file=out,
@@ -1705,7 +1701,6 @@ def run_loadtest(args: argparse.Namespace, out=None) -> int:
     for mode, capacity in (("cold", 0), ("cached", 256)):
         config = ServiceConfig(
             workers=args.workers,
-            num_shards=args.shards,
             cache_capacity=capacity,
         )
         with MatchService.from_dataset(dataset, config) as service:

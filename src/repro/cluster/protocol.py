@@ -69,6 +69,10 @@ _TRAILER = struct.Struct(">BI")
 #: error (a corrupt header would otherwise ask for gigabytes).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: The compact encoder, made once: ``json.dumps`` with non-default
+#: ``separators`` builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 class ProtocolError(RuntimeError):
     """The peer sent bytes that do not decode as a protocol message."""
@@ -81,7 +85,7 @@ class ConnectionClosed(ConnectionError):
 def dumps(message: Any) -> bytes:
     """Compact UTF-8 JSON: the one encoding of every frame, reply and
     line on the cluster's wire."""
-    return json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(message).encode("utf-8")
 
 
 def _checked(payload: bytes) -> bytes:

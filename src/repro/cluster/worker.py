@@ -205,7 +205,7 @@ def _build_service(spec: WorkerSpec) -> tuple:
         from repro.stream.pipeline import DurableStoreSink
 
         # Reload-only use: journal appends go through _append_journal so
-        # ingest stays on the service path (shards + watch + cache).
+        # ingest stays on the service path (store + watch + cache).
         sink = DurableStoreSink(dataset.store, spec.journal_path)
         reloaded = sink.reloaded
     service_config = spec.service

@@ -135,8 +135,6 @@ class EDPMatcher:
         self.store = store
         self.config = config if config is not None else EDPConfig()
         self.clock = clock if clock is not None else SimulatedClock()
-        self._index: Optional[Dict[EID, List[ScenarioKey]]] = None
-        self._universe: Optional[FrozenSet[EID]] = None
 
     def run(
         self,
@@ -148,16 +146,7 @@ class EDPMatcher:
             raise ValueError("targets must not be empty")
         if len(set(targets)) != len(targets):
             raise ValueError("targets contain duplicates")
-        self._build_index()
-        universe_set = (
-            frozenset(universe) if universe is not None else self._universe
-        )
-        assert universe_set is not None
-        missing = [t for t in targets if t not in universe_set]
-        if missing:
-            raise ValueError(
-                f"targets not in universe: {sorted(e.index for e in missing)}"
-            )
+        universe_set = self._universe_of(targets, universe)
 
         result = EDPResult(targets=tuple(targets))
         seed_seq = np.random.SeedSequence(self.config.seed)
@@ -171,21 +160,22 @@ class EDPMatcher:
             result.scenarios_examined += examined
         return result
 
-    def _build_index(self) -> None:
-        """EID -> scenario keys containing it (vague folded in —
-        EDP has no attribute machinery)."""
-        if self._index is not None:
-            return
-        index: Dict[EID, List[ScenarioKey]] = {}
-        eids: Set[EID] = set()
-        for e_scenario in self.store.e_scenarios():
-            for eid in e_scenario.eids:
-                index.setdefault(eid, []).append(e_scenario.key)
-                eids.add(eid)
-        if not eids:
+    def _universe_of(
+        self, targets: Sequence[EID], universe: Optional[Iterable[EID]]
+    ) -> FrozenSet[EID]:
+        """The candidate universe (default: every EID the store
+        observed), checked to hold every target."""
+        if not self.store.eid_universe:
             raise ValueError("the scenario store contains no EIDs")
-        self._index = index
-        self._universe = frozenset(eids)
+        universe_set = (
+            frozenset(universe) if universe is not None else self.store.eid_universe
+        )
+        missing = [t for t in targets if t not in universe_set]
+        if missing:
+            raise ValueError(
+                f"targets not in universe: {sorted(e.index for e in missing)}"
+            )
+        return universe_set
 
     def _filter_one(
         self,
@@ -199,8 +189,7 @@ class EDPMatcher:
         scenarios, inspects them all (charged to the E clock), and
         selects the one leaving the fewest candidates.
         """
-        assert self._index is not None
-        pool = list(self._index.get(target, ()))
+        pool = list(self.store.scenarios_of(target))  # (cell, tick) order
         rng.shuffle(pool)  # type: ignore[arg-type]
         budget = self.config.max_scenarios_per_eid
         candidates: Set[EID] = set(universe)

@@ -130,7 +130,7 @@ class ConvoyQuery:
     # -- phases ----------------------------------------------------------
     def _inclusive_keys(self, eid: EID) -> List[ScenarioKey]:
         """The target's confident sightings, tick-ordered."""
-        keys = inclusive_keys(self.store, eid, self.store.keys)
+        keys = inclusive_keys(self.store, eid, self.store.scenarios_of(eid))
         keys.sort(key=lambda k: (k.tick, k.cell_id))
         return keys
 

@@ -104,7 +104,6 @@ MR_JOB_FINISHED = _event_type("mr.job.finished")
 #: Serving layer:
 SERVICE_REQUEST_SHED = _event_type("service.request.shed")
 SERVICE_CACHE_EVICTED = _event_type("service.cache.evicted")
-SERVICE_SHARD_ASSIGNED = _event_type("service.shard.assigned")
 SERVICE_DRAIN_STARTED = _event_type("service.drain.started")
 SERVICE_DRAIN_COMPLETED = _event_type("service.drain.completed")
 SERVICE_QUERY_SLOW = _event_type("service.query.slow")

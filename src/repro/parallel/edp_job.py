@@ -65,20 +65,11 @@ class ParallelEDP:
         if not targets:
             raise ValueError("targets must not be empty")
         stats = ParallelEDPStats()
-        # The shared EDPMatcher builds the EID->scenarios index once;
-        # mappers call into its per-target filter.  Each mapper gets its
-        # own clock so simulated costs can be charged per task.
+        # Mappers call into one EDPMatcher's per-target filter, which
+        # reads the store's EID index; the engine charges each task's
+        # simulated cost from its examined count.
         matcher = EDPMatcher(self.store, self.config)
-        matcher._build_index()
-        universe_set = (
-            frozenset(universe) if universe is not None else matcher._universe
-        )
-        assert universe_set is not None
-        missing = [t for t in targets if t not in universe_set]
-        if missing:
-            raise ValueError(
-                f"targets not in universe: {sorted(e.index for e in missing)}"
-            )
+        universe_set = matcher._universe_of(targets, universe)
 
         seed_seq = np.random.SeedSequence(self.config.seed)
         children = seed_seq.spawn(len(targets))

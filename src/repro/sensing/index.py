@@ -13,9 +13,9 @@ answers:
 * spatial range queries (all scenarios whose cell intersects a box),
 * temporal range queries (all scenarios in a tick window),
 * combined windows (the crime-scene query),
-* per-EID inverted lookups (all scenarios containing an EID) — the
-  access path EDP's E-filtering and the fused index's co-traveler
-  query rely on.
+* per-EID lookups (all scenarios containing an EID, and the EID's
+  dwell runs), read from the store's own inverted index
+  (:meth:`~repro.sensing.scenarios.ScenarioStore.scenarios_of`).
 
 Grid cells make an R-tree unnecessary: cell bounds are known up front,
 so a spatial query reduces to a precomputed cell-id filter.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.sensing.scenarios import ScenarioKey, ScenarioStore
+from repro.sensing.scenarios import ScenarioKey, ScenarioStore, presence_windows
 from repro.world.cells import CellGrid, HexCellGrid
 from repro.world.entities import EID
 from repro.world.geometry import BoundingBox, Point
@@ -34,7 +34,7 @@ CellDecomposition = Union[CellGrid, HexCellGrid]
 
 
 class ScenarioIndex:
-    """Cell/tick/EID indexes over one store.
+    """Cell/tick indexes over one store, plus its EID lookups.
 
     Args:
         store: the scenario store to index.
@@ -51,11 +51,8 @@ class ScenarioIndex:
         self.store = store
         self.grid = grid
         self._by_cell: Dict[int, List[ScenarioKey]] = {}
-        self._by_eid: Dict[EID, List[ScenarioKey]] = {}
         for key in store.keys:
             self._by_cell.setdefault(key.cell_id, []).append(key)
-            for eid in store.e_scenario(key).eids:
-                self._by_eid.setdefault(eid, []).append(key)
 
     # -- temporal ----------------------------------------------------------
     def in_tick_range(self, first: int, last: int) -> List[ScenarioKey]:
@@ -117,30 +114,11 @@ class ScenarioIndex:
         )
         return self.window(box, first, last)
 
-    # -- inverted EID lookup ----------------------------------------------------
+    # -- EID lookups ------------------------------------------------------------
     def scenarios_of(self, eid: EID) -> Sequence[ScenarioKey]:
         """Every scenario whose E side contains ``eid`` (incl. vague)."""
-        return tuple(sorted(self._by_eid.get(eid, ())))
+        return self.store.scenarios_of(eid)
 
     def presence_windows(self, eid: EID) -> List[Tuple[int, int, int]]:
-        """Contiguous presence runs of an EID: ``(cell, first, last)``.
-
-        Collapses per-tick sightings into dwell intervals — the shape
-        an investigator reads ("in cell 7 from t=40 to t=180").
-        """
-        by_cell: Dict[int, List[int]] = {}
-        for key in self._by_eid.get(eid, ()):
-            by_cell.setdefault(key.cell_id, []).append(key.tick)
-        runs: List[Tuple[int, int, int]] = []
-        for cell_id, ticks in by_cell.items():
-            ticks.sort()
-            start = prev = ticks[0]
-            for tick in ticks[1:]:
-                if tick == prev + 1:
-                    prev = tick
-                    continue
-                runs.append((cell_id, start, prev))
-                start = prev = tick
-            runs.append((cell_id, start, prev))
-        runs.sort(key=lambda run: (run[1], run[0]))
-        return runs
+        """Contiguous presence runs of an EID: ``(cell, first, last)``."""
+        return presence_windows(self.store.scenarios_of(eid))

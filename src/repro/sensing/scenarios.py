@@ -289,6 +289,14 @@ class ScenarioStore:
     stage fetches V-Scenarios by key only for the selected lists,
     which is exactly the access pattern that makes set splitting save
     visual processing.
+
+    The store also owns the one inverted EID index
+    (:meth:`scenarios_of`), which EDP, investigations, convoy mining
+    and :class:`~repro.sensing.index.ScenarioIndex` all read.  It is
+    built on the first read, so a batch run that never asks pays
+    nothing, and once built :meth:`add` appends to it.  Reads and
+    :meth:`add` must not overlap: a concurrent owner (the query
+    service) reads it once up front and appends under its write lock.
     """
 
     def __init__(self, scenarios: Sequence[EVScenario]) -> None:
@@ -299,6 +307,9 @@ class ScenarioStore:
         self._e_cache: Optional[Tuple[EScenario, ...]] = None
         self._ticks_cache: Optional[Tuple[int, ...]] = None
         self._universe_cache: Optional[FrozenSet[EID]] = None
+        #: EID -> the keys of the scenarios holding it (inclusive or
+        #: vague), in arrival order; ``None`` until first read.
+        self._by_eid: Optional[Dict[EID, List[ScenarioKey]]] = None
         for scenario in scenarios:
             if scenario.key in self._by_key:
                 raise ValueError(f"duplicate scenario key {scenario.key}")
@@ -338,6 +349,8 @@ class ScenarioStore:
         if not self._eids.issuperset(scenario.e.eids):
             self._eids.update(scenario.e.eids)
             self._universe_cache = None
+        if self._by_eid is not None:
+            _index_into(self._by_eid, scenario.e)
 
     @property
     def keys(self) -> Sequence[ScenarioKey]:
@@ -363,6 +376,23 @@ class ScenarioStore:
         if self._universe_cache is None:
             self._universe_cache = frozenset(self._eids)
         return self._universe_cache
+
+    def scenarios_of(self, eid: EID) -> Tuple[ScenarioKey, ...]:
+        """The keys of every scenario whose E side holds ``eid``
+        (inclusive or vague), in (cell, tick) order; empty for an EID
+        never seen.
+
+        The lists keep arrival order and each read sorts a copy:
+        keeping every list sorted on :meth:`add` (``insort``) doubled
+        the cost of an add, which runs under the service's write lock,
+        to save about 5 µs per read.
+        """
+        by_eid = self._by_eid
+        if by_eid is None:
+            by_eid = self._by_eid = {}
+            for e_scenario in self._sorted_e:
+                _index_into(by_eid, e_scenario)
+        return tuple(sorted(by_eid.get(eid, ())))
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -397,6 +427,18 @@ class ScenarioStore:
     def total_detections(self) -> int:
         """Total V-side detections — the dataset's visual volume."""
         return sum(len(s.v.detection_ids) for s in self._by_key.values())
+
+
+def _index_into(
+    by_eid: Dict[EID, List[ScenarioKey]], e_scenario: EScenario
+) -> None:
+    """Append ``e_scenario``'s key under each of its EIDs: one dict
+    lookup per EID, the two attributes read apart so no union set is
+    built."""
+    key = e_scenario.key
+    for eids in (e_scenario.inclusive, e_scenario.vague):
+        for eid in eids:
+            by_eid.setdefault(eid, []).append(key)
 
 
 def inclusive_keys(
@@ -441,3 +483,25 @@ def co_travelers(
         (_eid(index), n)
         for index, n in zip(ids[order].tolist(), counts[order].tolist())
     ]
+
+
+def presence_windows(keys: Iterable[ScenarioKey]) -> List[Tuple[int, int, int]]:
+    """Collapse sightings into contiguous dwell runs ``(cell, first,
+    last)``, ordered by first tick then cell: the shape an
+    investigator reads ("in cell 7 from t=40 to t=180")."""
+    by_cell: Dict[int, List[int]] = {}
+    for key in keys:
+        by_cell.setdefault(key.cell_id, []).append(key.tick)
+    runs: List[Tuple[int, int, int]] = []
+    for cell_id, ticks in by_cell.items():
+        ticks.sort()
+        start = prev = ticks[0]
+        for tick in ticks[1:]:
+            if tick == prev + 1:
+                prev = tick
+                continue
+            runs.append((cell_id, start, prev))
+            start = prev = tick
+        runs.append((cell_id, start, prev))
+    runs.sort(key=lambda run: (run[1], run[0]))
+    return runs

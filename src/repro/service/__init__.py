@@ -1,4 +1,4 @@
-"""The serving layer: a sharded, cached, batched query service.
+"""The serving layer: a cached, batched query service.
 
 Where :mod:`repro.core` answers *one* matching task end-to-end, this
 package keeps a built world resident and answers *repeated* queries
@@ -10,7 +10,6 @@ Composition (see ``docs/architecture.md``, "Serving layer")::
     MatchService (server.py)      the threaded front end
       ├── ResultCache             LRU+TTL, EID-tagged invalidation
       ├── MatchBatcher            in-flight dedup + union batching
-      ├── ShardedDataset          region-banded standing indexes
       ├── RequestLog              one RequestRecord per request:
       │                           counters + latency percentiles
       │                           (the ``stats`` / ``metrics`` verbs)
@@ -42,7 +41,6 @@ from repro.service.api import (
 )
 from repro.service.batcher import MatchBatcher
 from repro.service.cache import CacheStats, ResultCache
-from repro.service.dataset_shards import DatasetShard, ShardedDataset
 from repro.service.loadgen import (
     LoadConfig,
     LoadReport,
@@ -55,7 +53,6 @@ from repro.service.server import MatchService, ServiceConfig
 __all__ = [
     "ALGORITHMS",
     "CacheStats",
-    "DatasetShard",
     "HealthResponse",
     "IngestTickRequest",
     "IngestTickResponse",
@@ -78,7 +75,6 @@ __all__ = [
     "SLOConfig",
     "ServiceConfig",
     "ServiceOverloaded",
-    "ShardedDataset",
     "StatsResponse",
     "TargetMatch",
     "run_load",

@@ -26,7 +26,8 @@ worker answers a hit from the bytes kept with the entry, and opens its
 request span only for a miss.
 
 ``ingest_tick`` is the only writer: under the write lock it appends
-scenarios to the store and shards.  It then drops every cached answer
+scenarios to the store, whose :meth:`~ScenarioStore.add` extends the
+EID index investigations read.  It then drops every cached answer
 whose EIDs appear in the new scenarios (the invalidation rule — see
 ``docs/architecture.md``) and, under the watch lock and beside the
 reads, streams the batch through the
@@ -55,7 +56,12 @@ from repro.obs import events as ev
 from repro.obs.registry import merge_expositions
 from repro.obs.slowlog import SlowLogConfig, SlowQueryLog
 from repro.obs.stages import SCENARIOS_EXAMINED, TOPOLOGY_PRUNED
-from repro.sensing.scenarios import EVScenario, ScenarioStore
+from repro.sensing.scenarios import (
+    EVScenario,
+    ScenarioStore,
+    co_travelers,
+    presence_windows,
+)
 from repro.service.api import (
     STATUS_ERROR,
     STATUS_OK,
@@ -72,7 +78,6 @@ from repro.service.api import (
 )
 from repro.service.batcher import MatchBatcher, Waiter
 from repro.service.cache import CacheEntry, ResultCache
-from repro.service.dataset_shards import ShardedDataset
 from repro.service.metrics import RequestLog, RequestRecord, SLOConfig
 from repro.world.cells import CellGrid, HexCellGrid
 from repro.world.entities import EID
@@ -128,7 +133,6 @@ class ServiceConfig:
             uses exclusion or refining — see ``batcher.py``).
         cache_capacity: LRU entries; 0 disables the result cache.
         cache_ttl_s: per-entry freshness bound; ``None`` = no expiry.
-        num_shards: spatial shards over the standing dataset.
         matcher: the algorithm configuration queries run with.
         worker_delay_s: artificial per-request service time; a testing
             hook for overload/shedding scenarios (0 in production).
@@ -143,7 +147,6 @@ class ServiceConfig:
     max_batch: int = 8
     cache_capacity: int = 256
     cache_ttl_s: Optional[float] = None
-    num_shards: int = 4
     matcher: MatcherConfig = MatcherConfig()
     worker_delay_s: float = 0.0
     slo: SLOConfig = SLOConfig()
@@ -198,7 +201,8 @@ class MatchService:
     Args:
         store: the scenario store queries run against (grows via
             :meth:`ingest_tick`).
-        grid: the cell decomposition (enables region-banded shards).
+        grid: the cell decomposition the store's cell ids come from,
+            kept as :attr:`grid` for callers (serving does not read it).
         universe: the EID population; defaults to every EID observed
             in the store.  Feeds the incremental watch-list and
             universal matching.
@@ -223,7 +227,10 @@ class MatchService:
         if not self.universe:
             raise ValueError("service needs a non-empty EID universe")
 
-        self.shards = ShardedDataset(store, grid, self.config.num_shards)
+        # Build the store's EID index now, before any reader or
+        # writer thread exists: no request pays for it, and from here
+        # on only ingest_tick (under the write lock) extends it.
+        store.scenarios_of(self.universe[0])
         self.cache = ResultCache(
             capacity=self.config.cache_capacity, ttl_s=self.config.cache_ttl_s
         )
@@ -518,9 +525,9 @@ class MatchService:
 
         Runs on the caller's thread (the data-plane workers never
         block behind it in the queue).  The write lock covers only the
-        store and shard appends, so no query observes a half-applied
-        window; the watch list's E side and V stage then run under the
-        watch lock, beside the reads.  A failed append still
+        store appends, so no query observes a half-applied window; the
+        watch list's E side and V stage then run under the watch lock,
+        beside the reads.  A failed append still
         invalidates and feeds the watch list what it applied.
         """
         if not isinstance(request, IngestTickRequest):
@@ -534,7 +541,6 @@ class MatchService:
         try:
             for scenario in request.scenarios:
                 self.store.add(scenario)
-                self.shards.add_scenario(scenario)
                 applied.append(scenario)
                 affected.update(scenario.e.eids)
         except Exception as exc:
@@ -569,17 +575,11 @@ class MatchService:
     # -- stats -------------------------------------------------------------
     def _service_gauges(self) -> dict:
         """Point-in-time service-level gauges (shared by stats/metrics)."""
-        balance = self.shards.balance()
         return {
             "cache_entries": float(len(self.cache)),
             "cache_hit_rate": self.cache.stats.hit_rate(),
             "cache_invalidated": float(self.cache.stats.invalidated),
             "queue_depth": float(self.queue_depth),
-            "num_shards": float(self.shards.num_shards),
-            "shard_min_load": float(min(balance.values()) if balance else 0),
-            "shard_max_load": float(max(balance.values()) if balance else 0),
-            "shard_probes": float(self.shards.shard_probes),
-            "shard_lookups": float(self.shards.lookups),
             "store_scenarios": float(len(self.store)),
             "watch_pending": float(self.watch_pending),
             "watch_emitted": float(self.watch_emitted),
@@ -781,16 +781,15 @@ class MatchService:
         ) as exec_span:
             self._rw.acquire_read()
             try:
-                keys = self.shards.scenarios_of(request.eid)
+                keys = self.store.scenarios_of(request.eid)
                 response = InvestigateResponse(
                     status=STATUS_OK,
                     eid=request.eid,
                     num_scenarios=len(keys),
-                    presence=self.shards.presence_windows(request.eid),
-                    co_travelers=self.shards.co_travelers(
-                        request.eid, min_shared=request.min_shared
+                    presence=presence_windows(keys),
+                    co_travelers=co_travelers(
+                        self.store, request.eid, keys, request.min_shared
                     ),
-                    shards_touched=len(self.shards.shards_of_eid(request.eid)),
                 )
             except Exception as exc:
                 response = InvestigateResponse(

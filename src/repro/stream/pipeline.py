@@ -224,8 +224,8 @@ class DurableStoreSink(StoreSink):
 
 class ServiceSink:
     """Feeds a live :class:`~repro.service.server.MatchService` via
-    its ingest path (store + shards + watch-list + cache
-    invalidation), with the same duplicate suppression."""
+    its ingest path (store + watch-list + cache invalidation), with
+    the same duplicate suppression."""
 
     def __init__(self, service) -> None:
         self.service = service

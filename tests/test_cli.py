@@ -50,7 +50,7 @@ class TestServeParser:
             build_parser().parse_args(["serve", "--help"])
         assert excinfo.value.code == 0
         text = capsys.readouterr().out
-        for flag in ("--workers", "--queue-size", "--shards", "--no-cache",
+        for flag in ("--workers", "--queue-size", "--no-cache",
                      "--requests", "--watch"):
             assert flag in text
 
@@ -60,7 +60,7 @@ class TestServeParser:
         assert excinfo.value.code == 0
         text = capsys.readouterr().out
         for flag in ("--clients", "--requests", "--pool",
-                     "--targets-per-request", "--workers", "--shards"):
+                     "--targets-per-request", "--workers"):
             assert flag in text
 
     def test_serve_defaults(self):

@@ -321,7 +321,6 @@ class TestResponseCodec:
             num_scenarios=6,
             presence=[(0, 1), (3, 2)],
             co_travelers=[(EID(5), 4)],
-            shards_touched=3,
         )
         decoded = response_from_wire(
             json.loads(json.dumps(response_to_wire(response)))
@@ -406,7 +405,6 @@ _investigate_responses = st.builds(
     num_scenarios=st.integers(0, 10**6),
     presence=st.lists(st.tuples(*[st.integers(0, 10**6)] * 3), max_size=4),
     co_travelers=st.lists(st.tuples(_eids, st.integers(1, 10**4)), max_size=6),
-    shards_touched=st.integers(0, 64),
     cached=st.booleans(),
     latency_s=_latencies,
     error=_errors,

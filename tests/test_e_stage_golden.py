@@ -26,6 +26,7 @@ import pytest
 from repro.core.edp import EDPConfig, EDPMatcher
 from repro.core.incremental import IncrementalMatcher
 from repro.core.set_splitting import SelectionStrategy, SetSplitter, SplitConfig
+from repro.sensing.scenarios import ScenarioStore
 from repro.world.entities import EID
 
 #: An EID no scenario ever observed: a universe containing it exercises
@@ -243,6 +244,24 @@ def store(practical_dataset):
     return practical_dataset.store
 
 
+@pytest.fixture(scope="module")
+def grown_store(store):
+    """The same scenarios, the first half of the ticks at build time and
+    the rest added tick by tick after the EID index was built: EDP must
+    see the same per-EID pools in the same (cell, tick) order."""
+    ticks = store.ticks
+    half = ticks[len(ticks) // 2]
+    grown = ScenarioStore(
+        [store.get(key) for key in store.keys if key.tick < half]
+    )
+    grown.scenarios_of(EID(0))
+    for tick in ticks:
+        if tick >= half:
+            for key in store.keys_at_tick(tick):
+                grown.add(store.get(key))
+    return grown
+
+
 @pytest.mark.parametrize("case", SPLIT_CASES, ids=_case_id)
 def test_set_splitter_golden(store, case):
     assert digest_split(store, *case) == SPLIT_GOLDEN[case]
@@ -259,8 +278,9 @@ def test_set_splitter_unobserved_universe_golden(store, strategy):
 
 
 @pytest.mark.parametrize("case", EDP_CASES, ids=_case_id)
-def test_edp_golden(store, case):
+def test_edp_golden(store, grown_store, case):
     assert digest_edp(store, *case) == EDP_GOLDEN[case]
+    assert digest_edp(grown_store, *case) == EDP_GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", INCREMENTAL_CASES, ids=_case_id)

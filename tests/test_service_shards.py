@@ -1,8 +1,10 @@
-"""Tests for the region-banded dataset shards, and for the one
-co-occurrence count their investigate path shares with convoy mining
+"""Tests for the store's EID index — the lookups the investigate verb,
+EDP, convoy mining and :class:`ScenarioIndex` all read — and for the
+one co-occurrence count the investigate path shares with convoy mining
 and the fused index."""
 
 import gc
+import random
 import weakref
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -20,99 +22,52 @@ from repro.sensing.scenarios import (
     ScenarioStore,
     VScenario,
     co_travelers,
+    presence_windows,
 )
-from repro.service.dataset_shards import ShardedDataset, _band
 from repro.service.server import MatchService
 from repro.world.entities import EID
 from tests.oracles import cotravel
 
 
-class TestBanding:
-    def test_bands_partition_cells(self):
-        cells = list(range(11))
-        bands = _band(cells, 4)
-        assert len(bands) == 4
-        flat = [c for band in bands for c in band]
-        assert flat == cells  # contiguous, order-preserving
-        sizes = [len(band) for band in bands]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_empty_cells(self):
-        assert _band([], 3) == [[], [], []]
-
-    def test_invalid_shard_count(self, ideal_dataset):
-        with pytest.raises(ValueError):
-            ShardedDataset(ideal_dataset.store, num_shards=0)
-
-    def test_shards_clamped_to_cell_count(self, ideal_dataset):
-        sharded = ShardedDataset(
-            ideal_dataset.store, ideal_dataset.grid, num_shards=100
-        )
-        assert sharded.num_shards == ideal_dataset.grid.num_cells
-
-
-class TestTopology:
-    def test_every_cell_routed_once(self, ideal_dataset):
-        sharded = ShardedDataset(
-            ideal_dataset.store, ideal_dataset.grid, num_shards=4
-        )
-        seen = {}
-        for shard in sharded.shards:
-            for cell_id in shard.cell_ids:
-                assert cell_id not in seen, "cell assigned to two shards"
-                seen[cell_id] = shard.shard_id
-        for cell in ideal_dataset.grid.cells:
-            assert sharded.shard_of_cell(cell.cell_id) is not None
-
-    def test_all_scenarios_indexed(self, ideal_dataset):
-        sharded = ShardedDataset(
-            ideal_dataset.store, ideal_dataset.grid, num_shards=4
-        )
-        assert sum(sharded.balance().values()) == len(ideal_dataset.store)
+def scanned(store, eid):
+    """The oracle: every key whose E side holds ``eid``, by a full scan
+    in key order."""
+    return tuple(key for key in store.keys if eid in store.e_scenario(key))
 
 
 class TestLookups:
     def test_scenarios_of_matches_monolithic_index(self, ideal_dataset):
-        sharded = ShardedDataset(
-            ideal_dataset.store, ideal_dataset.grid, num_shards=4
-        )
-        index = ScenarioIndex(ideal_dataset.store, ideal_dataset.grid)
+        store = ideal_dataset.store
+        index = ScenarioIndex(store, ideal_dataset.grid)
         for eid in ideal_dataset.sample_targets(15, seed=3):
-            assert sharded.scenarios_of(eid) == index.scenarios_of(eid)
+            assert store.scenarios_of(eid) == scanned(store, eid)
+            assert index.scenarios_of(eid) == store.scenarios_of(eid)
 
     def test_presence_windows_match_monolithic_index(self, ideal_dataset):
-        sharded = ShardedDataset(
-            ideal_dataset.store, ideal_dataset.grid, num_shards=4
-        )
-        index = ScenarioIndex(ideal_dataset.store, ideal_dataset.grid)
+        store = ideal_dataset.store
+        index = ScenarioIndex(store, ideal_dataset.grid)
         for eid in ideal_dataset.sample_targets(10, seed=4):
-            assert sharded.presence_windows(eid) == index.presence_windows(eid)
-
-    def test_lookup_probes_only_routed_shards(self, ideal_dataset):
-        sharded = ShardedDataset(
-            ideal_dataset.store, ideal_dataset.grid, num_shards=4
-        )
-        eid = ideal_dataset.sample_targets(1, seed=5)[0]
-        before = sharded.shard_probes
-        sharded.scenarios_of(eid)
-        probed = sharded.shard_probes - before
-        assert probed == len(sharded.shards_of_eid(eid))
-        assert probed <= sharded.num_shards
+            runs = presence_windows(store.scenarios_of(eid))
+            assert runs == index.presence_windows(eid)
+            covered = {
+                (cell, tick)
+                for cell, first, last in runs
+                for tick in range(first, last + 1)
+            }
+            assert covered == {tuple(key) for key in scanned(store, eid)}
 
     def test_unknown_eid(self, ideal_dataset):
-        sharded = ShardedDataset(ideal_dataset.store, num_shards=2)
         ghost = EID(10**6)
-        assert ghost not in sharded
-        assert sharded.scenarios_of(ghost) == ()
-        assert sharded.presence_windows(ghost) == []
+        assert ideal_dataset.store.scenarios_of(ghost) == ()
+        assert presence_windows(()) == []
 
     def test_co_travelers_counts_confident_cooccurrence(self, ideal_dataset):
-        sharded = ShardedDataset(ideal_dataset.store, num_shards=3)
+        store = ideal_dataset.store
         eid = ideal_dataset.sample_targets(1, seed=6)[0]
-        pairs = sharded.co_travelers(eid, min_shared=2)
+        pairs = co_travelers(store, eid, store.scenarios_of(eid), 2)
         counts = {}
-        for key in ideal_dataset.store.keys:
-            e_scenario = ideal_dataset.store.e_scenario(key)
+        for key in store.keys:
+            e_scenario = store.e_scenario(key)
             if eid in e_scenario.inclusive:
                 for other in e_scenario.inclusive:
                     if other != eid:
@@ -124,48 +79,24 @@ class TestLookups:
         assert pairs == expected
 
     def test_min_shared_validated(self, ideal_dataset):
-        sharded = ShardedDataset(ideal_dataset.store, num_shards=2)
+        store = ideal_dataset.store
         with pytest.raises(ValueError):
-            sharded.co_travelers(EID(0), min_shared=0)
+            co_travelers(store, EID(0), store.scenarios_of(EID(0)), 0)
 
 
 class TestIngestRouting:
     def test_add_scenario_updates_routing(self, ideal_dataset):
         store = ideal_dataset.store
         keys = list(store.keys)
-        held_out = keys[-1]
-        from repro.sensing.scenarios import ScenarioStore
-
-        partial = ScenarioStore([store.get(k) for k in keys[:-1]])
-        sharded = ShardedDataset(partial, ideal_dataset.grid, num_shards=4)
+        held_out = keys[len(keys) // 2]
+        partial = ScenarioStore([store.get(k) for k in keys if k != held_out])
         scenario = store.get(held_out)
-        shard_id = sharded.add_scenario(scenario)
-        assert shard_id == sharded.shard_of_cell(held_out.cell_id)
+        for eid in scenario.e.eids:  # built before the add
+            assert held_out not in partial.scenarios_of(eid)
+        partial.add(scenario)
         for eid in scenario.e.eids:
-            assert shard_id in sharded.shards_of_eid(eid)
-            assert held_out in sharded.scenarios_of(eid)
-
-    def test_unseen_cell_assigned_round_robin(self, ideal_dataset):
-        from repro.sensing.scenarios import (
-            EScenario,
-            EVScenario,
-            ScenarioKey,
-            VScenario,
-        )
-
-        sharded = ShardedDataset(
-            ideal_dataset.store, ideal_dataset.grid, num_shards=3
-        )
-        new_cell = max(c.cell_id for c in ideal_dataset.grid.cells) + 5
-        key = ScenarioKey(cell_id=new_cell, tick=0)
-        eid = ideal_dataset.eids[0]
-        scenario = EVScenario(
-            e=EScenario(key=key, inclusive=frozenset([eid])),
-            v=VScenario.of(key),
-        )
-        shard_id = sharded.add_scenario(scenario)
-        assert shard_id == new_cell % sharded.num_shards
-        assert key in sharded.scenarios_of(eid)
+            assert held_out in partial.scenarios_of(eid)
+            assert partial.scenarios_of(eid) == store.scenarios_of(eid)
 
 
 def scenario(cell, tick, inclusive, vague=()):
@@ -221,13 +152,14 @@ def fused_index(store, eids):
     return FusedIndex(store, report)
 
 
-def assert_callers_match_oracle(store, sharded, batch, queried, min_shared):
+def assert_callers_match_oracle(store, batch, queried, min_shared):
     """All three callers of the count against the oracle on ``batch``."""
     fused = fused_index(store, queried)
     convoys = ConvoyQuery(store, min_shared=min_shared)
     for eid in queried:
         expected = cotravel.co_travelers(batch, eid, batch.keys, min_shared)
-        assert sharded.co_travelers(eid, min_shared) == expected
+        investigated = co_travelers(store, eid, store.scenarios_of(eid), min_shared)
+        assert investigated == expected
         assert fused.co_travelers(eid, min_shared) == expected
         own_keys = convoys._inclusive_keys(eid)
         assert convoys._candidates(eid, own_keys) == sorted(
@@ -239,11 +171,44 @@ def assert_callers_match_oracle(store, sharded, batch, queried, min_shared):
             )
 
 
-class TestCoTravelCount:
-    """The one count: shards (investigate), convoy screening and the
-    fused index, against the dict-loop oracle."""
+#: Every EID a drawn store can hold, plus one seen only as vague and
+#: one never seen.
+QUERIED = [EID(i) for i in INDICES + [VAGUE_ONLY, UNKNOWN]]
 
-    QUERIED = [EID(i) for i in INDICES + [VAGUE_ONLY, UNKNOWN]]
+
+class TestStoreIndex:
+    """A store grown by :meth:`ScenarioStore.add` answers every EID
+    lookup as the store built from the same scenarios at once, whether
+    its index was built before the adds (each add extends it) or after
+    them (one walk of the grown store)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=scenario_entries,
+        cut=st.integers(0, 14),
+        seed=st.integers(0, 2**16),
+    )
+    def test_grown_equals_batch(self, entries, cut, seed):
+        scenarios = build_scenarios(entries)
+        batch = ScenarioStore(scenarios)
+        cut = min(cut, len(scenarios))
+        arriving = scenarios[cut:]
+        random.Random(seed).shuffle(arriving)
+        for read_first in (True, False):
+            grown = ScenarioStore(scenarios[:cut])
+            if read_first:
+                assert grown.scenarios_of(EID(0)) == scanned(grown, EID(0))
+            for fresh in arriving:
+                grown.add(fresh)
+            for eid in QUERIED:
+                expected = scanned(batch, eid)
+                assert batch.scenarios_of(eid) == expected
+                assert grown.scenarios_of(eid) == expected
+
+
+class TestCoTravelCount:
+    """The one count: the investigate path, convoy screening and the
+    fused index, against the dict-loop oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -254,21 +219,15 @@ class TestCoTravelCount:
     def test_callers_equal_oracle_batch_and_grown(self, entries, cut, min_shared):
         scenarios = build_scenarios(entries)
         batch = ScenarioStore(scenarios)
-        sharded = ShardedDataset(batch, num_shards=2)
-        assert_callers_match_oracle(
-            batch, sharded, batch, self.QUERIED, min_shared
-        )
+        assert_callers_match_oracle(batch, batch, QUERIED, min_shared)
         # The same scenarios, part at build time and the rest through
-        # the live ingest path.
+        # the live ingest path, with the index read before the adds.
         cut = min(cut, len(scenarios))
         grown = ScenarioStore(scenarios[:cut])
-        grown_shards = ShardedDataset(grown, num_shards=2)
+        grown.scenarios_of(EID(0))
         for fresh in scenarios[cut:]:
             grown.add(fresh)
-            grown_shards.add_scenario(fresh)
-        assert_callers_match_oracle(
-            grown, grown_shards, batch, self.QUERIED, min_shared
-        )
+        assert_callers_match_oracle(grown, batch, QUERIED, min_shared)
 
     def store(self):
         return ScenarioStore(
@@ -327,14 +286,13 @@ class TestStoreLifetime:
         )
 
     def test_sharded_dataset_frees_its_store(self):
+        """A store whose EID index was built and then grown."""
         with collector_off():
             store = self.make_store()
-            shards = ShardedDataset(store, num_shards=2)
-            fresh = scenario(2, 2, {0, 3})
-            store.add(fresh)
-            shards.add_scenario(fresh)
+            store.scenarios_of(EID(0))
+            store.add(scenario(2, 2, {0, 3}))
             ref = weakref.ref(store)
-            del store, shards
+            del store
             assert ref() is None
 
     def test_stopped_service_frees_its_store(self):
